@@ -12,17 +12,8 @@ from .agents import (
     demand_at_prices,
     prices_from_duals,
 )
-from .baselines import (
-    BaselineParams,
-    dgm_step,
-    dgm_trial,
-    fdgm_trial,
-    ndgm_trial,
-    run_dgm,
-    run_fdgm,
-    run_ndgm,
-)
-from .harness import ExperimentConfig, SummaryStats, run_experiment
+from .baselines import dgm_step, run_dgm, run_fdgm, run_ndgm
+from .harness import ALGORITHMS, ExperimentConfig, SummaryStats, run_algorithm, run_experiment
 from .oracle import OptimalSolution, dual_value, kkt_residual, solve_optimal
 from .problem import (
     GeneratorConfig,
@@ -44,6 +35,7 @@ from .sdgm import (
     dual_step,
     regret_bound,
     regret_constant,
+    run_pricing,
     run_sdgm,
     safety_margin,
     step_sizes,

@@ -7,13 +7,12 @@ particular reference implementation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .agents import best_response_profile, demand_at_prices
+from .agents import best_response_profile  # unused here; kept as a wrap point of bench/tracer.py
 from .problem import NumProblem, ProblemConstants
-from .trace import TrialTrace, build_trace
+from .sdgm import run_pricing
+from .trace import build_trace  # unused here; kept as a wrap point of bench/tracer.py
 
 NDGM_EPSILON = 1e-6
 # Damping for the diagonally scaled update.  The undamped Newton-style step
@@ -21,22 +20,6 @@ NDGM_EPSILON = 1e-6
 # zero and the user subproblems become unbounded; 0.2 is stable across the
 # random ensemble while keeping the fast convergence.
 NDGM_DAMPING = 0.2
-
-
-@dataclass(frozen=True)
-class BaselineParams:
-    """Algorithm selector plus the knobs the individual methods read."""
-
-    kind: str  # "DGM" | "FDGM" | "NDGM"
-    step: float
-    horizon: int
-    epsilon_reg: float = NDGM_EPSILON
-
-    def __post_init__(self):
-        if self.kind not in ("DGM", "FDGM", "NDGM"):
-            raise ValueError(f"unknown baseline kind {self.kind!r}")
-        if self.step <= 0 or self.epsilon_reg <= 0:
-            raise ValueError("step and epsilon_reg must be positive")
 
 
 def scaled_step(
@@ -67,14 +50,7 @@ def run_dgm(
     if step is None:
         step = 1.0 / constants.dual_smoothness
     lam = np.ones(problem.m) if lam_init is None else np.asarray(lam_init, float).copy()
-    x_hist = np.empty((horizon, problem.n))
-    lam_hist = np.empty((horizon, problem.m))
-    for t in range(horizon):
-        x = best_response_profile(problem, lam)
-        x_hist[t] = x
-        lam_hist[t] = lam
-        lam = dgm_step(lam, x, problem, step)
-    return x_hist, lam_hist
+    return run_pricing(problem, lam, lambda lam, x, t: dgm_step(lam, x, problem, step), horizon)
 
 
 def run_fdgm(
@@ -87,17 +63,15 @@ def run_fdgm(
     """
     inv_l = 1.0 / constants.dual_smoothness
     lam = np.full(problem.m, constants.lambda_bar)
-    y = lam.copy()
-    x_hist = np.empty((horizon, problem.n))
-    lam_hist = np.empty((horizon, problem.m))
-    for t in range(1, horizon + 1):
-        x = best_response_profile(problem, y)
-        x_hist[t - 1] = x
-        lam_hist[t - 1] = y
-        lam_next = np.maximum(0.0, y + inv_l * (problem.a_matrix @ x - problem.capacities))
+
+    def extrapolate(y, x, t):
+        nonlocal lam
+        lam_next = scaled_step(y, x, problem, inv_l)
         y = np.maximum(0.0, lam_next + (t - 1) / (t + 2) * (lam_next - lam))
         lam = lam_next
-    return x_hist, lam_hist
+        return y
+
+    return run_pricing(problem, lam, extrapolate, horizon)
 
 
 def diagonal_scaling(
@@ -122,36 +96,12 @@ def run_ndgm(
     damping: float = NDGM_DAMPING,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Damped diagonally scaled dual ascent from the capped dual start."""
-    lam = np.full(problem.m, constants.lambda_bar)
-    x_hist = np.empty((horizon, problem.n))
-    lam_hist = np.empty((horizon, problem.m))
-    for t in range(horizon):
-        x = best_response_profile(problem, lam)
-        x_hist[t] = x
-        lam_hist[t] = lam
+
+    def step(lam, x, t):
         scale = damping * diagonal_scaling(problem, x, epsilon_reg)
         # never cut a dual below half its value in one move: the curvature
         # estimate is unreliable while demands sit on their box boundary, and
         # an unchecked step can zero out every price a user sees
-        lam = np.maximum(0.5 * lam, scaled_step(lam, x, problem, scale))
-    return x_hist, lam_hist
+        return np.maximum(0.5 * lam, scaled_step(lam, x, problem, scale))
 
-
-def dgm_trial(problem, constants, horizon, trial_id=0, f_star=np.nan, x_star=None,
-              step=None) -> TrialTrace:
-    x_hist, lam_hist = run_dgm(problem, constants, horizon, step=step)
-    return build_trace(problem, "DGM", x_hist, lam_hist, trial_id=trial_id,
-                       f_star=f_star, x_star=x_star)
-
-
-def fdgm_trial(problem, constants, horizon, trial_id=0, f_star=np.nan, x_star=None) -> TrialTrace:
-    x_hist, lam_hist = run_fdgm(problem, constants, horizon)
-    return build_trace(problem, "FDGM", x_hist, lam_hist, trial_id=trial_id,
-                       f_star=f_star, x_star=x_star)
-
-
-def ndgm_trial(problem, constants, horizon, trial_id=0, f_star=np.nan, x_star=None,
-               epsilon_reg=NDGM_EPSILON, damping=NDGM_DAMPING) -> TrialTrace:
-    x_hist, lam_hist = run_ndgm(problem, constants, horizon, epsilon_reg, damping)
-    return build_trace(problem, "NDGM", x_hist, lam_hist, trial_id=trial_id,
-                       f_star=f_star, x_star=x_star)
+    return run_pricing(problem, np.full(problem.m, constants.lambda_bar), step, horizon)

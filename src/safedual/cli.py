@@ -12,9 +12,7 @@ import json
 import sys
 from dataclasses import replace
 
-import numpy as np
-
-from . import baselines, harness, oracle, sdgm
+from . import harness, oracle
 from .problem import (
     GeneratorConfig,
     compute_constants,
@@ -29,14 +27,15 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="safedual")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    defaults = GeneratorConfig()
     gen = sub.add_parser("generate", help="emit a random problem document")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=int, default=defaults.seed)
     gen.add_argument("--out", help="output path (stdout if omitted)")
-    gen.add_argument("--n-range", type=int, nargs=2, default=(10, 40))
-    gen.add_argument("--m-range", type=int, nargs=2, default=(5, 25))
-    gen.add_argument("--theta-range", type=float, nargs=2, default=(10.0, 30.0))
-    gen.add_argument("--capacity", type=float, default=1.0)
-    gen.add_argument("--bernoulli-p", type=float, default=0.5)
+    gen.add_argument("--n-range", type=int, nargs=2, default=defaults.n_range)
+    gen.add_argument("--m-range", type=int, nargs=2, default=defaults.m_range)
+    gen.add_argument("--theta-range", type=float, nargs=2, default=defaults.theta_range)
+    gen.add_argument("--capacity", type=float, default=defaults.capacity_value)
+    gen.add_argument("--bernoulli-p", type=float, default=defaults.bernoulli_p)
 
     slv = sub.add_parser("solve", help="reference optimum of a problem file")
     slv.add_argument("problem")
@@ -100,15 +99,10 @@ def _cmd_run(args) -> None:
         raise RuntimeError(f"invalid problem: {violations}")
     constants = compute_constants(problem)
     solution = oracle.solve_optimal(problem, constants)
-    common = dict(trial_id=0, f_star=solution.f_star, x_star=solution.x_star)
-    if args.algorithm == "SDGM":
-        trace = sdgm.run_trial(problem, constants, args.horizon, gamma=args.gamma, **common)
-    elif args.algorithm == "DGM":
-        trace = baselines.dgm_trial(problem, constants, args.horizon, **common)
-    elif args.algorithm == "FDGM":
-        trace = baselines.fdgm_trial(problem, constants, args.horizon, **common)
-    else:
-        trace = baselines.ndgm_trial(problem, constants, args.horizon, **common)
+    trace = harness.run_algorithm(
+        args.algorithm, problem, constants, args.horizon, args.gamma,
+        f_star=solution.f_star, x_star=solution.x_star,
+    )
     trace.write_csv(args.out if args.out else sys.stdout)
 
 

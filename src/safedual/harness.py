@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -21,9 +21,34 @@ from .problem import (
     generate_random,
     problem_hash,
 )
-from .trace import METRIC_COLUMNS, TrialTrace, read_trace_csv
+from .trace import METRIC_COLUMNS, TrialTrace, build_trace, read_trace_csv
 
-ALGORITHMS = ("SDGM", "DGM", "FDGM", "NDGM")
+# name -> runner(problem, constants, horizon, gamma) -> (x_hist, lam_hist).  Runners
+# look each loop up on its module at call time, so a wrapper installed there
+# (bench/tracer.py) sees every run.  gamma is the safe method's base step.
+RUNNERS = {
+    "SDGM": lambda p, c, horizon, gamma: sdgm.run_sdgm(p, c, horizon, gamma)[:2],
+    "DGM": lambda p, c, horizon, gamma: baselines.run_dgm(p, c, horizon),
+    "FDGM": lambda p, c, horizon, gamma: baselines.run_fdgm(p, c, horizon),
+    "NDGM": lambda p, c, horizon, gamma: baselines.run_ndgm(p, c, horizon),
+}
+ALGORITHMS = tuple(RUNNERS)
+
+
+class ConfigError(ValueError):
+    """An experiment config document names a field the config does not have."""
+
+
+class TraceMismatchError(ValueError):
+    """A trace the manifest lists is missing or does not match the manifest."""
+
+
+def _from_fields(cls, doc: dict):
+    """Build dataclass `cls` from a JSON document; JSON lists become tuples."""
+    unknown = set(doc) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {cls.__name__} fields: {sorted(unknown)}")
+    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()})
 
 
 @dataclass(frozen=True)
@@ -45,45 +70,13 @@ class ExperimentConfig:
             raise ValueError(f"unknown algorithms: {sorted(unknown)}")
 
     def to_dict(self) -> dict:
-        return {
-            "generator": {
-                "n_range": list(self.generator.n_range),
-                "m_range": list(self.generator.m_range),
-                "theta_range": list(self.generator.theta_range),
-                "capacity_value": self.generator.capacity_value,
-                "bernoulli_p": self.generator.bernoulli_p,
-                "seed": self.generator.seed,
-            },
-            "horizon": self.horizon,
-            "trials": self.trials,
-            "algorithms": list(self.algorithms),
-            "master_seed": self.master_seed,
-            "output_dir": self.output_dir,
-            "gamma": self.gamma,
-            "workers": self.workers,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        gen = doc.get("generator", {})
-        generator = GeneratorConfig(
-            n_range=tuple(gen.get("n_range", (10, 40))),
-            m_range=tuple(gen.get("m_range", (5, 25))),
-            theta_range=tuple(gen.get("theta_range", (10.0, 30.0))),
-            capacity_value=gen.get("capacity_value", 1.0),
-            bernoulli_p=gen.get("bernoulli_p", 0.5),
-            seed=gen.get("seed", 0),
-        )
-        return cls(
-            generator=generator,
-            horizon=doc.get("horizon", 1000),
-            trials=doc.get("trials", 100),
-            algorithms=tuple(doc.get("algorithms", ALGORITHMS)),
-            master_seed=doc.get("master_seed", 0),
-            output_dir=doc.get("output_dir", "results"),
-            gamma=doc.get("gamma"),
-            workers=doc.get("workers", 1),
-        )
+        doc = dict(doc)
+        doc["generator"] = _from_fields(GeneratorConfig, doc.get("generator", {}))
+        return _from_fields(cls, doc)
 
 
 @dataclass
@@ -137,6 +130,14 @@ def _cached_oracle(problem, constants, cache_dir):
     return solution
 
 
+def run_algorithm(
+    algorithm: str, problem, constants, horizon: int, gamma=None, **trace_args
+) -> TrialTrace:
+    """Run one registered algorithm; `trace_args` go on to `build_trace`."""
+    x_hist, lam_hist = RUNNERS[algorithm](problem, constants, horizon, gamma)
+    return build_trace(problem, algorithm, x_hist, lam_hist, **trace_args)
+
+
 def run_trial(config: ExperimentConfig, trial_id: int) -> tuple[dict, list[TrialTrace]]:
     """Generate, solve, and run all selected algorithms for one trial.
 
@@ -150,16 +151,12 @@ def run_trial(config: ExperimentConfig, trial_id: int) -> tuple[dict, list[Trial
     solution = _cached_oracle(problem, constants, cache_dir)
     gamma = config.gamma if config.gamma is not None else sdgm.default_gamma(constants, problem)
 
-    common = dict(trial_id=trial_id, f_star=solution.f_star, x_star=solution.x_star)
-    runners = {
-        "SDGM": lambda: sdgm.run_trial(problem, constants, config.horizon, gamma=gamma, **common),
-        "DGM": lambda: baselines.dgm_trial(problem, constants, config.horizon, **common),
-        "FDGM": lambda: baselines.fdgm_trial(problem, constants, config.horizon, **common),
-        "NDGM": lambda: baselines.ndgm_trial(problem, constants, config.horizon, **common),
-    }
     traces = []
     for alg in config.algorithms:
-        trace = runners[alg]()
+        trace = run_algorithm(
+            alg, problem, constants, config.horizon, gamma,
+            trial_id=trial_id, f_star=solution.f_star, x_star=solution.x_star,
+        )
         trace.write_csv(trial_trace_path(config.output_dir, trial_id, alg))
         traces.append(trace)
 
@@ -260,18 +257,22 @@ def run_experiment(config: ExperimentConfig) -> SummaryStats:
 
 
 def report(output_dir: str) -> SummaryStats:
-    """Re-aggregate existing trace CSVs into a fresh summary."""
-    trace_dir = os.path.join(output_dir, "traces")
-    paths = sorted(
-        os.path.join(trace_dir, name)
-        for name in os.listdir(trace_dir)
-        if name.endswith(".csv")
-    )
-    if not paths:
-        raise FileNotFoundError(f"no trace files under {trace_dir}")
-    traces = [read_trace_csv(path) for path in paths]
-    algorithms = tuple(alg for alg in ALGORITHMS if any(tr.algorithm == alg for tr in traces))
-    horizon = traces[0].horizon
-    summary = aggregate(traces, algorithms, horizon)
+    """Re-aggregate the traces of the run that `manifest.json` records."""
+    with open(os.path.join(output_dir, "manifest.json")) as fh:
+        manifest = json.load(fh)
+    config = ExperimentConfig.from_dict(manifest["config"])
+    traces = []
+    for meta in manifest["trials"]:
+        for alg in config.algorithms:
+            path = trial_trace_path(output_dir, meta["trial_id"], alg)
+            if not os.path.exists(path):
+                raise TraceMismatchError(f"missing trace {path}")
+            trace = read_trace_csv(path)
+            if trace.horizon != config.horizon:
+                raise TraceMismatchError(
+                    f"{path} has {trace.horizon} rounds, the manifest {config.horizon}"
+                )
+            traces.append(trace)
+    summary = aggregate(traces, config.algorithms, config.horizon)
     summary.write_csv(os.path.join(output_dir, "summary.csv"))
     return summary

@@ -42,19 +42,12 @@ class UtilitySpec:
     lower: float = 0.0
     upper: float = math.inf
 
-    def value(self, x: float) -> float:
-        return self.theta * math.log(x + self.shift)
-
     def derivative(self, x: float) -> float:
         return self.theta / (x + self.shift)
 
     def inverse_derivative(self, marginal: float) -> float:
         """Solve derivative(x) == marginal for x (ignoring the box)."""
         return self.theta / marginal - self.shift
-
-    def curvature(self, x: float) -> float:
-        """Magnitude of the second derivative at x."""
-        return self.theta / (x + self.shift) ** 2
 
 
 @dataclass(frozen=True, eq=False)

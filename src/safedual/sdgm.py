@@ -15,7 +15,7 @@ import numpy as np
 
 from .agents import best_response_profile
 from .problem import NumProblem, ProblemConstants
-from .trace import TrialTrace, build_trace
+from .trace import build_trace  # unused here; kept as a wrap point of bench/tracer.py
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,6 +100,22 @@ def regret_bound(
     return lambda_bar**2 * c_l1 * root / gamma + 2.0 * constant * gamma * root
 
 
+def run_pricing(problem: NumProblem, lam: np.ndarray, update, horizon: int):
+    """Post prices for `horizon` rounds: the one round loop every method shares.
+
+    Round t (1-based) posts the dual `lam`, records it with the demand it
+    realizes, then moves to `update(lam, x, t)`.  Returns (x_hist, lam_hist).
+    """
+    x_hist = np.empty((horizon, problem.n))
+    lam_hist = np.empty((horizon, problem.m))
+    for t in range(1, horizon + 1):
+        x = best_response_profile(problem, lam)
+        x_hist[t - 1] = x
+        lam_hist[t - 1] = lam
+        lam = update(lam, x, t)
+    return x_hist, lam_hist
+
+
 def run_sdgm(
     problem: NumProblem,
     constants: ProblemConstants,
@@ -114,28 +130,10 @@ def run_sdgm(
     if gamma is None:
         gamma = default_gamma(constants, problem)
     params = SdgmParams.from_constants(constants, gamma, horizon)
-    state = DualState(lam=np.full(problem.m, params.lambda_bar), t=1)
-    x_hist = np.empty((horizon, problem.n))
-    lam_hist = np.empty((horizon, problem.m))
-    for t in range(horizon):
-        x = best_response_profile(problem, state.lam)
-        x_hist[t] = x
-        lam_hist[t] = state.lam
-        state = dual_step(state, x, problem, params)
-    return x_hist, lam_hist, params
-
-
-def run_trial(
-    problem: NumProblem,
-    constants: ProblemConstants,
-    horizon: int,
-    gamma: float | None = None,
-    trial_id: int = 0,
-    f_star: float = np.nan,
-    x_star: np.ndarray | None = None,
-) -> TrialTrace:
-    """Run the method and assemble the standard metric trace."""
-    x_hist, lam_hist, _ = run_sdgm(problem, constants, horizon, gamma)
-    return build_trace(
-        problem, "SDGM", x_hist, lam_hist, trial_id=trial_id, f_star=f_star, x_star=x_star
+    x_hist, lam_hist = run_pricing(
+        problem,
+        np.full(problem.m, params.lambda_bar),
+        lambda lam, x, t: dual_step(DualState(lam=lam, t=t), x, problem, params).lam,
+        horizon,
     )
+    return x_hist, lam_hist, params

@@ -2,26 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import random_valid_problem
-from safedual import (
-    BaselineParams,
-    compute_constants,
-    dgm_step,
-    run_dgm,
-    run_fdgm,
-    run_ndgm,
-)
+from safedual import compute_constants, dgm_step, run_dgm, run_fdgm, run_ndgm
 from safedual.baselines import diagonal_scaling, scaled_step
 from safedual.oracle import dual_value
-
-
-class TestParams:
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            BaselineParams(kind="XGM", step=0.1, horizon=10)
-
-    def test_rejects_non_positive_step(self):
-        with pytest.raises(ValueError):
-            BaselineParams(kind="DGM", step=0.0, horizon=10)
 
 
 class TestDgm:

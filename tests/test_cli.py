@@ -2,7 +2,10 @@ import json
 import math
 import os
 
+import pytest
+
 from safedual.cli import main
+from safedual.harness import ALGORITHMS, derive_trial_seed, trial_trace_path
 from safedual.problem import load_problem
 from safedual.trace import CSV_HEADER
 
@@ -85,6 +88,28 @@ class TestRun:
         out = capsys.readouterr().out.splitlines()
         assert out[0] == CSV_HEADER
         assert len(out) == 11
+
+
+@pytest.fixture(scope="module")
+def compared(tmp_path_factory):
+    """`compare` on one network of master seed 3, and that network as a file."""
+    root = tmp_path_factory.mktemp("run_vs_compare")
+    out_dir = str(root / "exp")
+    assert main(["compare", "--seed", "3", "--trials", "1", "--horizon", "30",
+                 "--out", out_dir]) == 0
+    problem_path = str(root / "problem.json")
+    assert main(["generate", "--seed", str(derive_trial_seed(3, 0)), "--out", problem_path]) == 0
+    return out_dir, problem_path
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_run_matches_compare_trace(compared, algorithm, tmp_path, capsys):
+    out_dir, problem_path = compared
+    trace_path = tmp_path / "trace.csv"
+    assert main(["run", "--problem", problem_path, "--algorithm", algorithm,
+                 "--horizon", "30", "--out", str(trace_path)]) == 0
+    with open(trial_trace_path(out_dir, 0, algorithm), "rb") as fh:
+        assert trace_path.read_bytes() == fh.read()
 
 
 class TestCompareAndReport:

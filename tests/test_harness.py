@@ -1,15 +1,20 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
-from safedual import ExperimentConfig, GeneratorConfig, run_experiment
+from safedual import ExperimentConfig, GeneratorConfig, baselines, run_experiment
 from safedual.harness import (
     ALGORITHMS,
+    RUNNERS,
+    ConfigError,
+    TraceMismatchError,
     aggregate,
     derive_trial_seed,
     report,
+    run_algorithm,
     run_trial,
     trial_trace_path,
 )
@@ -50,7 +55,15 @@ class TestSeeds:
 class TestConfig:
     def test_round_trip(self, tmp_path):
         config = small_config(tmp_path, gamma=0.7, workers=2)
-        assert ExperimentConfig.from_dict(config.to_dict()) == config
+        doc = json.loads(json.dumps(config.to_dict()))  # tuples come back as lists
+        assert ExperimentConfig.from_dict(doc) == config
+
+    @pytest.mark.parametrize(
+        "doc", [{"horizn": 10}, {"generator": {"n_range": [3, 5], "capacity": 2.0}}]
+    )
+    def test_from_dict_rejects_unknown_field(self, doc):
+        with pytest.raises(ConfigError, match="horizn|capacity"):
+            ExperimentConfig.from_dict(doc)
 
     def test_check_rejects_unknown_algorithm(self, tmp_path):
         config = small_config(tmp_path, algorithms=("SDGM", "BOGUS"))
@@ -78,6 +91,24 @@ class TestRunTrial:
             assert os.path.exists(path)
             assert read_trace_csv(path).horizon == config.horizon
         assert os.listdir(os.path.join(config.output_dir, "oracle_cache"))
+
+
+class TestRegistry:
+    def test_algorithms_are_the_registry_keys(self):
+        assert ALGORITHMS == tuple(RUNNERS) == ("SDGM", "DGM", "FDGM", "NDGM")
+
+    def test_runners_look_loops_up_at_call_time(self, tiny, tiny_constants, monkeypatch):
+        calls = []
+        run_dgm = baselines.run_dgm
+
+        def recording(problem, constants, horizon, *args, **kwargs):
+            calls.append(horizon)
+            return run_dgm(problem, constants, horizon, *args, **kwargs)
+
+        monkeypatch.setattr(baselines, "run_dgm", recording)
+        trace = run_algorithm("DGM", tiny, tiny_constants, 7)
+        assert calls == [7]
+        assert trace.algorithm == "DGM" and trace.horizon == 7
 
 
 class TestRunExperiment:
@@ -164,6 +195,33 @@ class TestAggregateAndReport:
         summary = report(config.output_dir)
         assert summary.trials == config.trials
         assert open(summary_path).read() == original
+
+    def test_report_reads_only_the_recorded_run(self, tmp_path):
+        run_experiment(small_config(tmp_path, trials=5))
+        config = small_config(tmp_path, trials=3)
+        run_experiment(config)
+        summary_path = os.path.join(config.output_dir, "summary.csv")
+        compared = open(summary_path).read()
+        summary = report(config.output_dir)
+        assert summary.trials == 3
+        assert open(summary_path).read() == compared
+
+    def test_report_names_missing_trace(self, tmp_path):
+        config = small_config(tmp_path, trials=2)
+        run_experiment(config)
+        path = trial_trace_path(config.output_dir, 1, "FDGM")
+        os.remove(path)
+        with pytest.raises(TraceMismatchError, match=re.escape(path)):
+            report(config.output_dir)
+
+    def test_report_names_trace_of_other_horizon(self, tmp_path):
+        config = small_config(tmp_path, trials=2)
+        run_experiment(config)
+        path = trial_trace_path(config.output_dir, 0, "NDGM")
+        lines = open(path).readlines()
+        open(path, "w").writelines(lines[:-1])
+        with pytest.raises(TraceMismatchError, match=re.escape(path)):
+            report(config.output_dir)
 
     def test_report_without_traces_fails(self, tmp_path):
         os.makedirs(tmp_path / "empty" / "traces")

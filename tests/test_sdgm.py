@@ -24,7 +24,7 @@ from safedual import (
     safety_margin,
     step_sizes,
 )
-from safedual.sdgm import run_trial
+from safedual.harness import run_algorithm
 
 
 def flat_params(gamma, lambda_bar, m, horizon=10):
@@ -167,7 +167,8 @@ class TestRunSdgm:
             checked += 1
 
     def test_run_trial_metrics(self, tiny, tiny_constants, tiny_solution):
-        trace = run_trial(
+        trace = run_algorithm(
+            "SDGM",
             tiny,
             tiny_constants,
             horizon=40,
@@ -188,7 +189,7 @@ class TestRunSdgm:
         gamma = default_gamma(tiny_constants, tiny)
         big_c = regret_constant(tiny_constants, tiny)
         f_star = 2.0 * math.log(0.6)
-        trace = run_trial(tiny, tiny_constants, horizon=200, f_star=f_star)
+        trace = run_algorithm("SDGM", tiny, tiny_constants, horizon=200, f_star=f_star)
         for t in (10, 100, 200):
             bound = regret_bound(t, gamma, 10.0, 1.0, big_c)
             assert trace.regret_cum[t - 1] <= bound * (1 + 1e-9)
