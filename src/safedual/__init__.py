@@ -18,6 +18,7 @@ from .oracle import OptimalSolution, dual_value, kkt_residual, solve_optimal
 from .problem import (
     GeneratorConfig,
     NumProblem,
+    ProblemBatch,
     ProblemConstants,
     UtilitySpec,
     compute_constants,

@@ -14,7 +14,19 @@ from .problem import NumProblem, UtilitySpec
 
 
 class UnboundedSubproblemError(ValueError):
-    """The posted price admits no finite demand maximizer."""
+    """The posted price admits no finite demand maximizer.
+
+    Raised for a demand profile, it names the `user` and its `price`.
+    """
+
+    def __init__(self, message: str, user: int | None = None, price: float | None = None):
+        super().__init__(message)
+        self.user = user
+        self.price = price
+
+    @classmethod
+    def at(cls, user: int, price: float) -> "UnboundedSubproblemError":
+        return cls(f"user {user} faces price {price} on an unbounded domain", user, price)
 
 
 def best_response(utility: UtilitySpec, price: float) -> float:
@@ -49,9 +61,7 @@ def demand_at_prices(problem: NumProblem, prices: np.ndarray) -> np.ndarray:
     unbounded = (prices <= 0) & np.isinf(problem.upper)
     if unbounded.any():
         idx = int(np.argmax(unbounded))
-        raise UnboundedSubproblemError(
-            f"user {idx} faces price {prices[idx]} on an unbounded domain"
-        )
+        raise UnboundedSubproblemError.at(idx, prices[idx])
     with np.errstate(divide="ignore"):
         interior = problem.theta / np.where(prices > 0, prices, np.inf) - problem.shift
     x = np.where(prices > 0, interior, problem.upper)

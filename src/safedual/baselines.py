@@ -3,14 +3,16 @@
 None of these guard primal feasibility; they are the reference curves the
 safe method is measured against.  The accelerated and scaled variants are
 reconstructions of the standard recipes, not line-by-line ports of any
-particular reference implementation.
+particular reference implementation.  Each runner takes one instance and
+returns its iterates, or a ProblemBatch and a per-round `record`, as
+sdgm.run_sdgm does.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .agents import best_response_profile  # unused here; kept as a wrap point of bench/tracer.py
-from .problem import NumProblem, ProblemConstants
+from .problem import NumProblem, ProblemBatch, as_batch
 from .sdgm import run_pricing
 from .trace import build_trace  # unused here; kept as a wrap point of bench/tracer.py
 
@@ -30,48 +32,51 @@ def scaled_step(
     return np.maximum(0.0, lam + scale * gradient)
 
 
-def dgm_step(lam: np.ndarray, x: np.ndarray, problem: NumProblem, step: float) -> np.ndarray:
-    """Classical projected subgradient update on the dual."""
-    return scaled_step(lam, x, problem, float(step))
+def dgm_step(lam: np.ndarray, x: np.ndarray, problem: NumProblem, step) -> np.ndarray:
+    """Classical projected subgradient update on the dual (step per row in a batch)."""
+    return scaled_step(lam, x, problem, step)
 
 
 def run_dgm(
-    problem: NumProblem,
-    constants: ProblemConstants,
+    problem: NumProblem | ProblemBatch,
+    constants,
     horizon: int,
-    step: float | None = None,
+    step=None,
     lam_init: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+    record=None,
+):
     """Plain dual subgradient with constant step (default 1/L).
 
     Starts from the all-ones dual vector, the usual cold start for pricing
     iterations; the early rounds overshoot capacity before the duals climb.
     """
+    batch, constants = as_batch(problem, constants)
     if step is None:
-        step = 1.0 / constants.dual_smoothness
-    lam = np.ones(problem.m) if lam_init is None else np.asarray(lam_init, float).copy()
-    return run_pricing(problem, lam, lambda lam, x, t: dgm_step(lam, x, problem, step), horizon)
+        step = batch.per_row([1.0 / c.dual_smoothness for c in constants])
+    lam = np.ones(batch.m) if lam_init is None else np.asarray(lam_init, float).copy()
+    return run_pricing(
+        batch, lam, lambda lam, x, t: dgm_step(lam, x, batch, step), horizon, record
+    )
 
 
-def run_fdgm(
-    problem: NumProblem, constants: ProblemConstants, horizon: int
-) -> tuple[np.ndarray, np.ndarray]:
+def run_fdgm(problem: NumProblem | ProblemBatch, constants, horizon: int, record=None):
     """Accelerated projected gradient on the dual with step 1/L.
 
     Demand is evaluated at the extrapolation point, which is clamped to the
     non-negative orthant so prices stay valid.
     """
-    inv_l = 1.0 / constants.dual_smoothness
-    lam = np.full(problem.m, constants.lambda_bar)
+    batch, constants = as_batch(problem, constants)
+    inv_l = batch.per_row([1.0 / c.dual_smoothness for c in constants])
+    lam = batch.per_row([c.lambda_bar for c in constants])
 
     def extrapolate(y, x, t):
         nonlocal lam
-        lam_next = scaled_step(y, x, problem, inv_l)
+        lam_next = scaled_step(y, x, batch, inv_l)
         y = np.maximum(0.0, lam_next + (t - 1) / (t + 2) * (lam_next - lam))
         lam = lam_next
         return y
 
-    return run_pricing(problem, lam, extrapolate, horizon)
+    return run_pricing(batch, lam, extrapolate, horizon, record)
 
 
 def diagonal_scaling(
@@ -89,19 +94,22 @@ def diagonal_scaling(
 
 
 def run_ndgm(
-    problem: NumProblem,
-    constants: ProblemConstants,
+    problem: NumProblem | ProblemBatch,
+    constants,
     horizon: int,
     epsilon_reg: float = NDGM_EPSILON,
     damping: float = NDGM_DAMPING,
-) -> tuple[np.ndarray, np.ndarray]:
+    record=None,
+):
     """Damped diagonally scaled dual ascent from the capped dual start."""
+    batch, constants = as_batch(problem, constants)
 
     def step(lam, x, t):
-        scale = damping * diagonal_scaling(problem, x, epsilon_reg)
+        scale = damping * diagonal_scaling(batch, x, epsilon_reg)
         # never cut a dual below half its value in one move: the curvature
         # estimate is unreliable while demands sit on their box boundary, and
         # an unchecked step can zero out every price a user sees
-        return np.maximum(0.5 * lam, scaled_step(lam, x, problem, scale))
+        return np.maximum(0.5 * lam, scaled_step(lam, x, batch, scale))
 
-    return run_pricing(problem, np.full(problem.m, constants.lambda_bar), step, horizon)
+    lam = batch.per_row([c.lambda_bar for c in constants])
+    return run_pricing(batch, lam, step, horizon, record)

@@ -2,35 +2,41 @@
 
 A run generates an ensemble of random networks, solves each to optimality,
 runs the selected algorithms for a fixed horizon, and writes one trace CSV
-per (trial, algorithm) plus an aggregate summary.  Everything is a pure
-function of the master seed, regardless of worker count.
+per (trial, algorithm) plus an aggregate summary.  Each worker takes a
+contiguous block of trials and runs every algorithm once over the whole
+block as a ProblemBatch.  Everything is a pure function of the master seed,
+regardless of worker count and batch size.
 """
 from __future__ import annotations
 
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from . import baselines, oracle, sdgm
+from .agents import UnboundedSubproblemError
 from .problem import (
     GeneratorConfig,
+    ProblemBatch,
     compute_constants,
     generate_random,
     problem_hash,
 )
-from .trace import METRIC_COLUMNS, TrialTrace, build_trace, read_trace_csv
+from .trace import METRIC_COLUMNS, TraceRecorder, TrialTrace, read_trace_csv
 
-# name -> runner(problem, constants, horizon, gamma) -> (x_hist, lam_hist).  Runners
-# look each loop up on its module at call time, so a wrapper installed there
-# (bench/tracer.py) sees every run.  gamma is the safe method's base step.
+# name -> runner(batch, constants, horizon, gammas, record): runs the loop over a
+# ProblemBatch and hands every round to `record`.  Runners look each loop up on
+# its module at call time, so a wrapper installed there (bench/tracer.py) sees
+# every run.  gammas are the safe method's base steps, one per trial.
 RUNNERS = {
-    "SDGM": lambda p, c, horizon, gamma: sdgm.run_sdgm(p, c, horizon, gamma)[:2],
-    "DGM": lambda p, c, horizon, gamma: baselines.run_dgm(p, c, horizon),
-    "FDGM": lambda p, c, horizon, gamma: baselines.run_fdgm(p, c, horizon),
-    "NDGM": lambda p, c, horizon, gamma: baselines.run_ndgm(p, c, horizon),
+    "SDGM": lambda b, c, horizon, gammas, rec: sdgm.run_sdgm(b, c, horizon, gammas, record=rec),
+    "DGM": lambda b, c, horizon, gammas, rec: baselines.run_dgm(b, c, horizon, record=rec),
+    "FDGM": lambda b, c, horizon, gammas, rec: baselines.run_fdgm(b, c, horizon, record=rec),
+    "NDGM": lambda b, c, horizon, gammas, rec: baselines.run_ndgm(b, c, horizon, record=rec),
 }
 ALGORITHMS = tuple(RUNNERS)
 
@@ -91,18 +97,18 @@ class SummaryStats:
     regret_scaled_final: dict  # trial_id -> R(T)/sqrt(T), safe method only
 
     def write_csv(self, path) -> None:
+        header = ["algorithm", "t"]
+        for metric in METRIC_COLUMNS:
+            header += [f"{metric}_mean", f"{metric}_std"]
         with open(path, "w") as fh:
-            header = ["algorithm", "t"]
-            for metric in METRIC_COLUMNS:
-                header += [f"{metric}_mean", f"{metric}_std"]
             fh.write(",".join(header) + "\n")
             for alg in self.algorithms:
-                for i in range(self.horizon):
-                    row = [alg, str(i + 1)]
-                    for metric in METRIC_COLUMNS:
-                        row.append(f"{self.mean[(alg, metric)][i]:.17g}")
-                        row.append(f"{self.std[(alg, metric)][i]:.17g}")
-                    fh.write(",".join(row) + "\n")
+                columns = [np.arange(1, self.horizon + 1)]
+                for metric in METRIC_COLUMNS:
+                    columns += [self.mean[(alg, metric)], self.std[(alg, metric)]]
+                row = alg.replace("%", "%%") + ",%d" + ",%.17g" * (len(columns) - 1) + "\n"
+                values = np.column_stack(columns).ravel().tolist()
+                fh.write(row * self.horizon % tuple(values))
 
 
 def derive_trial_seed(master_seed: int, index: int) -> int:
@@ -130,36 +136,49 @@ def _cached_oracle(problem, constants, cache_dir):
     return solution
 
 
-def run_algorithm(
-    algorithm: str, problem, constants, horizon: int, gamma=None, **trace_args
-) -> TrialTrace:
-    """Run one registered algorithm; `trace_args` go on to `build_trace`."""
-    x_hist, lam_hist = RUNNERS[algorithm](problem, constants, horizon, gamma)
-    return build_trace(problem, algorithm, x_hist, lam_hist, **trace_args)
+def run_batch(
+    algorithm: str, batch: ProblemBatch, constants, horizon: int, gammas,
+    trial_ids, f_stars, x_star=None,
+) -> list[TrialTrace]:
+    """Run one registered algorithm over a batch; one trace per trial.
 
-
-def run_trial(config: ExperimentConfig, trial_id: int) -> tuple[dict, list[TrialTrace]]:
-    """Generate, solve, and run all selected algorithms for one trial.
-
-    Returns per-trial metadata (for the manifest) and the traces, and writes
-    one CSV per algorithm under the configured output directory.
+    `constants`, `gammas`, `trial_ids` and `f_stars` hold one entry per
+    trial; `x_star` is the trials' reference optima, concatenated, or None.
     """
+    record = TraceRecorder(batch, horizon, x_star)
+    RUNNERS[algorithm](batch, constants, horizon, gammas, record)
+    return record.traces(algorithm, trial_ids, f_stars)
+
+
+def run_algorithm(
+    algorithm: str, problem, constants, horizon: int, gamma=None,
+    trial_id: int = 0, f_star: float = np.nan, x_star=None,
+) -> TrialTrace:
+    """Run one registered algorithm on one instance, as a batch of one."""
+    return run_batch(
+        algorithm, ProblemBatch([problem]), [constants], horizon, [gamma],
+        [trial_id], [f_star], x_star,
+    )[0]
+
+
+@contextmanager
+def _naming_trial(config: ExperimentConfig, trial_id: int):
+    """Re-raise any failure as one that names the trial and its seed, for replay."""
+    try:
+        yield
+    except Exception as exc:
+        seed = derive_trial_seed(config.master_seed, trial_id)
+        raise RuntimeError(f"trial {trial_id} (seed {seed}) failed: {exc}") from exc
+
+
+def _prepare_trial(config: ExperimentConfig, trial_id: int):
+    """Generate one trial, derive its constants and solve its reference optimum."""
     seed = derive_trial_seed(config.master_seed, trial_id)
     problem = generate_random(replace(config.generator, seed=seed))
     constants = compute_constants(problem)
     cache_dir = os.path.join(config.output_dir, "oracle_cache")
     solution = _cached_oracle(problem, constants, cache_dir)
     gamma = config.gamma if config.gamma is not None else sdgm.default_gamma(constants, problem)
-
-    traces = []
-    for alg in config.algorithms:
-        trace = run_algorithm(
-            alg, problem, constants, config.horizon, gamma,
-            trial_id=trial_id, f_star=solution.f_star, x_star=solution.x_star,
-        )
-        trace.write_csv(trial_trace_path(config.output_dir, trial_id, alg))
-        traces.append(trace)
-
     meta = {
         "trial_id": trial_id,
         "seed": seed,
@@ -175,23 +194,52 @@ def run_trial(config: ExperimentConfig, trial_id: int) -> tuple[dict, list[Trial
         "kkt_residual": solution.kkt_residual,
         "oracle_iterations": solution.iterations_used,
     }
-    return meta, traces
+    return problem, constants, solution, meta
 
 
-def _trial_job(args):
-    config, trial_id = args
-    try:
-        meta, traces = run_trial(config, trial_id)
-    except Exception as exc:  # surface the failing trial for replay
-        raise RuntimeError(
-            f"trial {trial_id} (seed {derive_trial_seed(config.master_seed, trial_id)}) "
-            f"failed: {exc}"
-        ) from exc
-    # strip raw iterates before shipping across the process boundary
+def run_trials(config: ExperimentConfig, trial_ids) -> tuple[list[dict], list[TrialTrace]]:
+    """Run a block of trials as one batch.
+
+    Prepares each trial, runs each selected algorithm once over the batch,
+    then writes one CSV per (trial, algorithm) under the output directory.
+    Returns the trials' manifest entries and their traces.
+    """
+    trial_ids = list(trial_ids)
+    prepared = []
+    for trial_id in trial_ids:
+        with _naming_trial(config, trial_id):
+            prepared.append(_prepare_trial(config, trial_id))
+    problems, constants, solutions, metas = zip(*prepared)
+    batch = ProblemBatch(problems)
+    gammas = [meta["gamma"] for meta in metas]
+    f_stars = [solution.f_star for solution in solutions]
+    x_star = np.concatenate([solution.x_star for solution in solutions])
+    traces = []
+    for alg in config.algorithms:
+        try:
+            traces += run_batch(
+                alg, batch, constants, config.horizon, gammas, trial_ids, f_stars, x_star
+            )
+        except UnboundedSubproblemError as exc:
+            k, user = batch.locate_user(exc.user)
+            with _naming_trial(config, trial_ids[k]):
+                raise UnboundedSubproblemError.at(user, exc.price) from exc
     for trace in traces:
-        trace.x_hist = None
-        trace.lam_hist = None
-    return meta, traces
+        trace.write_csv(trial_trace_path(config.output_dir, trace.trial_id, trace.algorithm))
+    return list(metas), traces
+
+
+def run_trial(config: ExperimentConfig, trial_id: int) -> tuple[dict, list[TrialTrace]]:
+    """One trial as a batch of one: its manifest entry and its traces."""
+    metas, traces = run_trials(config, [trial_id])
+    return metas[0], traces
+
+
+def trial_blocks(trials: int, workers: int) -> list[range]:
+    """Contiguous blocks of trial ids, one per worker, sizes within one of each other."""
+    workers = max(1, min(workers, trials))
+    bounds = [trials * k // workers for k in range(workers + 1)]
+    return [range(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 def aggregate(traces: list[TrialTrace], algorithms, horizon: int) -> SummaryStats:
@@ -242,15 +290,14 @@ def run_experiment(config: ExperimentConfig) -> SummaryStats:
     config.check()
     os.makedirs(os.path.join(config.output_dir, "traces"), exist_ok=True)
     os.makedirs(os.path.join(config.output_dir, "oracle_cache"), exist_ok=True)
-    jobs = [(config, trial_id) for trial_id in range(config.trials)]
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(_trial_job, jobs))
+    blocks = trial_blocks(config.trials, config.workers)
+    if len(blocks) > 1:
+        with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
+            results = list(pool.map(run_trials, [config] * len(blocks), blocks))
     else:
-        results = [_trial_job(job) for job in jobs]
-    results.sort(key=lambda pair: pair[0]["trial_id"])
-    metas = [meta for meta, _ in results]
-    traces = [trace for _, group in results for trace in group]
+        results = [run_trials(config, blocks[0])]
+    metas = [meta for block_metas, _ in results for meta in block_metas]
+    traces = [trace for _, block_traces in results for trace in block_traces]
     summary = aggregate(traces, config.algorithms, config.horizon)
     _write_artifacts(config, metas, summary)
     return summary

@@ -3,7 +3,8 @@
 A problem couples n users, each with a strictly increasing strongly concave
 utility on a box domain, through binary capacity constraints A x <= c.
 This module owns instance construction, structural validation, random
-generation of test networks, and the derived constants the solvers need.
+generation of test networks, the derived constants the solvers need, and
+batches that price many instances in one round.
 """
 from __future__ import annotations
 
@@ -71,6 +72,11 @@ class NumProblem:
     @property
     def n(self) -> int:
         return self.a_matrix.shape[1]
+
+    @property
+    def row_m(self) -> int:
+        """The m of the network each constraint row belongs to (per row in a batch)."""
+        return self.m
 
     @cached_property
     def theta(self) -> np.ndarray:
@@ -227,6 +233,101 @@ def compute_constants(problem: NumProblem) -> ProblemConstants:
         lambda_bar=lambda_bar,
         row_weights=row_weights,
     )
+
+
+# --- batches ---------------------------------------------------------------
+
+class BlockRows:
+    """Block-diagonal binary matrix held as its nonzeros, sorted by (block, row, column).
+
+    Products are bincounts over the nonzeros.  bincount adds in input order,
+    so the entries of one block do not depend on the blocks around it.
+    """
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]):
+        self.rows = rows
+        self.cols = cols
+        self.shape = shape
+
+    @cached_property
+    def T(self) -> "BlockRows":
+        return BlockRows(self.cols, self.rows, self.shape[::-1])
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        return np.bincount(self.rows, weights=v[self.cols], minlength=self.shape[0])
+
+
+class ProblemBatch:
+    """Several instances side by side, priced as one problem.
+
+    The users and the constraint rows of every trial are concatenated, and
+    `a_matrix` is block diagonal, so a batch has every attribute of a
+    NumProblem that demand, dual updates and trace metrics read.  Each
+    trial's numbers are the same whatever the batch's size and the trial's
+    position in it.
+    """
+
+    def __init__(self, problems):
+        self.problems = tuple(problems)
+        n_sizes = [p.n for p in self.problems]
+        self.m_sizes = np.array([p.m for p in self.problems])
+        self.user_start = np.concatenate(([0], np.cumsum(n_sizes)))
+        self.row_start = np.concatenate(([0], np.cumsum(self.m_sizes)))
+        trials = np.arange(self.size)
+        self.user_trial = np.repeat(trials, n_sizes)
+        self.row_trial = np.repeat(trials, self.m_sizes)
+        self.row_m = np.repeat(self.m_sizes, self.m_sizes)
+        nonzeros = [np.nonzero(p.a_matrix) for p in self.problems]
+        self.a_matrix = BlockRows(
+            np.concatenate([rows + r0 for (rows, _), r0 in zip(nonzeros, self.row_start)]),
+            np.concatenate([cols + u0 for (_, cols), u0 in zip(nonzeros, self.user_start)]),
+            (int(self.row_start[-1]), int(self.user_start[-1])),
+        )
+        self.capacities = np.concatenate([p.capacities for p in self.problems])
+        self.theta = np.concatenate([p.theta for p in self.problems])
+        self.shift = np.concatenate([p.shift for p in self.problems])
+        self.lower = np.concatenate([p.lower for p in self.problems])
+        self.upper = np.concatenate([p.upper for p in self.problems])
+
+    @property
+    def size(self) -> int:
+        return len(self.problems)
+
+    @property
+    def m(self) -> int:
+        return self.a_matrix.shape[0]
+
+    @property
+    def n(self) -> int:
+        return self.a_matrix.shape[1]
+
+    def per_row(self, values) -> np.ndarray:
+        """One value per trial, repeated over that trial's constraint rows."""
+        return np.repeat(np.asarray(values, dtype=float), self.m_sizes)
+
+    def user_sums(self, values: np.ndarray) -> np.ndarray:
+        return np.bincount(self.user_trial, weights=values, minlength=self.size)
+
+    def row_sums(self, values: np.ndarray) -> np.ndarray:
+        return np.bincount(self.row_trial, weights=values, minlength=self.size)
+
+    def row_max(self, values: np.ndarray) -> np.ndarray:
+        return np.maximum.reduceat(values, self.row_start[:-1])
+
+    def row_min(self, values: np.ndarray) -> np.ndarray:
+        return np.minimum.reduceat(values, self.row_start[:-1])
+
+    def locate_user(self, user: int) -> tuple[int, int]:
+        """(trial position, user index within that trial) of a flat user index."""
+        k = int(np.searchsorted(self.user_start, user, side="right")) - 1
+        return k, int(user - self.user_start[k])
+
+
+def as_batch(problem, constants) -> tuple[ProblemBatch, tuple]:
+    """A batch and its per-trial constants, from one instance or from a batch."""
+    if isinstance(problem, ProblemBatch):
+        return problem, tuple(constants)
+    return ProblemBatch([problem]), (constants,)
 
 
 # --- serialization ---------------------------------------------------------

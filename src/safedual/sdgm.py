@@ -14,17 +14,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .agents import best_response_profile
-from .problem import NumProblem, ProblemConstants
+from .problem import NumProblem, ProblemBatch, ProblemConstants, as_batch
 from .trace import build_trace  # unused here; kept as a wrap point of bench/tracer.py
 
 
 @dataclass(frozen=True, eq=False)
 class SdgmParams:
-    """Base step size, horizon, dual cap, and precomputed margin weights."""
+    """Base step size, horizon, dual cap, and precomputed margin weights.
 
-    gamma: float
+    Over a ProblemBatch, gamma and lambda_bar hold one entry per constraint
+    row, each from the trial that owns the row.
+    """
+
+    gamma: float | np.ndarray
     horizon: int
-    lambda_bar: float
+    lambda_bar: float | np.ndarray
     margin_scale: np.ndarray  # row_weights / mu, one entry per constraint
 
     @classmethod
@@ -38,6 +42,16 @@ class SdgmParams:
             horizon=int(horizon),
             lambda_bar=constants.lambda_bar,
             margin_scale=constants.row_weights / constants.mu,
+        )
+
+    @classmethod
+    def stack(cls, batch: ProblemBatch, params: list["SdgmParams"]) -> "SdgmParams":
+        """The params of a batch, from the params of each of its trials."""
+        return cls(
+            gamma=batch.per_row([p.gamma for p in params]),
+            horizon=params[0].horizon,
+            lambda_bar=batch.per_row([p.lambda_bar for p in params]),
+            margin_scale=np.concatenate([p.margin_scale for p in params]),
         )
 
 
@@ -66,8 +80,9 @@ def dual_step(
     """One sign-based dual update given the realized demand at state.lam.
 
     Only the sign of A x + margin - c enters; a tie takes the upward branch.
+    `problem` may be a ProblemBatch with params from SdgmParams.stack.
     """
-    gamma_minus, gamma_plus = step_sizes(params, state.t, problem.m)
+    gamma_minus, gamma_plus = step_sizes(params, state.t, problem.row_m)
     shifted = problem.a_matrix @ x + safety_margin(params, state.t) - problem.capacities
     down = np.maximum(0.0, state.lam - gamma_minus)
     up = np.minimum(params.lambda_bar, state.lam + gamma_plus)
@@ -100,40 +115,60 @@ def regret_bound(
     return lambda_bar**2 * c_l1 * root / gamma + 2.0 * constant * gamma * root
 
 
-def run_pricing(problem: NumProblem, lam: np.ndarray, update, horizon: int):
+def run_pricing(batch: ProblemBatch, lam: np.ndarray, update, horizon: int, record=None):
     """Post prices for `horizon` rounds: the one round loop every method shares.
 
-    Round t (1-based) posts the dual `lam`, records it with the demand it
-    realizes, then moves to `update(lam, x, t)`.  Returns (x_hist, lam_hist).
+    Every trial of the batch moves in the same round.  Round t (1-based)
+    posts the dual `lam`, hands it and the demand it realizes to
+    `record(t, x, lam)`, then moves to `update(lam, x, t)`.  Without a
+    `record`, the batch must hold one instance, and the loop keeps its raw
+    iterates and returns them as (x_hist, lam_hist).
     """
-    x_hist = np.empty((horizon, problem.n))
-    lam_hist = np.empty((horizon, problem.m))
+    history = None
+    if record is None:
+        if batch.size != 1:
+            raise ValueError("a batch of several trials needs a record for its rounds")
+        history = np.empty((horizon, batch.n)), np.empty((horizon, batch.m))
+
+        def record(t, x, lam):
+            history[0][t - 1] = x
+            history[1][t - 1] = lam
+
     for t in range(1, horizon + 1):
-        x = best_response_profile(problem, lam)
-        x_hist[t - 1] = x
-        lam_hist[t - 1] = lam
+        x = best_response_profile(batch, lam)
+        record(t, x, lam)
         lam = update(lam, x, t)
-    return x_hist, lam_hist
+    return history
 
 
 def run_sdgm(
-    problem: NumProblem,
-    constants: ProblemConstants,
+    problem: NumProblem | ProblemBatch,
+    constants,
     horizon: int,
-    gamma: float | None = None,
-) -> tuple[np.ndarray, np.ndarray, SdgmParams]:
-    """Run the method for `horizon` rounds; returns raw primal/dual iterates.
+    gamma=None,
+    record=None,
+):
+    """Run the method for `horizon` rounds on one instance or on a batch.
 
+    For a batch, `constants` and `gamma` hold one entry per trial (a None
+    gamma is the trial's default_gamma), and each round goes to `record`
+    (see run_pricing).  For one instance, returns (x_hist, lam_hist, params):
     x_hist[t] is the demand realized at the prices posted in round t + 1,
     recorded before the dual update.
     """
-    if gamma is None:
-        gamma = default_gamma(constants, problem)
-    params = SdgmParams.from_constants(constants, gamma, horizon)
-    x_hist, lam_hist = run_pricing(
-        problem,
-        np.full(problem.m, params.lambda_bar),
-        lambda lam, x, t: dual_step(DualState(lam=lam, t=t), x, problem, params).lam,
+    batch, constants = as_batch(problem, constants)
+    if gamma is None or not isinstance(problem, ProblemBatch):
+        gamma = [gamma] * batch.size
+    each = [
+        SdgmParams.from_constants(c, default_gamma(c, p) if g is None else g, horizon)
+        for p, c, g in zip(batch.problems, constants, gamma)
+    ]
+    params = SdgmParams.stack(batch, each)
+    history = run_pricing(
+        batch,
+        params.lambda_bar,
+        lambda lam, x, t: dual_step(DualState(lam=lam, t=t), x, batch, params).lam,
         horizon,
+        record,
     )
-    return x_hist, lam_hist, params
+    return None if history is None else (*history, each[0])

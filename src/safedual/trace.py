@@ -1,11 +1,11 @@
-"""Per-trial iteration records and the metrics derived from them."""
+"""Per-trial iteration records, the per-round metrics that fill them, and their CSV form."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import NumProblem
+from .problem import NumProblem, ProblemBatch
 
 CSV_COLUMNS = (
     "trial_id",
@@ -35,11 +35,7 @@ def infeasibility_norm(problem: NumProblem, x: np.ndarray) -> float:
 
 @dataclass
 class TrialTrace:
-    """One algorithm's run on one instance, one row per iteration.
-
-    x_hist and lam_hist keep the raw iterates in memory for property checks;
-    only the metric columns are serialized.
-    """
+    """One algorithm's run on one instance, one row per iteration."""
 
     trial_id: int
     algorithm: str
@@ -49,8 +45,6 @@ class TrialTrace:
     distance_to_opt: np.ndarray
     max_lambda: np.ndarray
     min_slack: np.ndarray
-    x_hist: np.ndarray | None = None
-    lam_hist: np.ndarray | None = None
 
     @property
     def horizon(self) -> int:
@@ -70,11 +64,58 @@ class TrialTrace:
                 self._write_rows(fh)
 
     def _write_rows(self, fh) -> None:
-        cols = self.metrics()
+        prefix = f"{self.trial_id},{self.algorithm},".replace("%", "%%")
+        row = prefix + "%d" + ",%.17g" * len(METRIC_COLUMNS) + "\n"
+        values = np.column_stack([self.iterations(), *self.metrics().values()])
         fh.write(CSV_HEADER + "\n")
-        for i, t in enumerate(self.iterations()):
-            values = ",".join(f"{cols[name][i]:.17g}" for name in METRIC_COLUMNS)
-            fh.write(f"{self.trial_id},{self.algorithm},{t},{values}\n")
+        fh.write(row * self.horizon % tuple(values.ravel().tolist()))
+
+
+def round_metrics(batch: ProblemBatch, x: np.ndarray, lam: np.ndarray, x_star=None):
+    """Each trial's objective, infeasibility, distance to x_star, max dual and
+    min slack in one round; the distance is NaN without x_star."""
+    slack = batch.capacities - batch.a_matrix @ x
+    excess = np.maximum(-slack, 0.0)
+    if x_star is None:
+        distance = np.full(batch.size, np.nan)
+    else:
+        gap = x - x_star
+        distance = np.sqrt(batch.user_sums(gap * gap))
+    return (
+        batch.user_sums(batch.theta * np.log(x + batch.shift)),
+        np.sqrt(batch.row_sums(excess * excess)),
+        distance,
+        batch.row_max(lam),
+        batch.row_min(slack),
+    )
+
+
+class TraceRecorder:
+    """The trace columns of a batch, filled in one round at a time.
+
+    Holds one (horizon, trials) array per metric, never the iterates.
+    `x_star` is the trials' reference optima, concatenated, or None.
+    """
+
+    COLUMNS = ("objective", "infeasibility", "distance_to_opt", "max_lambda", "min_slack")
+
+    def __init__(self, batch: ProblemBatch, horizon: int, x_star=None):
+        self.batch = batch
+        self.x_star = None if x_star is None else np.asarray(x_star, float)
+        self.columns = [np.empty((horizon, batch.size)) for _ in self.COLUMNS]
+
+    def __call__(self, t: int, x: np.ndarray, lam: np.ndarray) -> None:
+        for column, values in zip(self.columns, round_metrics(self.batch, x, lam, self.x_star)):
+            column[t - 1] = values
+
+    def traces(self, algorithm: str, trial_ids, f_stars) -> list[TrialTrace]:
+        """One trace per trial; regret is the running sum of f_star - objective."""
+        traces = []
+        for k, (trial_id, f_star) in enumerate(zip(trial_ids, f_stars)):
+            columns = {name: column[:, k] for name, column in zip(self.COLUMNS, self.columns)}
+            columns["regret_cum"] = regret_series(columns["objective"], f_star)
+            traces.append(TrialTrace(trial_id=trial_id, algorithm=algorithm, **columns))
+        return traces
 
 
 def build_trace(
@@ -86,33 +127,17 @@ def build_trace(
     f_star: float = np.nan,
     x_star: np.ndarray | None = None,
 ) -> TrialTrace:
-    """Assemble the metric columns from raw iterates.
+    """Assemble the metric columns from raw iterates, replayed round by round
+    through a TraceRecorder.
 
     Regret and distance columns are NaN when no reference optimum is given.
     """
     x_hist = np.asarray(x_hist, float)
     lam_hist = np.asarray(lam_hist, float)
-    horizon = x_hist.shape[0]
-    loads = x_hist @ problem.a_matrix.T
-    slack = problem.capacities - loads
-    objective = np.sum(problem.theta * np.log(x_hist + problem.shift), axis=1)
-    infeasibility = np.linalg.norm(np.maximum(-slack, 0.0), axis=1)
-    if x_star is not None:
-        distance = np.linalg.norm(x_hist - np.asarray(x_star, float), axis=1)
-    else:
-        distance = np.full(horizon, np.nan)
-    return TrialTrace(
-        trial_id=trial_id,
-        algorithm=algorithm,
-        objective=objective,
-        regret_cum=regret_series(objective, f_star),
-        infeasibility=infeasibility,
-        distance_to_opt=distance,
-        max_lambda=lam_hist.max(axis=1),
-        min_slack=slack.min(axis=1),
-        x_hist=x_hist,
-        lam_hist=lam_hist,
-    )
+    record = TraceRecorder(ProblemBatch([problem]), len(x_hist), x_star)
+    for t, (x, lam) in enumerate(zip(x_hist, lam_hist), start=1):
+        record(t, x, lam)
+    return record.traces(algorithm, [trial_id], [f_star])[0]
 
 
 def read_trace_csv(path) -> TrialTrace:
@@ -121,15 +146,15 @@ def read_trace_csv(path) -> TrialTrace:
         header = fh.readline().strip()
         if header != CSV_HEADER:
             raise ValueError(f"unexpected trace header in {path}")
-        rows = [line.rstrip("\n").split(",") for line in fh if line.strip()]
+        rows = fh.read().split()
     if not rows:
         raise ValueError(f"empty trace file {path}")
-    trial_id = int(rows[0][0])
-    algorithm = rows[0][1]
-    data = np.array([[float(v) for v in row[3:]] for row in rows])
+    cells = np.array(",".join(rows).split(","), dtype=object)
+    cells = cells.reshape(len(rows), len(CSV_COLUMNS))
+    data = cells[:, 3:].astype(float)
     return TrialTrace(
-        trial_id=trial_id,
-        algorithm=algorithm,
+        trial_id=int(cells[0, 0]),
+        algorithm=str(cells[0, 1]),
         objective=data[:, 0],
         regret_cum=data[:, 1],
         infeasibility=data[:, 2],

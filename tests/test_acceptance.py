@@ -17,6 +17,7 @@ from safedual import (
     DualState,
     ExperimentConfig,
     GeneratorConfig,
+    ProblemBatch,
     SdgmParams,
     UtilitySpec,
     best_response,
@@ -241,7 +242,33 @@ def _check_weak_duality(ensemble) -> bool:
     return True
 
 
+def _one_step_feasibility(problem, params, cap, rng, tries=50):
+    """Feasible states checked from random duals below `cap`; None on a break.
+
+    `problem` may be a ProblemBatch, whose states count as feasible only when
+    every trial's demand is.
+    """
+    checked = 0
+    for _ in range(tries):
+        lam = rng.uniform(0.0, cap)
+        t = int(rng.integers(1, HORIZON))
+        try:
+            x = best_response_profile(problem, lam)
+        except Exception:
+            continue
+        if (problem.a_matrix @ x > problem.capacities + 1e-9).any():
+            continue
+        nxt = dual_step(DualState(lam=lam, t=t), x, problem, params)
+        x_next = best_response_profile(problem, nxt.lam)
+        if (problem.a_matrix @ x_next > problem.capacities + 1e-9).any():
+            return None
+        checked += 1
+    return checked
+
+
 def _check_inductive_feasibility() -> bool:
+    """One update from a feasible state stays feasible, for single problems
+    and for batches of three, through the dual_step the pricing loop runs."""
     rng = np.random.default_rng(99)
     checked = 0
     seed = 0
@@ -252,20 +279,25 @@ def _check_inductive_feasibility() -> bool:
         params = SdgmParams.from_constants(
             constants, default_gamma(constants, problem), horizon=HORIZON
         )
-        for _ in range(50):
-            lam = rng.uniform(0.0, constants.lambda_bar, size=problem.m)
-            t = int(rng.integers(1, HORIZON))
-            try:
-                x = best_response_profile(problem, lam)
-            except Exception:
-                continue
-            if (problem.a_matrix @ x > problem.capacities + 1e-9).any():
-                continue
-            nxt = dual_step(DualState(lam=lam, t=t), x, problem, params)
-            x_next = best_response_profile(problem, nxt.lam)
-            if (problem.a_matrix @ x_next > problem.capacities + 1e-9).any():
-                return False
-            checked += 1
+        cap = np.full(problem.m, constants.lambda_bar)
+        count = _one_step_feasibility(problem, params, cap, rng)
+        if count is None:
+            return False
+        checked += count
+    checked = 0
+    while checked < 300:
+        problems = [random_valid_problem(300 + seed + k) for k in range(3)]
+        seed += 3
+        batch = ProblemBatch(problems)
+        constants = [compute_constants(p) for p in problems]
+        params = SdgmParams.stack(batch, [
+            SdgmParams.from_constants(c, default_gamma(c, p), horizon=HORIZON)
+            for p, c in zip(problems, constants)
+        ])
+        count = _one_step_feasibility(batch, params, params.lambda_bar, rng)
+        if count is None:
+            return False
+        checked += count
     return True
 
 

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -154,3 +156,17 @@ class TestCompareAndReport:
         manifest = json.load(open(out_dir / "manifest.json"))
         assert manifest["config"]["trials"] == 1
         assert manifest["config"]["master_seed"] == 2
+
+
+def test_cli_imports_no_heavy_dependency():
+    """Every command starts by importing the CLI; scipy or pandas would slow that down."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import safedual.cli, sys; "
+        "print(sorted({'scipy', 'pandas'} & {name.split('.')[0] for name in sys.modules}))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import re
@@ -5,7 +6,15 @@ import re
 import numpy as np
 import pytest
 
-from safedual import ExperimentConfig, GeneratorConfig, baselines, run_experiment
+from conftest import gate_problem
+from safedual import (
+    ExperimentConfig,
+    GeneratorConfig,
+    ProblemBatch,
+    baselines,
+    compute_constants,
+    run_experiment,
+)
 from safedual.harness import (
     ALGORITHMS,
     RUNNERS,
@@ -15,7 +24,10 @@ from safedual.harness import (
     derive_trial_seed,
     report,
     run_algorithm,
+    run_batch,
     run_trial,
+    run_trials,
+    trial_blocks,
     trial_trace_path,
 )
 from safedual.trace import METRIC_COLUMNS, read_trace_csv
@@ -109,6 +121,65 @@ class TestRegistry:
         trace = run_algorithm("DGM", tiny, tiny_constants, 7)
         assert calls == [7]
         assert trace.algorithm == "DGM" and trace.horizon == 7
+
+
+class TestBatching:
+    """Trials priced together give the bytes they give when priced alone."""
+
+    HORIZON = 200
+    TRIALS = 100
+
+    @pytest.fixture(scope="class")
+    def gate_trials(self):
+        problems = [gate_problem(k) for k in range(self.TRIALS)]
+        constants = [compute_constants(p) for p in problems]
+        # a stand-in reference optimum: the oracle is not what is under test
+        x_stars = [np.full(p.n, 0.05) for p in problems]
+        f_stars = [p.objective(x) for p, x in zip(problems, x_stars)]
+        return problems, constants, x_stars, f_stars
+
+    def trace_texts(self, algorithm, gate_trials, size):
+        problems, constants, x_stars, f_stars = gate_trials
+        texts = []
+        for start in range(0, self.TRIALS, size):
+            ids = list(range(start, min(start + size, self.TRIALS)))
+            traces = run_batch(
+                algorithm,
+                ProblemBatch([problems[k] for k in ids]),
+                [constants[k] for k in ids],
+                self.HORIZON,
+                [None] * len(ids),
+                ids,
+                [f_stars[k] for k in ids],
+                np.concatenate([x_stars[k] for k in ids]),
+            )
+            for trace in traces:
+                buffer = io.StringIO()
+                trace.write_csv(buffer)
+                texts.append(buffer.getvalue())
+        return texts
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_traces_do_not_depend_on_batch_size(self, algorithm, gate_trials):
+        alone = self.trace_texts(algorithm, gate_trials, 1)
+        assert len(alone) == self.TRIALS
+        assert self.trace_texts(algorithm, gate_trials, 7) == alone
+        assert self.trace_texts(algorithm, gate_trials, self.TRIALS) == alone
+
+    def test_failing_trial_is_named_inside_a_batch(self, tmp_path):
+        config = ExperimentConfig(
+            master_seed=1, algorithms=("FDGM",), output_dir=str(tmp_path)
+        )
+        os.makedirs(tmp_path / "traces")
+        os.makedirs(tmp_path / "oracle_cache")
+        expected = r"^trial 32 \(seed 5418039791164437117\) failed: user 0 faces price 0.0 "
+        with pytest.raises(RuntimeError, match=expected):
+            run_trials(config, range(31, 34))
+
+    def test_blocks_are_contiguous_and_balanced(self):
+        assert trial_blocks(10, 3) == [range(0, 3), range(3, 6), range(6, 10)]
+        assert trial_blocks(2, 4) == [range(0, 1), range(1, 2)]
+        assert trial_blocks(5, 1) == trial_blocks(5, 0) == [range(0, 5)]
 
 
 class TestRunExperiment:

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import charpoly_eigen_max
+from conftest import charpoly_eigen_max, random_valid_problem
 from safedual import (
     GeneratorConfig,
     NumProblem,
+    ProblemBatch,
     UtilitySpec,
     compute_constants,
     generate_random,
@@ -186,3 +187,48 @@ class TestSerialization:
     def test_hash_sensitive_to_content(self, tiny):
         other = NumProblem(tiny.a_matrix, [2.0], tiny.utilities)
         assert problem_hash(other) != problem_hash(tiny)
+
+
+class TestProblemBatch:
+    @pytest.fixture
+    def problems(self):
+        return [random_valid_problem(seed) for seed in (3, 4, 5)]
+
+    def test_products_match_the_block_diagonal_matrix(self, problems):
+        batch = ProblemBatch(problems)
+        dense = np.zeros((batch.m, batch.n))
+        for k, p in enumerate(problems):
+            rows = slice(batch.row_start[k], batch.row_start[k + 1])
+            users = slice(batch.user_start[k], batch.user_start[k + 1])
+            dense[rows, users] = p.a_matrix
+        rng = np.random.default_rng(0)
+        x, lam = rng.random(batch.n), rng.random(batch.m)
+        assert np.allclose(batch.a_matrix @ x, dense @ x, rtol=1e-14, atol=0.0)
+        assert np.allclose(batch.a_matrix.T @ lam, dense.T @ lam, rtol=1e-14, atol=0.0)
+        assert np.array_equal(batch.capacities, np.concatenate([p.capacities for p in problems]))
+        m_sizes = [p.m for p in problems]
+        assert np.array_equal(batch.row_m, np.repeat(m_sizes, m_sizes))
+
+    def test_each_trial_gets_the_numbers_it_gets_alone(self, problems):
+        batch = ProblemBatch(problems)
+        rng = np.random.default_rng(1)
+        x, lam = rng.random(batch.n), rng.random(batch.m)
+        loads, prices = batch.a_matrix @ x, batch.a_matrix.T @ lam
+        objective = batch.user_sums(np.log(x + batch.shift))
+        for k, p in enumerate(problems):
+            rows = slice(batch.row_start[k], batch.row_start[k + 1])
+            users = slice(batch.user_start[k], batch.user_start[k + 1])
+            alone = ProblemBatch([p])
+            assert np.array_equal(loads[rows], alone.a_matrix @ x[users])
+            assert np.array_equal(prices[users], alone.a_matrix.T @ lam[rows])
+            assert objective[k] == alone.user_sums(np.log(x[users] + p.shift))[0]
+            assert batch.row_max(lam)[k] == lam[rows].max()
+            assert batch.row_min(lam)[k] == lam[rows].min()
+
+    def test_locate_user(self, problems):
+        batch = ProblemBatch(problems)
+        first, second = problems[0].n, problems[1].n
+        assert batch.locate_user(0) == (0, 0)
+        assert batch.locate_user(first - 1) == (0, first - 1)
+        assert batch.locate_user(first) == (1, 0)
+        assert batch.locate_user(first + second + 2) == (2, 2)

@@ -76,6 +76,26 @@ class TestCsvRoundTrip:
         assert len(lines) == 4
         assert lines[1].startswith("11,SDGM,1,")
 
+    def test_write_matches_per_row_format(self, tmp_path):
+        """The one-format writer gives the bytes of formatting each value with
+        :.17g, and the reader gives the values back, NaN included."""
+        special = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 0.1, 1e300, -2.5])
+        trace = TrialTrace(
+            trial_id=4, algorithm="NDGM", objective=special, regret_cum=special[::-1],
+            infeasibility=special * 3, distance_to_opt=-special,
+            max_lambda=np.full(8, 1.0 / 3.0), min_slack=np.arange(8.0) - 3.5,
+        )
+        expected = CSV_HEADER + "\n"
+        for i, t in enumerate(trace.iterations()):
+            values = ",".join(f"{column[i]:.17g}" for column in trace.metrics().values())
+            expected += f"4,NDGM,{t},{values}\n"
+        path = tmp_path / "special.csv"
+        trace.write_csv(path)
+        assert path.read_text() == expected
+        back = read_trace_csv(path)
+        for name, column in trace.metrics().items():
+            assert np.array_equal(getattr(back, name), column, equal_nan=True), name
+
     def test_read_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
