@@ -12,7 +12,7 @@ from .agents import (
     demand_at_prices,
     prices_from_duals,
 )
-from .baselines import dgm_step, run_dgm, run_fdgm, run_ndgm
+from .baselines import run_dgm, run_fdgm, run_ndgm
 from .harness import ALGORITHMS, ExperimentConfig, SummaryStats, run_algorithm, run_experiment
 from .oracle import OptimalSolution, dual_value, kkt_residual, solve_optimal
 from .problem import (
@@ -41,6 +41,6 @@ from .sdgm import (
     safety_margin,
     step_sizes,
 )
-from .trace import TrialTrace, build_trace, infeasibility_norm, regret_series
+from .trace import TrialTrace, build_trace, regret_series
 
 __version__ = "0.1.0"

@@ -32,11 +32,6 @@ def scaled_step(
     return np.maximum(0.0, lam + scale * gradient)
 
 
-def dgm_step(lam: np.ndarray, x: np.ndarray, problem: NumProblem, step) -> np.ndarray:
-    """Classical projected subgradient update on the dual (step per row in a batch)."""
-    return scaled_step(lam, x, problem, step)
-
-
 def run_dgm(
     problem: NumProblem | ProblemBatch,
     constants,
@@ -55,7 +50,7 @@ def run_dgm(
         step = batch.per_row([1.0 / c.dual_smoothness for c in constants])
     lam = np.ones(batch.m) if lam_init is None else np.asarray(lam_init, float).copy()
     return run_pricing(
-        batch, lam, lambda lam, x, t: dgm_step(lam, x, batch, step), horizon, record
+        batch, lam, lambda lam, x, t: scaled_step(lam, x, batch, step), horizon, record
     )
 
 

@@ -85,20 +85,25 @@ def _cmd_generate(args) -> None:
         sys.stdout.write("\n")
 
 
+def _load_valid_problem(path):
+    problem = load_problem(path)
+    violations = validate(problem)
+    if violations:
+        raise RuntimeError(f"invalid problem: {violations}")
+    return problem
+
+
 def _cmd_solve(args) -> None:
-    problem = load_problem(args.problem)
+    problem = _load_valid_problem(args.problem)
     solution = oracle.solve_optimal(problem, tolerance=args.tolerance)
     json.dump(solution.to_dict(), sys.stdout, indent=2)
     sys.stdout.write("\n")
 
 
 def _cmd_run(args) -> None:
-    problem = load_problem(args.problem)
-    violations = validate(problem)
-    if violations:
-        raise RuntimeError(f"invalid problem: {violations}")
+    problem = _load_valid_problem(args.problem)
     constants = compute_constants(problem)
-    solution = oracle.solve_optimal(problem, constants)
+    solution = oracle.solve_optimal(problem)
     trace = harness.run_algorithm(
         args.algorithm, problem, constants, args.horizon, args.gamma,
         f_star=solution.f_star, x_star=solution.x_star,

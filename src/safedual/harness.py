@@ -121,13 +121,13 @@ def trial_trace_path(output_dir: str, trial_id: int, algorithm: str) -> str:
     return os.path.join(output_dir, "traces", f"trial_{trial_id:04d}_{algorithm}.csv")
 
 
-def _cached_oracle(problem, constants, cache_dir):
-    key = problem_hash(problem)
-    path = os.path.join(cache_dir, f"{key}.json") if cache_dir else None
+def _cached_oracle(problem, cache_dir):
+    name = f"{problem_hash(problem)}.{oracle.SOLVER}.json"
+    path = os.path.join(cache_dir, name) if cache_dir else None
     if path and os.path.exists(path):
         with open(path) as fh:
             return oracle.OptimalSolution.from_dict(json.load(fh))
-    solution = oracle.solve_optimal(problem, constants)
+    solution = oracle.solve_optimal(problem)
     if path:
         tmp = f"{path}.tmp.{os.getpid()}"
         with open(tmp, "w") as fh:
@@ -177,7 +177,7 @@ def _prepare_trial(config: ExperimentConfig, trial_id: int):
     problem = generate_random(replace(config.generator, seed=seed))
     constants = compute_constants(problem)
     cache_dir = os.path.join(config.output_dir, "oracle_cache")
-    solution = _cached_oracle(problem, constants, cache_dir)
+    solution = _cached_oracle(problem, cache_dir)
     gamma = config.gamma if config.gamma is not None else sdgm.default_gamma(constants, problem)
     meta = {
         "trial_id": trial_id,

@@ -1,60 +1,24 @@
 """Ground-truth optimum and its certification.
 
-The reference solver runs accelerated projected gradient on the dual to a
-tight tolerance and certifies the result through the first-order optimality
+The reference solver is a primal-dual interior-point method run to a tight
+tolerance; it certifies its result through the first-order optimality
 residual, so every regret and distance metric has a trustworthy anchor.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .agents import best_response_profile, prices_from_duals
-from .problem import NumProblem, ProblemConstants, compute_constants
+from .problem import NumProblem
+from .problem import compute_constants  # unused here; kept as a wrap point of bench/tracer.py
 
 DEFAULT_TOLERANCE = 1e-8
-MAX_ITERATIONS = 1_000_000
-
-
-def _capacity_bounded_copy(problem: NumProblem) -> NumProblem:
-    """Copy of the problem with each upper bound capped by the tightest
-    capacity among the constraints covering that user."""
-    caps = np.array(
-        [problem.capacities[problem.a_matrix[:, i] > 0].min() for i in range(problem.n)]
-    )
-    upper = np.minimum(problem.upper, caps)
-    if (upper >= problem.upper).all():
-        return problem
-    utilities = tuple(
-        replace(u, upper=float(hi)) for u, hi in zip(problem.utilities, upper)
-    )
-    return NumProblem(problem.a_matrix, problem.capacities, utilities, seed=problem.seed)
-
-
-def _complete_duals(
-    problem: NumProblem, bounded: NumProblem, x: np.ndarray, lam: np.ndarray
-) -> np.ndarray:
-    """Lift duals of the capacity-bounded problem back to the original.
-
-    When a user sits exactly at its capped level, the box absorbs the binding
-    capacity constraint and leaves its dual undetermined; push the remaining
-    stationarity gap onto the dual of that tightest constraint.
-    """
-    if bounded is problem:
-        return lam
-    lam = lam.copy()
-    for i in range(problem.n):
-        cap = bounded.upper[i]
-        if cap >= problem.upper[i] or x[i] < cap - 1e-9 * max(1.0, cap):
-            continue
-        price = float(problem.a_matrix[:, i] @ lam)
-        gap = problem.theta[i] / (x[i] + problem.shift[i]) - price
-        if gap <= 0:
-            continue
-        rows = np.flatnonzero(problem.a_matrix[:, i] > 0)
-        lam[rows[np.argmin(problem.capacities[rows])]] += gap
-    return lam
+MAX_ITERATIONS = 200
+SIGMA = 0.1  # centering: each Newton step aims at SIGMA times the current complementarity
+# Names the solver in oracle cache file names, so optima of another solver are never reused.
+SOLVER = "ipm1"
 
 
 class OracleConvergenceError(RuntimeError):
@@ -127,50 +91,53 @@ def kkt_residual(problem: NumProblem, x: np.ndarray, lam: np.ndarray) -> float:
 
 def solve_optimal(
     problem: NumProblem,
-    constants: ProblemConstants | None = None,
+    *,
     tolerance: float = DEFAULT_TOLERANCE,
     max_iterations: int = MAX_ITERATIONS,
 ) -> OptimalSolution:
-    """Accelerated projected gradient on the dual, run to certification.
+    """Primal-dual interior-point method, run to certification.
 
-    Steps of 1/L with momentum restarted whenever it points uphill; the
-    iteration stops once the dual step stalls below tolerance/100 and the
-    optimality residual of the induced primal/dual pair is below tolerance.
+    Minimizes -sum theta log(x + shift) over G x <= h, where G stacks the
+    capacity rows A, the lower bounds -I and the finite upper bounds I
+    (Boyd & Vandenberghe, Convex Optimization, 11.7).  It starts strictly
+    inside the feasible set and stays there: each Newton step toward the
+    centering target sigma * mu solves one n x n system and goes 0.99 of the
+    way to the boundary.  The capacity duals certify the optimum through
+    the users' own best responses once the mean complementarity mu is below
+    tolerance * 1e-4 and their optimality residual is below tolerance.
     """
-    if constants is None:
-        constants = compute_constants(problem)
-    step = 1.0 / constants.dual_smoothness
-    # Iterate on a box-bounded copy: no feasible demand can exceed the
-    # tightest capacity a user touches, so clipping there preserves the
-    # optimum while keeping subproblems bounded even if an extrapolated
-    # dual transiently zeroes out some price.
-    bounded = _capacity_bounded_copy(problem)
-    lam = np.full(problem.m, constants.lambda_bar)
-    y = lam.copy()
-    momentum = 0.0
+    finite = np.isfinite(problem.upper)
+    eye = np.eye(problem.n)
+    g = np.vstack([problem.a_matrix, -eye, eye[finite]])
+    h = np.concatenate([problem.capacities, -problem.lower, problem.upper[finite]])
+    room = (problem.capacities - problem.a_matrix @ problem.lower) / problem.a_matrix.sum(axis=1)
+    x = problem.lower + 0.5 * min(room.min(), np.min(problem.upper - problem.lower))
+    z = np.ones(len(h))
     best_residual = np.inf
+    slack = h - g @ x
     for k in range(1, max_iterations + 1):
-        x = best_response_profile(bounded, y)
-        gradient = problem.capacities - problem.a_matrix @ x
-        lam_next = np.maximum(0.0, y - step * gradient)
-        if gradient @ (lam_next - lam) > 0:
-            momentum = 0.0  # restart: momentum points uphill
-        else:
-            momentum += 1.0
-        y = np.maximum(0.0, lam_next + (momentum / (momentum + 3.0)) * (lam_next - lam))
-        delta = float(np.abs(lam_next - lam).max())
-        lam = lam_next
-        if delta <= tolerance * 1e-2:
-            x_cand = best_response_profile(bounded, lam)
-            lam_cand = _complete_duals(problem, bounded, x_cand, lam)
-            residual = kkt_residual(problem, x_cand, lam_cand)
-            best_residual = min(best_residual, residual)
-            if residual <= tolerance:
-                return OptimalSolution(
-                    x_star=x_cand,
-                    f_star=problem.objective(x_cand),
-                    lambda_star=lam_cand,
-                    kkt_residual=residual,
-                    iterations_used=k,
-                )
+        mu = float(z @ slack) / len(h)
+        gradient = problem.theta / (x + problem.shift)
+        hessian = np.diag(gradient / (x + problem.shift)) + g.T @ ((z / slack)[:, None] * g)
+        dx = np.linalg.solve(hessian, gradient - SIGMA * mu * (g.T @ (1.0 / slack)))
+        dslack = -g @ dx
+        dz = SIGMA * mu / slack - z - z * dslack / slack
+        v, dv = np.concatenate([z, slack]), np.concatenate([dz, dslack])
+        shrinking = dv < 0
+        step = min(1.0, 0.99 * float(np.min(-v[shrinking] / dv[shrinking], initial=np.inf)))
+        x = x + step * dx
+        z = z + step * dz
+        slack = h - g @ x
+        lam = z[:problem.m]
+        x_cand = best_response_profile(problem, lam)
+        residual = kkt_residual(problem, x_cand, lam)
+        best_residual = min(best_residual, residual)
+        if float(z @ slack) / len(h) <= 1e-4 * tolerance and residual <= tolerance:
+            return OptimalSolution(
+                x_star=x_cand,
+                f_star=problem.objective(x_cand),
+                lambda_star=lam,
+                kkt_residual=residual,
+                iterations_used=k,
+            )
     raise OracleConvergenceError("reference solver did not converge", best_residual, max_iterations)

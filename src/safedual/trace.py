@@ -27,12 +27,6 @@ def regret_series(objectives: np.ndarray, f_star: float) -> np.ndarray:
     return np.cumsum(f_star - np.asarray(objectives, float))
 
 
-def infeasibility_norm(problem: NumProblem, x: np.ndarray) -> float:
-    """Euclidean norm of the positive part of A x - c."""
-    excess = problem.a_matrix @ np.asarray(x, float) - problem.capacities
-    return float(np.linalg.norm(np.maximum(excess, 0.0)))
-
-
 @dataclass
 class TrialTrace:
     """One algorithm's run on one instance, one row per iteration."""

@@ -18,8 +18,8 @@ def tiny_constants(tiny):
 
 
 @pytest.fixture(scope="session")
-def tiny_solution(tiny, tiny_constants):
-    return solve_optimal(tiny, tiny_constants)
+def tiny_solution(tiny):
+    return solve_optimal(tiny)
 
 
 def grid_search_optimum(problem, rounds=6, points=33):

@@ -2,19 +2,19 @@ import numpy as np
 import pytest
 
 from conftest import random_valid_problem
-from safedual import compute_constants, dgm_step, run_dgm, run_fdgm, run_ndgm
+from safedual import compute_constants, run_dgm, run_fdgm, run_ndgm
 from safedual.baselines import diagonal_scaling, scaled_step
 from safedual.oracle import dual_value
 
 
 class TestDgm:
     def test_step_is_projected(self, tiny):
-        lam = dgm_step(np.array([0.05]), np.array([0.0, 0.0]), tiny, step=1.0)
+        lam = scaled_step(np.array([0.05]), np.array([0.0, 0.0]), tiny, 1.0)
         assert lam[0] == 0.0  # gradient is -1, projection clips at zero
 
     def test_step_moves_along_violation(self, tiny):
         # load 1.5 exceeds capacity 1 -> dual rises by step * 0.5
-        lam = dgm_step(np.array([2.0]), np.array([1.0, 0.5]), tiny, step=0.2)
+        lam = scaled_step(np.array([2.0]), np.array([1.0, 0.5]), tiny, 0.2)
         assert lam[0] == pytest.approx(2.1, rel=1e-15)
 
     def test_converges_on_tiny(self, tiny, tiny_constants, tiny_solution):

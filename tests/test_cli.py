@@ -53,6 +53,19 @@ class TestSolve:
         assert len(doc["x_star"]) == load_problem(path).n
         assert math.isfinite(doc["f_star"])
 
+    @pytest.mark.parametrize("change, violation", [
+        ({"A": [[0, 1], [0, 1]]}, "zero column"),
+        ({"lower": [0.0, 2.0], "upper": ["inf", 1.0]}, "invalid domain bounds"),
+    ], ids=["zero-column", "lower-above-upper"])
+    def test_refuses_invalid_problem(self, tmp_path, capsys, change, violation):
+        doc = {"n": 2, "m": 2, "A": [[1, 1], [1, 0]], "c": [1.0, 1.0], "theta": [1.0, 2.0],
+               "shift": 0.1, "lower": [0.0, 0.0], "upper": ["inf", "inf"]} | change
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve", str(path)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert violation in err["message"]
+
     def test_missing_file_errors(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "nope.json")]) == 1
         err = json.loads(capsys.readouterr().err)

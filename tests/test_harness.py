@@ -2,6 +2,7 @@ import io
 import json
 import os
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,10 @@ from safedual import (
     ProblemBatch,
     baselines,
     compute_constants,
+    generate_random,
+    problem_hash,
     run_experiment,
+    solve_optimal,
 )
 from safedual.harness import (
     ALGORITHMS,
@@ -242,6 +246,20 @@ class TestRunExperiment:
         }
         assert after == before  # cache hits, no rewrites
         assert read_all(config.output_dir) == traces_before
+
+    def test_oracle_cache_ignores_optima_of_another_solver(self, tmp_path):
+        """A cache file under the bare problem hash, as an older solver wrote it,
+        is never read: the cache file name names the solver."""
+        config = small_config(tmp_path, trials=1)
+        problem = generate_random(replace(config.generator, seed=derive_trial_seed(5, 0)))
+        cache_dir = os.path.join(config.output_dir, "oracle_cache")
+        os.makedirs(cache_dir)
+        solution = solve_optimal(problem)
+        with open(os.path.join(cache_dir, f"{problem_hash(problem)}.json"), "w") as fh:
+            json.dump(solution.to_dict() | {"f_star": -12345.0}, fh)
+        run_experiment(config)
+        manifest = json.load(open(os.path.join(config.output_dir, "manifest.json")))
+        assert manifest["trials"][0]["f_star"] == solution.f_star
 
 
 class TestAggregateAndReport:

@@ -5,13 +5,34 @@ import pytest
 
 from conftest import grid_search_optimum, random_valid_problem
 from safedual import (
+    GeneratorConfig,
+    NumProblem,
     OptimalSolution,
-    compute_constants,
+    UtilitySpec,
     dual_value,
+    generate_random,
     kkt_residual,
     solve_optimal,
 )
-from safedual.oracle import OracleConvergenceError
+from safedual.oracle import MAX_ITERATIONS, OracleConvergenceError
+
+
+def grid_case(case):
+    """Small instance for the grid reference: generator seed `case`, or, for
+    "box<k>" and "lower<k>", seed k with finite upper bounds or positive lower
+    bounds (and mixed shifts) drawn on top."""
+    if isinstance(case, int):
+        return random_valid_problem(case, n_range=(2, 3), m_range=(1, 2))
+    kind, seed = case[:-1], int(case[-1])
+    base = random_valid_problem(seed, n_range=(2, 3), m_range=(1, 2))
+    rng = np.random.default_rng(seed)
+    if kind == "box":
+        bounds = [dict(upper=float(hi)) for hi in rng.uniform(0.15, 0.6, base.n)]
+    else:
+        bounds = [dict(lower=float(lo), shift=float(s))
+                  for lo, s in zip(rng.uniform(0.05, 0.25, base.n), rng.uniform(0.01, 1.0, base.n))]
+    utilities = [UtilitySpec(u.theta, **b) for u, b in zip(base.utilities, bounds)]
+    return NumProblem(base.a_matrix, base.capacities, utilities)
 
 
 class TestTinySolution:
@@ -65,9 +86,11 @@ class TestKktResidual:
 
 
 class TestSolveOptimal:
-    @pytest.mark.parametrize("seed", range(12))
-    def test_matches_grid_reference_on_small_instances(self, seed):
-        problem = random_valid_problem(seed, n_range=(2, 3), m_range=(1, 2))
+    @pytest.mark.parametrize(
+        "case", [*range(12), *(f"box{k}" for k in range(4)), *(f"lower{k}" for k in range(4))]
+    )
+    def test_matches_grid_reference_on_small_instances(self, case):
+        problem = grid_case(case)
         solution = solve_optimal(problem)
         _, f_grid = grid_search_optimum(problem)
         assert solution.kkt_residual <= 1e-8
@@ -77,15 +100,27 @@ class TestSolveOptimal:
     @pytest.mark.parametrize("seed", range(5))
     def test_certifies_on_ensemble_sized_instances(self, seed):
         problem = random_valid_problem(seed + 60, n_range=(10, 40), m_range=(5, 25))
-        constants = compute_constants(problem)
-        solution = solve_optimal(problem, constants)
+        solution = solve_optimal(problem)
         assert solution.kkt_residual <= 1e-8
         loads = problem.a_matrix @ solution.x_star
         assert (loads <= problem.capacities + 1e-8).all()
 
+    @pytest.mark.parametrize("config", [
+        GeneratorConfig(capacity_value=0.05, seed=53),
+        GeneratorConfig(theta_range=(0.01, 100.0), seed=33),
+    ], ids=["capacity-0.05-seed-53", "theta-0.01-100-seed-33"])
+    def test_certifies_hard_networks_within_the_cap(self, config):
+        solution = solve_optimal(generate_random(config))
+        assert solution.kkt_residual <= 1e-8
+        assert solution.iterations_used <= MAX_ITERATIONS
+
     def test_iteration_cap_raises(self, tiny):
         with pytest.raises(OracleConvergenceError):
             solve_optimal(tiny, max_iterations=2)
+
+    def test_options_are_keyword_only(self, tiny, tiny_constants):
+        with pytest.raises(TypeError):
+            solve_optimal(tiny, tiny_constants)
 
     def test_solution_round_trip(self, tiny_solution):
         back = OptimalSolution.from_dict(tiny_solution.to_dict())

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from safedual import TrialTrace, build_trace, infeasibility_norm, regret_series
+from safedual import TrialTrace, build_trace, regret_series
 from safedual.trace import CSV_HEADER, read_trace_csv
 
 
@@ -17,14 +17,6 @@ class TestRegretSeries:
     def test_constant_at_optimum(self):
         regret = regret_series(np.full(5, 3.0), 3.0)
         assert np.array_equal(regret, np.zeros(5))
-
-
-class TestInfeasibilityNorm:
-    def test_zero_when_feasible(self, tiny):
-        assert infeasibility_norm(tiny, np.array([0.4, 0.4])) == 0.0
-
-    def test_positive_part_only(self, tiny):
-        assert infeasibility_norm(tiny, np.array([1.0, 0.5])) == pytest.approx(0.5)
 
 
 class TestBuildTrace:
@@ -42,6 +34,14 @@ class TestBuildTrace:
         assert trace.regret_cum == pytest.approx(
             np.cumsum(f_star - trace.objective)
         )
+
+    def test_infeasibility_zero_when_feasible(self, tiny):
+        trace = build_trace(tiny, "DGM", np.array([[0.4, 0.4]]), np.array([[1.0]]))
+        assert trace.infeasibility[0] == 0.0
+
+    def test_infeasibility_positive_part_only(self, tiny):
+        trace = build_trace(tiny, "DGM", np.array([[1.0, 0.5]]), np.array([[1.0]]))
+        assert trace.infeasibility[0] == pytest.approx(0.5)
 
     def test_nan_without_reference(self, tiny):
         trace = build_trace(tiny, "DGM", np.array([[0.2, 0.2]]), np.array([[1.0]]))
