@@ -26,7 +26,6 @@ from .problem import (
     load_problem,
     problem_hash,
     save_problem,
-    spectral_radius,
     validate,
 )
 from .sdgm import (

@@ -6,8 +6,6 @@ utilities, only the demand that comes back.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .problem import NumProblem, UtilitySpec
@@ -33,16 +31,11 @@ def best_response(utility: UtilitySpec, price: float) -> float:
     """Unique maximizer of f(x) - price * x over [lower, upper].
 
     Interior solutions satisfy f'(x) == price; otherwise the stationary point
-    is clamped to the nearer box edge.
+    is clamped to the nearer box edge.  This is demand_at_prices for one user.
     """
     if price < 0:
         raise ValueError(f"negative price {price}")
-    if price == 0:
-        if math.isinf(utility.upper):
-            raise UnboundedSubproblemError("zero price with unbounded domain")
-        return utility.upper
-    x = utility.inverse_derivative(price)
-    return min(max(x, utility.lower), utility.upper)
+    return float(demand_at_prices(utility, [price])[0])
 
 
 def prices_from_duals(problem: NumProblem, lam: np.ndarray) -> np.ndarray:
@@ -55,8 +48,11 @@ def prices_from_duals(problem: NumProblem, lam: np.ndarray) -> np.ndarray:
     return problem.a_matrix.T @ lam
 
 
-def demand_at_prices(problem: NumProblem, prices: np.ndarray) -> np.ndarray:
-    """Vectorized closed-form best responses for all users at once."""
+def demand_at_prices(problem: NumProblem | UtilitySpec, prices: np.ndarray) -> np.ndarray:
+    """Vectorized closed-form best responses for all users at once.
+
+    A UtilitySpec stands for users that all share its utility.
+    """
     prices = np.asarray(prices, dtype=float)
     unbounded = (prices <= 0) & np.isinf(problem.upper)
     if unbounded.any():

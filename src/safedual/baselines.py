@@ -88,19 +88,12 @@ def diagonal_scaling(
     return 1.0 / np.maximum(epsilon_reg, h)
 
 
-def run_ndgm(
-    problem: NumProblem | ProblemBatch,
-    constants,
-    horizon: int,
-    epsilon_reg: float = NDGM_EPSILON,
-    damping: float = NDGM_DAMPING,
-    record=None,
-):
+def run_ndgm(problem: NumProblem | ProblemBatch, constants, horizon: int, record=None):
     """Damped diagonally scaled dual ascent from the capped dual start."""
     batch, constants = as_batch(problem, constants)
 
     def step(lam, x, t):
-        scale = damping * diagonal_scaling(batch, x, epsilon_reg)
+        scale = NDGM_DAMPING * diagonal_scaling(batch, x)
         # never cut a dual below half its value in one move: the curvature
         # estimate is unreliable while demands sit on their box boundary, and
         # an unchecked step can zero out every price a user sees

@@ -10,6 +10,7 @@ regardless of worker count and batch size.
 from __future__ import annotations
 
 import json
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -74,6 +75,10 @@ class ExperimentConfig:
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown:
             raise ValueError(f"unknown algorithms: {sorted(unknown)}")
+        if len(set(self.algorithms)) != len(self.algorithms):
+            raise ValueError(f"repeated algorithms: {list(self.algorithms)}")
+        if self.gamma is not None and not 0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -18,16 +18,10 @@ import numpy as np
 
 SLATER_EPS = 1e-6
 RESAMPLE_CAP = 10_000
-POWER_TOL = 1e-10
-POWER_CAP = 100_000
 
 
 class GenerationError(RuntimeError):
     """Random generation could not produce a non-degenerate constraint matrix."""
-
-
-class PowerIterationError(RuntimeError):
-    """Power iteration did not reach the requested tolerance."""
 
 
 @dataclass(frozen=True)
@@ -45,10 +39,6 @@ class UtilitySpec:
 
     def derivative(self, x: float) -> float:
         return self.theta / (x + self.shift)
-
-    def inverse_derivative(self, marginal: float) -> float:
-        """Solve derivative(x) == marginal for x (ignoring the box)."""
-        return self.theta / marginal - self.shift
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,7 +115,8 @@ class ProblemConstants:
     """Derived quantities shared by all solvers.
 
     mu               global strong-concavity lower bound over the enclosing box
-    spectral         spectral radius of A^T A
+    spectral         spectral radius of A^T A, taken from the m x m matrix A A^T,
+                     which has the same nonzero eigenvalues
     dual_smoothness  spectral / mu, the smoothness constant of the dual
     lambda_bar       uniform dual cap: a dual at lambda_bar keeps its row feasible
     row_weights      A A^T applied to the all-ones vector, in exact integers
@@ -196,36 +187,14 @@ def generate_random(config: GeneratorConfig) -> NumProblem:
     return NumProblem(a, capacities, utilities, seed=config.seed)
 
 
-def spectral_radius(gram: np.ndarray, tol: float = POWER_TOL, max_iter: int = POWER_CAP) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix by power iteration.
-
-    Starts from the all-ones vector for reproducibility; converges when the
-    eigen-residual drops below tol relative to the current estimate.
-    """
-    gram = np.asarray(gram, dtype=float)
-    v = np.ones(gram.shape[0])
-    v /= np.linalg.norm(v)
-    for _ in range(max_iter):
-        w = gram @ v
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0.0:
-            return 0.0
-        v = w / norm_w
-        estimate = float(v @ (gram @ v))
-        residual = np.linalg.norm(gram @ v - estimate * v)
-        if residual <= tol * max(estimate, 1.0):
-            return estimate
-    raise PowerIterationError(f"no convergence within {max_iter} iterations")
-
-
 def compute_constants(problem: NumProblem) -> ProblemConstants:
     """Derive the curvature, smoothness, dual cap, and margin weights."""
     c_max = float(problem.capacities.max())
     mu = float(np.min(problem.theta / (c_max + problem.shift) ** 2))
-    spectral = spectral_radius(problem.a_matrix.T @ problem.a_matrix)
+    gram = problem.a_matrix @ problem.a_matrix.T
+    spectral = float(np.linalg.eigvalsh(gram)[-1])
     lambda_bar = float(np.max(problem.theta / (problem.lower + problem.shift)))
-    ones = np.ones(problem.m, dtype=np.int64)
-    row_weights = (problem.a_matrix @ problem.a_matrix.T) @ ones
+    row_weights = gram.sum(axis=1)
     return ProblemConstants(
         mu=mu,
         spectral=spectral,

@@ -20,26 +20,22 @@ from .trace import build_trace  # unused here; kept as a wrap point of bench/tra
 
 @dataclass(frozen=True, eq=False)
 class SdgmParams:
-    """Base step size, horizon, dual cap, and precomputed margin weights.
+    """Base step size, dual cap, and precomputed margin weights.
 
     Over a ProblemBatch, gamma and lambda_bar hold one entry per constraint
     row, each from the trial that owns the row.
     """
 
     gamma: float | np.ndarray
-    horizon: int
     lambda_bar: float | np.ndarray
     margin_scale: np.ndarray  # row_weights / mu, one entry per constraint
 
     @classmethod
-    def from_constants(
-        cls, constants: ProblemConstants, gamma: float, horizon: int
-    ) -> "SdgmParams":
-        if gamma <= 0:
-            raise ValueError("gamma must be positive")
+    def from_constants(cls, constants: ProblemConstants, gamma: float) -> "SdgmParams":
+        if not 0 < gamma < math.inf:
+            raise ValueError(f"gamma must be positive and finite, got {gamma}")
         return cls(
             gamma=float(gamma),
-            horizon=int(horizon),
             lambda_bar=constants.lambda_bar,
             margin_scale=constants.row_weights / constants.mu,
         )
@@ -49,7 +45,6 @@ class SdgmParams:
         """The params of a batch, from the params of each of its trials."""
         return cls(
             gamma=batch.per_row([p.gamma for p in params]),
-            horizon=params[0].horizon,
             lambda_bar=batch.per_row([p.lambda_bar for p in params]),
             margin_scale=np.concatenate([p.margin_scale for p in params]),
         )
@@ -91,8 +86,7 @@ def dual_step(
 
 def regret_constant(constants: ProblemConstants, problem: NumProblem) -> float:
     """The constant C entering the regret bound and the optimal base step."""
-    col_sums = problem.a_matrix.sum(axis=0).astype(float)
-    col_norm_sq = float(col_sums @ col_sums)
+    col_norm_sq = float(constants.row_weights.sum())  # ||A^T 1||^2 = 1^T A A^T 1
     m = problem.m
     c_l1 = float(np.abs(problem.capacities).sum())
     return c_l1 + constants.lambda_bar * m * (
@@ -160,7 +154,7 @@ def run_sdgm(
     if gamma is None or not isinstance(problem, ProblemBatch):
         gamma = [gamma] * batch.size
     each = [
-        SdgmParams.from_constants(c, default_gamma(c, p) if g is None else g, horizon)
+        SdgmParams.from_constants(c, default_gamma(c, p) if g is None else g)
         for p, c, g in zip(batch.problems, constants, gamma)
     ]
     params = SdgmParams.stack(batch, each)

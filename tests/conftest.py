@@ -55,8 +55,8 @@ def grid_search_optimum(problem, rounds=6, points=33):
 def charpoly_eigen_max(matrix):
     """Largest eigenvalue via Faddeev-LeVerrier characteristic polynomial.
 
-    Deliberately avoids any eigenvalue routine so it can serve as an
-    independent oracle for the power iteration.
+    Deliberately avoids any symmetric eigenvalue routine so it can serve as
+    an independent oracle for compute_constants' spectral radius.
     """
     a = np.asarray(matrix, float)
     n = a.shape[0]

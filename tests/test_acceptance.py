@@ -276,9 +276,7 @@ def _check_inductive_feasibility() -> bool:
         problem = random_valid_problem(300 + seed)
         seed += 1
         constants = compute_constants(problem)
-        params = SdgmParams.from_constants(
-            constants, default_gamma(constants, problem), horizon=HORIZON
-        )
+        params = SdgmParams.from_constants(constants, default_gamma(constants, problem))
         cap = np.full(problem.m, constants.lambda_bar)
         count = _one_step_feasibility(problem, params, cap, rng)
         if count is None:
@@ -291,7 +289,7 @@ def _check_inductive_feasibility() -> bool:
         batch = ProblemBatch(problems)
         constants = [compute_constants(p) for p in problems]
         params = SdgmParams.stack(batch, [
-            SdgmParams.from_constants(c, default_gamma(c, p), horizon=HORIZON)
+            SdgmParams.from_constants(c, default_gamma(c, p))
             for p, c in zip(problems, constants)
         ])
         count = _one_step_feasibility(batch, params, params.lambda_bar, rng)
@@ -307,7 +305,7 @@ def _check_step_identities() -> bool:
         problem = random_valid_problem(500 + seed)
         constants = compute_constants(problem)
         gamma = float(rng.uniform(0.1, 5.0))
-        params = SdgmParams.from_constants(constants, gamma, horizon=HORIZON)
+        params = SdgmParams.from_constants(constants, gamma)
         for t in (1, 2, 17, 400, HORIZON):
             down, up = step_sizes(params, t, problem.m)
             if up != (problem.m - 1) * down:

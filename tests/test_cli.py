@@ -91,6 +91,19 @@ class TestRun:
         min_slack = [float(line.split(",")[-1]) for line in lines[1:]]
         assert min(min_slack) >= -1e-9
 
+    @pytest.mark.parametrize("flags, m", [
+        (["--gamma", "nan"], "2"),
+        (["--gamma", "inf"], "1"),
+        (["--horizon", "0"], "2"),
+        (["--horizon", "-5"], "2"),
+    ], ids=["gamma-nan", "gamma-inf-one-row", "horizon-0", "horizon-negative"])
+    def test_refuses_bad_setting(self, tmp_path, capsys, flags, m):
+        problem_path = tmp_path / "problem.json"
+        main(["generate", "--n-range", "3", "5", "--m-range", m, m, "--out", str(problem_path)])
+        assert main(["run", "--problem", str(problem_path), "--horizon", "10", *flags]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and flags[0][2:] in err["message"]
+
     def test_baseline_trace_to_stdout(self, tmp_path, capsys):
         problem_path = tmp_path / "problem.json"
         main(generate_args(problem_path))
@@ -169,6 +182,20 @@ class TestCompareAndReport:
         manifest = json.load(open(out_dir / "manifest.json"))
         assert manifest["config"]["trials"] == 1
         assert manifest["config"]["master_seed"] == 2
+
+
+@pytest.mark.parametrize("flags", [
+    ["--gamma", "nan"],
+    ["--gamma", "inf"],
+    ["--gamma", "-1"],
+    ["--algorithms", "SDGM,SDGM"],
+], ids=["gamma-nan", "gamma-inf", "gamma-negative", "repeated-algorithm"])
+def test_compare_refuses_bad_setting_before_any_trial(tmp_path, capsys, flags):
+    out_dir = tmp_path / "exp"
+    assert main(["compare", "--trials", "2", "--horizon", "10", "--algorithms", "SDGM",
+                 "--out", str(out_dir), *flags]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+    assert not out_dir.exists()
 
 
 def test_cli_imports_no_heavy_dependency():

@@ -12,7 +12,6 @@ from safedual import (
     compute_constants,
     generate_random,
     problem_hash,
-    spectral_radius,
     validate,
 )
 from safedual.problem import (
@@ -127,32 +126,26 @@ class TestComputeConstants:
 
 
 class TestSpectralRadius:
-    def test_identity(self):
-        assert spectral_radius(np.eye(3)) == pytest.approx(1.0, abs=1e-12)
+    """compute_constants' radius against the eigen-solver-free oracle on A^T A."""
 
-    def test_all_ones(self):
-        assert spectral_radius(np.ones((2, 2))) == pytest.approx(2.0, rel=1e-10)
-
-    def test_zero_matrix(self):
-        assert spectral_radius(np.zeros((3, 3))) == 0.0
+    @staticmethod
+    def check(a):
+        problem = make(a, np.ones(a.shape[0]), np.ones(a.shape[1]))
+        expected = charpoly_eigen_max(a.T @ a)
+        assert compute_constants(problem).spectral == pytest.approx(expected, rel=1e-8, abs=1e-8)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_against_charpoly_oracle(self, seed):
         rng = np.random.default_rng(seed)
-        size = int(rng.integers(2, 7))
-        b = rng.normal(size=(size, size))
-        gram = b.T @ b
-        expected = charpoly_eigen_max(gram)
-        assert spectral_radius(gram) == pytest.approx(expected, rel=1e-8, abs=1e-8)
+        m, n = rng.integers(2, 7, size=2)
+        self.check(rng.integers(0, 2, size=(m, n)))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_binary_gram_matrices(self, seed):
         rng = np.random.default_rng(100 + seed)
         a = rng.integers(0, 2, size=(4, 4))
         a[0] = 1
-        gram = (a.T @ a).astype(float)
-        expected = charpoly_eigen_max(gram)
-        assert spectral_radius(gram) == pytest.approx(expected, rel=1e-8, abs=1e-8)
+        self.check(a)
 
 
 class TestSerialization:

@@ -27,16 +27,14 @@ from safedual import (
 from safedual.harness import run_algorithm
 
 
-def flat_params(gamma, lambda_bar, m, horizon=10):
+def flat_params(gamma, lambda_bar, m):
     """Params with zero safety margin, for exercising the branch logic."""
-    return SdgmParams(
-        gamma=gamma, horizon=horizon, lambda_bar=lambda_bar, margin_scale=np.zeros(m)
-    )
+    return SdgmParams(gamma=gamma, lambda_bar=lambda_bar, margin_scale=np.zeros(m))
 
 
 class TestStepSizes:
     def test_decay_and_asymmetry(self, tiny_constants):
-        params = SdgmParams.from_constants(tiny_constants, gamma=2.0, horizon=100)
+        params = SdgmParams.from_constants(tiny_constants, gamma=2.0)
         down1, up1 = step_sizes(params, 1, m=3)
         down4, up4 = step_sizes(params, 4, m=3)
         assert down1 == 2.0
@@ -45,25 +43,30 @@ class TestStepSizes:
         assert up4 == 2.0
 
     def test_single_constraint_never_steps_up(self, tiny_constants):
-        params = SdgmParams.from_constants(tiny_constants, gamma=1.0, horizon=10)
+        params = SdgmParams.from_constants(tiny_constants, gamma=1.0)
         _, up = step_sizes(params, 7, m=1)
         assert up == 0.0
 
     def test_rejects_non_positive_gamma(self, tiny_constants):
         with pytest.raises(ValueError):
-            SdgmParams.from_constants(tiny_constants, gamma=0.0, horizon=10)
+            SdgmParams.from_constants(tiny_constants, gamma=0.0)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_gamma(self, tiny_constants, gamma):
+        with pytest.raises(ValueError):
+            SdgmParams.from_constants(tiny_constants, gamma=gamma)
 
 
 class TestSafetyMargin:
     def test_tiny_value(self, tiny_constants):
-        params = SdgmParams.from_constants(tiny_constants, gamma=1.0, horizon=10)
+        params = SdgmParams.from_constants(tiny_constants, gamma=1.0)
         # row weight 2 divided by curvature floor 1/1.21
         assert safety_margin(params, 1) == pytest.approx([2.42], rel=1e-12)
         assert safety_margin(params, 4) == pytest.approx([1.21], rel=1e-12)
 
     def test_scales_with_gamma(self, tiny_constants):
-        small = SdgmParams.from_constants(tiny_constants, gamma=0.5, horizon=10)
-        large = SdgmParams.from_constants(tiny_constants, gamma=1.5, horizon=10)
+        small = SdgmParams.from_constants(tiny_constants, gamma=0.5)
+        large = SdgmParams.from_constants(tiny_constants, gamma=1.5)
         assert safety_margin(large, 9) == pytest.approx(3 * safety_margin(small, 9))
 
 
@@ -149,7 +152,7 @@ class TestRunSdgm:
         problem = random_valid_problem(seed)
         constants = compute_constants(problem)
         gamma = default_gamma(constants, problem)
-        params = SdgmParams.from_constants(constants, gamma, horizon=1000)
+        params = SdgmParams.from_constants(constants, gamma)
         rng = np.random.default_rng(seed)
         checked = 0
         while checked < 50:
