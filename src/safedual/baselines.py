@@ -3,9 +3,10 @@
 None of these guard primal feasibility; they are the reference curves the
 safe method is measured against.  The accelerated and scaled variants are
 reconstructions of the standard recipes, not line-by-line ports of any
-particular reference implementation.  Each runner takes one instance and
-returns its iterates, or a ProblemBatch and a per-round `record`, as
-sdgm.run_sdgm does.
+particular reference implementation.  Each method is a start function,
+which gives its start dual and its update for sdgm.run_pricing, and a
+runner, which takes one instance and returns its iterates, or a
+ProblemBatch and a per-round `record`, as sdgm.run_sdgm does.
 """
 from __future__ import annotations
 
@@ -24,12 +25,30 @@ NDGM_EPSILON = 1e-6
 NDGM_DAMPING = 0.2
 
 
+def ascent_step(lam: np.ndarray, load: np.ndarray, problem: NumProblem, scale) -> np.ndarray:
+    """Projected dual ascent from the load A x that the duals `lam` realized,
+    with scalar or per-constraint scaling."""
+    return np.maximum(0.0, lam + scale * (load - problem.capacities))
+
+
 def scaled_step(
     lam: np.ndarray, x: np.ndarray, problem: NumProblem, scale
 ) -> np.ndarray:
-    """Projected dual ascent step with scalar or per-constraint scaling."""
-    gradient = problem.a_matrix @ x - problem.capacities
-    return np.maximum(0.0, lam + scale * gradient)
+    """Projected dual ascent step given the realized demand (see ascent_step)."""
+    return ascent_step(lam, problem.a_matrix @ x, problem, scale)
+
+
+def start_dgm(batch: ProblemBatch, constants, step=None, lam_init: np.ndarray | None = None):
+    """Start dual and update of plain dual subgradient, for run_pricing.
+
+    The step defaults to each trial's 1/L.  Starts from the all-ones dual
+    vector, the usual cold start for pricing iterations; the early rounds
+    overshoot capacity before the duals climb.
+    """
+    if step is None:
+        step = batch.per_row([1.0 / c.dual_smoothness for c in constants])
+    lam = np.ones(batch.m) if lam_init is None else np.asarray(lam_init, float).copy()
+    return lam, lambda lam, x, load, t: ascent_step(lam, load, batch, step)
 
 
 def run_dgm(
@@ -40,38 +59,36 @@ def run_dgm(
     lam_init: np.ndarray | None = None,
     record=None,
 ):
-    """Plain dual subgradient with constant step (default 1/L).
-
-    Starts from the all-ones dual vector, the usual cold start for pricing
-    iterations; the early rounds overshoot capacity before the duals climb.
-    """
+    """Plain dual subgradient with constant step (default 1/L); see start_dgm."""
     batch, constants = as_batch(problem, constants)
-    if step is None:
-        step = batch.per_row([1.0 / c.dual_smoothness for c in constants])
-    lam = np.ones(batch.m) if lam_init is None else np.asarray(lam_init, float).copy()
-    return run_pricing(
-        batch, lam, lambda lam, x, t: scaled_step(lam, x, batch, step), horizon, record
-    )
+    return run_pricing(batch, *start_dgm(batch, constants, step, lam_init), horizon, record)
 
 
-def run_fdgm(problem: NumProblem | ProblemBatch, constants, horizon: int, record=None):
-    """Accelerated projected gradient on the dual with step 1/L.
+def start_fdgm(batch: ProblemBatch, constants):
+    """Start dual and update of accelerated projected gradient on the dual
+    with step 1/L, for run_pricing.
 
     Demand is evaluated at the extrapolation point, which is clamped to the
-    non-negative orthant so prices stay valid.
+    non-negative orthant so prices stay valid.  The update keeps the last
+    iterate, so each start serves one run.
     """
-    batch, constants = as_batch(problem, constants)
     inv_l = batch.per_row([1.0 / c.dual_smoothness for c in constants])
     lam = batch.per_row([c.lambda_bar for c in constants])
 
-    def extrapolate(y, x, t):
+    def extrapolate(y, x, load, t):
         nonlocal lam
-        lam_next = scaled_step(y, x, batch, inv_l)
+        lam_next = ascent_step(y, load, batch, inv_l)
         y = np.maximum(0.0, lam_next + (t - 1) / (t + 2) * (lam_next - lam))
         lam = lam_next
         return y
 
-    return run_pricing(batch, lam, extrapolate, horizon, record)
+    return lam, extrapolate
+
+
+def run_fdgm(problem: NumProblem | ProblemBatch, constants, horizon: int, record=None):
+    """Accelerated projected gradient on the dual with step 1/L; see start_fdgm."""
+    batch, constants = as_batch(problem, constants)
+    return run_pricing(batch, *start_fdgm(batch, constants), horizon, record)
 
 
 def diagonal_scaling(
@@ -88,16 +105,21 @@ def diagonal_scaling(
     return 1.0 / np.maximum(epsilon_reg, h)
 
 
-def run_ndgm(problem: NumProblem | ProblemBatch, constants, horizon: int, record=None):
-    """Damped diagonally scaled dual ascent from the capped dual start."""
-    batch, constants = as_batch(problem, constants)
+def start_ndgm(batch: ProblemBatch, constants):
+    """Start dual and update of damped diagonally scaled dual ascent from the
+    capped dual start, for run_pricing."""
 
-    def step(lam, x, t):
+    def step(lam, x, load, t):
         scale = NDGM_DAMPING * diagonal_scaling(batch, x)
         # never cut a dual below half its value in one move: the curvature
         # estimate is unreliable while demands sit on their box boundary, and
         # an unchecked step can zero out every price a user sees
-        return np.maximum(0.5 * lam, scaled_step(lam, x, batch, scale))
+        return np.maximum(0.5 * lam, ascent_step(lam, load, batch, scale))
 
-    lam = batch.per_row([c.lambda_bar for c in constants])
-    return run_pricing(batch, lam, step, horizon, record)
+    return batch.per_row([c.lambda_bar for c in constants]), step
+
+
+def run_ndgm(problem: NumProblem | ProblemBatch, constants, horizon: int, record=None):
+    """Damped diagonally scaled dual ascent from the capped dual start; see start_ndgm."""
+    batch, constants = as_batch(problem, constants)
+    return run_pricing(batch, *start_ndgm(batch, constants), horizon, record)

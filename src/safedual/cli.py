@@ -103,6 +103,8 @@ def _cmd_solve(args) -> None:
 def _cmd_run(args) -> None:
     if args.horizon < 1:
         raise ValueError("horizon must be at least 1")
+    if args.gamma is not None and args.algorithm != "SDGM":
+        raise ValueError(f"--gamma is the base step of SDGM, not of {args.algorithm}")
     problem = _load_valid_problem(args.problem)
     constants = compute_constants(problem)
     solution = oracle.solve_optimal(problem)

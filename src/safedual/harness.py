@@ -3,9 +3,10 @@
 A run generates an ensemble of random networks, solves each to optimality,
 runs the selected algorithms for a fixed horizon, and writes one trace CSV
 per (trial, algorithm) plus an aggregate summary.  Each worker takes a
-contiguous block of trials and runs every algorithm once over the whole
-block as a ProblemBatch.  Everything is a pure function of the master seed,
-regardless of worker count and batch size.
+contiguous block of trials and runs every selected algorithm over it in
+one loop, over a ProblemBatch that holds the block once per algorithm.
+Everything is a pure function of the master seed, regardless of worker
+count and batch size.
 """
 from __future__ import annotations
 
@@ -29,17 +30,17 @@ from .problem import (
 )
 from .trace import METRIC_COLUMNS, TraceRecorder, TrialTrace, read_trace_csv
 
-# name -> runner(batch, constants, horizon, gammas, record): runs the loop over a
-# ProblemBatch and hands every round to `record`.  Runners look each loop up on
-# its module at call time, so a wrapper installed there (bench/tracer.py) sees
-# every run.  gammas are the safe method's base steps, one per trial.
-RUNNERS = {
-    "SDGM": lambda b, c, horizon, gammas, rec: sdgm.run_sdgm(b, c, horizon, gammas, record=rec),
-    "DGM": lambda b, c, horizon, gammas, rec: baselines.run_dgm(b, c, horizon, record=rec),
-    "FDGM": lambda b, c, horizon, gammas, rec: baselines.run_fdgm(b, c, horizon, record=rec),
-    "NDGM": lambda b, c, horizon, gammas, rec: baselines.run_ndgm(b, c, horizon, record=rec),
+# name -> start(batch, constants, gammas) -> (start dual, update) for
+# sdgm.run_pricing.  Each entry looks its start function up on its module at
+# call time, so a wrapper installed there sees every run.  gammas are the safe
+# method's base steps, one per trial; the baselines take none.
+STARTS = {
+    "SDGM": lambda batch, constants, gammas: sdgm.start_sdgm(batch, constants, gammas),
+    "DGM": lambda batch, constants, gammas: baselines.start_dgm(batch, constants),
+    "FDGM": lambda batch, constants, gammas: baselines.start_fdgm(batch, constants),
+    "NDGM": lambda batch, constants, gammas: baselines.start_ndgm(batch, constants),
 }
-ALGORITHMS = tuple(RUNNERS)
+ALGORITHMS = tuple(STARTS)
 
 
 class ConfigError(ValueError):
@@ -72,6 +73,8 @@ class ExperimentConfig:
     def check(self):
         if self.trials < 1 or self.horizon < 1:
             raise ValueError("trials and horizon must be at least 1")
+        if not self.algorithms:
+            raise ValueError("no algorithms selected")
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown:
             raise ValueError(f"unknown algorithms: {sorted(unknown)}")
@@ -79,6 +82,10 @@ class ExperimentConfig:
             raise ValueError(f"repeated algorithms: {list(self.algorithms)}")
         if self.gamma is not None and not 0 < self.gamma < math.inf:
             raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
+        if self.gamma is not None and "SDGM" not in self.algorithms:
+            raise ValueError(
+                f"gamma is the base step of SDGM, which {list(self.algorithms)} leaves out"
+            )
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -141,18 +148,48 @@ def _cached_oracle(problem, cache_dir):
     return solution
 
 
+def _fuse(starts, m: int, n: int):
+    """One start dual and one update from the starts of several algorithms
+    over one batch of m rows and n users: the a-th owns rows a*m to (a+1)*m
+    and users a*n to (a+1)*n of the fused batch."""
+    parts = [
+        (update, slice(a * m, (a + 1) * m), slice(a * n, (a + 1) * n))
+        for a, (_, update) in enumerate(starts)
+    ]
+
+    def update(lam, x, load, t):
+        lam_next = np.empty_like(lam)
+        for step, rows, users in parts:
+            lam_next[rows] = step(lam[rows], x[users], load[rows], t)
+        return lam_next
+
+    return np.concatenate([lam for lam, _ in starts]), update
+
+
 def run_batch(
-    algorithm: str, batch: ProblemBatch, constants, horizon: int, gammas,
+    algorithms: tuple[str, ...], batch: ProblemBatch, constants, horizon: int, gammas,
     trial_ids, f_stars, x_star=None,
 ) -> list[TrialTrace]:
-    """Run one registered algorithm over a batch; one trace per trial.
+    """Run registered algorithms over a batch; one trace per (algorithm, trial),
+    algorithm by algorithm.
 
-    `constants`, `gammas`, `trial_ids` and `f_stars` hold one entry per
-    trial; `x_star` is the trials' reference optima, concatenated, or None.
+    One loop prices the batch once per algorithm, so each round makes one
+    demand call and one A x for all of them, and each algorithm updates its
+    own slice of the duals.  An UnboundedSubproblemError names a user of
+    that fused batch.  `constants`, `gammas`, `trial_ids` and `f_stars` hold
+    one entry per trial; `x_star` is the trials' reference optima,
+    concatenated, or None.
     """
-    record = TraceRecorder(batch, horizon, x_star)
-    RUNNERS[algorithm](batch, constants, horizon, gammas, record)
-    return record.traces(algorithm, trial_ids, f_stars)
+    starts = [STARTS[alg](batch, constants, gammas) for alg in algorithms]
+    copies = len(algorithms)
+    fused = ProblemBatch(batch.problems * copies)
+    record = TraceRecorder(fused, horizon, None if x_star is None else np.tile(x_star, copies))
+    sdgm.run_pricing(fused, *_fuse(starts, batch.m, batch.n), horizon, record)
+    return [
+        trace
+        for a, alg in enumerate(algorithms)
+        for trace in record.traces(alg, trial_ids, f_stars, first=a * batch.size)
+    ]
 
 
 def run_algorithm(
@@ -161,7 +198,7 @@ def run_algorithm(
 ) -> TrialTrace:
     """Run one registered algorithm on one instance, as a batch of one."""
     return run_batch(
-        algorithm, ProblemBatch([problem]), [constants], horizon, [gamma],
+        (algorithm,), ProblemBatch([problem]), [constants], horizon, [gamma],
         [trial_id], [f_star], x_star,
     )[0]
 
@@ -205,8 +242,9 @@ def _prepare_trial(config: ExperimentConfig, trial_id: int):
 def run_trials(config: ExperimentConfig, trial_ids) -> tuple[list[dict], list[TrialTrace]]:
     """Run a block of trials as one batch.
 
-    Prepares each trial, runs each selected algorithm once over the batch,
-    then writes one CSV per (trial, algorithm) under the output directory.
+    Prepares each trial, runs the selected algorithms together over the
+    batch, then writes one CSV per (trial, algorithm) under the output
+    directory.
     Returns the trials' manifest entries and their traces.
     """
     trial_ids = list(trial_ids)
@@ -219,16 +257,16 @@ def run_trials(config: ExperimentConfig, trial_ids) -> tuple[list[dict], list[Tr
     gammas = [meta["gamma"] for meta in metas]
     f_stars = [solution.f_star for solution in solutions]
     x_star = np.concatenate([solution.x_star for solution in solutions])
-    traces = []
-    for alg in config.algorithms:
-        try:
-            traces += run_batch(
-                alg, batch, constants, config.horizon, gammas, trial_ids, f_stars, x_star
-            )
-        except UnboundedSubproblemError as exc:
-            k, user = batch.locate_user(exc.user)
-            with _naming_trial(config, trial_ids[k]):
-                raise UnboundedSubproblemError.at(user, exc.price) from exc
+    try:
+        traces = run_batch(
+            config.algorithms, batch, constants, config.horizon, gammas, trial_ids, f_stars,
+            x_star,
+        )
+    except UnboundedSubproblemError as exc:
+        # the fused batch holds the batch's users once per algorithm
+        k, user = batch.locate_user(exc.user % batch.n)
+        with _naming_trial(config, trial_ids[k]):
+            raise UnboundedSubproblemError.at(user, exc.price) from exc
     for trace in traces:
         trace.write_csv(trial_trace_path(config.output_dir, trace.trial_id, trace.algorithm))
     return list(metas), traces

@@ -69,19 +69,27 @@ def safety_margin(params: SdgmParams, t: int) -> np.ndarray:
     return params.margin_scale * (params.gamma / math.sqrt(t))
 
 
+def safe_step(
+    lam: np.ndarray, load: np.ndarray, t: int, problem: NumProblem, params: SdgmParams
+) -> np.ndarray:
+    """The duals after round t, from the load A x that the posted duals `lam` realized.
+
+    Only the sign of load + margin - c enters; a tie takes the upward branch.
+    `problem` may be a ProblemBatch with params from SdgmParams.stack.
+    """
+    gamma_minus, gamma_plus = step_sizes(params, t, problem.row_m)
+    shifted = load + safety_margin(params, t) - problem.capacities
+    down = np.maximum(0.0, lam - gamma_minus)
+    up = np.minimum(params.lambda_bar, lam + gamma_plus)
+    return np.where(shifted < 0, down, up)
+
+
 def dual_step(
     state: DualState, x: np.ndarray, problem: NumProblem, params: SdgmParams
 ) -> DualState:
-    """One sign-based dual update given the realized demand at state.lam.
-
-    Only the sign of A x + margin - c enters; a tie takes the upward branch.
-    `problem` may be a ProblemBatch with params from SdgmParams.stack.
-    """
-    gamma_minus, gamma_plus = step_sizes(params, state.t, problem.row_m)
-    shifted = problem.a_matrix @ x + safety_margin(params, state.t) - problem.capacities
-    down = np.maximum(0.0, state.lam - gamma_minus)
-    up = np.minimum(params.lambda_bar, state.lam + gamma_plus)
-    return DualState(lam=np.where(shifted < 0, down, up), t=state.t + 1)
+    """One sign-based dual update given the realized demand at state.lam (see safe_step)."""
+    lam = safe_step(state.lam, problem.a_matrix @ x, state.t, problem, params)
+    return DualState(lam=lam, t=state.t + 1)
 
 
 def regret_constant(constants: ProblemConstants, problem: NumProblem) -> float:
@@ -113,10 +121,11 @@ def run_pricing(batch: ProblemBatch, lam: np.ndarray, update, horizon: int, reco
     """Post prices for `horizon` rounds: the one round loop every method shares.
 
     Every trial of the batch moves in the same round.  Round t (1-based)
-    posts the dual `lam`, hands it and the demand it realizes to
-    `record(t, x, lam)`, then moves to `update(lam, x, t)`.  Without a
-    `record`, the batch must hold one instance, and the loop keeps its raw
-    iterates and returns them as (x_hist, lam_hist).
+    posts the dual `lam`, hands it, the demand x it realizes and that
+    demand's load A x to `record(t, x, lam, load)`, then moves to
+    `update(lam, x, load, t)`.  Without a `record`, the batch must hold one
+    instance, and the loop keeps its raw iterates and returns them as
+    (x_hist, lam_hist).
     """
     history = None
     if record is None:
@@ -124,15 +133,33 @@ def run_pricing(batch: ProblemBatch, lam: np.ndarray, update, horizon: int, reco
             raise ValueError("a batch of several trials needs a record for its rounds")
         history = np.empty((horizon, batch.n)), np.empty((horizon, batch.m))
 
-        def record(t, x, lam):
+        def record(t, x, lam, load):
             history[0][t - 1] = x
             history[1][t - 1] = lam
 
     for t in range(1, horizon + 1):
         x = best_response_profile(batch, lam)
-        record(t, x, lam)
-        lam = update(lam, x, t)
+        load = batch.a_matrix @ x
+        record(t, x, lam, load)
+        lam = update(lam, x, load, t)
     return history
+
+
+def _trial_params(batch: ProblemBatch, constants, gammas) -> list[SdgmParams]:
+    return [
+        SdgmParams.from_constants(c, default_gamma(c, p) if g is None else g)
+        for p, c, g in zip(batch.problems, constants, gammas)
+    ]
+
+
+def start_sdgm(batch: ProblemBatch, constants, gammas):
+    """The start dual and the update of the method over a batch, for run_pricing.
+
+    `constants` and `gammas` hold one entry per trial; a None gamma is the
+    trial's default_gamma.  The duals start at their cap.
+    """
+    params = SdgmParams.stack(batch, _trial_params(batch, constants, gammas))
+    return params.lambda_bar, lambda lam, x, load, t: safe_step(lam, load, t, batch, params)
 
 
 def run_sdgm(
@@ -153,16 +180,5 @@ def run_sdgm(
     batch, constants = as_batch(problem, constants)
     if gamma is None or not isinstance(problem, ProblemBatch):
         gamma = [gamma] * batch.size
-    each = [
-        SdgmParams.from_constants(c, default_gamma(c, p) if g is None else g)
-        for p, c, g in zip(batch.problems, constants, gamma)
-    ]
-    params = SdgmParams.stack(batch, each)
-    history = run_pricing(
-        batch,
-        params.lambda_bar,
-        lambda lam, x, t: dual_step(DualState(lam=lam, t=t), x, batch, params).lam,
-        horizon,
-        record,
-    )
-    return None if history is None else (*history, each[0])
+    history = run_pricing(batch, *start_sdgm(batch, constants, gamma), horizon, record)
+    return None if history is None else (*history, _trial_params(batch, constants, gamma)[0])

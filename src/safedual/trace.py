@@ -65,10 +65,13 @@ class TrialTrace:
         fh.write(row * self.horizon % tuple(values.ravel().tolist()))
 
 
-def round_metrics(batch: ProblemBatch, x: np.ndarray, lam: np.ndarray, x_star=None):
+def round_metrics(
+    batch: ProblemBatch, x: np.ndarray, lam: np.ndarray, load: np.ndarray, x_star=None
+):
     """Each trial's objective, infeasibility, distance to x_star, max dual and
-    min slack in one round; the distance is NaN without x_star."""
-    slack = batch.capacities - batch.a_matrix @ x
+    min slack in one round, from the demand x, its load A x and the duals;
+    the distance is NaN without x_star."""
+    slack = batch.capacities - load
     excess = np.maximum(-slack, 0.0)
     if x_star is None:
         distance = np.full(batch.size, np.nan)
@@ -98,14 +101,16 @@ class TraceRecorder:
         self.x_star = None if x_star is None else np.asarray(x_star, float)
         self.columns = [np.empty((horizon, batch.size)) for _ in self.COLUMNS]
 
-    def __call__(self, t: int, x: np.ndarray, lam: np.ndarray) -> None:
-        for column, values in zip(self.columns, round_metrics(self.batch, x, lam, self.x_star)):
+    def __call__(self, t: int, x: np.ndarray, lam: np.ndarray, load: np.ndarray) -> None:
+        metrics = round_metrics(self.batch, x, lam, load, self.x_star)
+        for column, values in zip(self.columns, metrics):
             column[t - 1] = values
 
-    def traces(self, algorithm: str, trial_ids, f_stars) -> list[TrialTrace]:
-        """One trace per trial; regret is the running sum of f_star - objective."""
+    def traces(self, algorithm: str, trial_ids, f_stars, first: int = 0) -> list[TrialTrace]:
+        """One trace per trial, from the batch's trials at positions first,
+        first + 1, ...; regret is the running sum of f_star - objective."""
         traces = []
-        for k, (trial_id, f_star) in enumerate(zip(trial_ids, f_stars)):
+        for k, (trial_id, f_star) in enumerate(zip(trial_ids, f_stars), start=first):
             columns = {name: column[:, k] for name, column in zip(self.COLUMNS, self.columns)}
             columns["regret_cum"] = regret_series(columns["objective"], f_star)
             traces.append(TrialTrace(trial_id=trial_id, algorithm=algorithm, **columns))
@@ -128,9 +133,10 @@ def build_trace(
     """
     x_hist = np.asarray(x_hist, float)
     lam_hist = np.asarray(lam_hist, float)
-    record = TraceRecorder(ProblemBatch([problem]), len(x_hist), x_star)
+    batch = ProblemBatch([problem])
+    record = TraceRecorder(batch, len(x_hist), x_star)
     for t, (x, lam) in enumerate(zip(x_hist, lam_hist), start=1):
-        record(t, x, lam)
+        record(t, x, lam, batch.a_matrix @ x)
     return record.traces(algorithm, [trial_id], [f_star])[0]
 
 

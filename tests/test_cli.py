@@ -96,7 +96,10 @@ class TestRun:
         (["--gamma", "inf"], "1"),
         (["--horizon", "0"], "2"),
         (["--horizon", "-5"], "2"),
-    ], ids=["gamma-nan", "gamma-inf-one-row", "horizon-0", "horizon-negative"])
+        (["--gamma", "5", "--algorithm", "DGM"], "2"),
+        (["--gamma", "nan", "--algorithm", "NDGM"], "2"),
+    ], ids=["gamma-nan", "gamma-inf-one-row", "horizon-0", "horizon-negative",
+            "gamma-for-baseline", "gamma-nan-for-baseline"])
     def test_refuses_bad_setting(self, tmp_path, capsys, flags, m):
         problem_path = tmp_path / "problem.json"
         main(["generate", "--n-range", "3", "5", "--m-range", m, m, "--out", str(problem_path)])
@@ -189,7 +192,8 @@ class TestCompareAndReport:
     ["--gamma", "inf"],
     ["--gamma", "-1"],
     ["--algorithms", "SDGM,SDGM"],
-], ids=["gamma-nan", "gamma-inf", "gamma-negative", "repeated-algorithm"])
+    ["--gamma", "5", "--algorithms", "DGM,FDGM,NDGM"],
+], ids=["gamma-nan", "gamma-inf", "gamma-negative", "repeated-algorithm", "gamma-without-sdgm"])
 def test_compare_refuses_bad_setting_before_any_trial(tmp_path, capsys, flags):
     out_dir = tmp_path / "exp"
     assert main(["compare", "--trials", "2", "--horizon", "10", "--algorithms", "SDGM",

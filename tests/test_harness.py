@@ -21,7 +21,7 @@ from safedual import (
 )
 from safedual.harness import (
     ALGORITHMS,
-    RUNNERS,
+    STARTS,
     ConfigError,
     TraceMismatchError,
     aggregate,
@@ -86,6 +86,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             config.check()
 
+    def test_check_rejects_empty_algorithms(self, tmp_path):
+        with pytest.raises(ValueError, match="no algorithms"):
+            small_config(tmp_path, algorithms=()).check()
+
     def test_check_rejects_zero_trials(self, tmp_path):
         with pytest.raises(ValueError):
             small_config(tmp_path, trials=0).check()
@@ -111,19 +115,20 @@ class TestRunTrial:
 
 class TestRegistry:
     def test_algorithms_are_the_registry_keys(self):
-        assert ALGORITHMS == tuple(RUNNERS) == ("SDGM", "DGM", "FDGM", "NDGM")
+        assert ALGORITHMS == tuple(STARTS) == ("SDGM", "DGM", "FDGM", "NDGM")
 
     def test_runners_look_loops_up_at_call_time(self, tiny, tiny_constants, monkeypatch):
+        """Each registry entry finds its start function on its module when called."""
         calls = []
-        run_dgm = baselines.run_dgm
+        start_dgm = baselines.start_dgm
 
-        def recording(problem, constants, horizon, *args, **kwargs):
-            calls.append(horizon)
-            return run_dgm(problem, constants, horizon, *args, **kwargs)
+        def recording(batch, constants, *args, **kwargs):
+            calls.append(batch.size)
+            return start_dgm(batch, constants, *args, **kwargs)
 
-        monkeypatch.setattr(baselines, "run_dgm", recording)
+        monkeypatch.setattr(baselines, "start_dgm", recording)
         trace = run_algorithm("DGM", tiny, tiny_constants, 7)
-        assert calls == [7]
+        assert calls == [1]
         assert trace.algorithm == "DGM" and trace.horizon == 7
 
 
@@ -142,13 +147,14 @@ class TestBatching:
         f_stars = [p.objective(x) for p, x in zip(problems, x_stars)]
         return problems, constants, x_stars, f_stars
 
-    def trace_texts(self, algorithm, gate_trials, size):
+    def trace_texts(self, algorithms, gate_trials, size):
+        """(algorithm, trial id) -> trace CSV text, pricing `size` trials a batch."""
         problems, constants, x_stars, f_stars = gate_trials
-        texts = []
+        texts = {}
         for start in range(0, self.TRIALS, size):
             ids = list(range(start, min(start + size, self.TRIALS)))
             traces = run_batch(
-                algorithm,
+                algorithms,
                 ProblemBatch([problems[k] for k in ids]),
                 [constants[k] for k in ids],
                 self.HORIZON,
@@ -160,20 +166,56 @@ class TestBatching:
             for trace in traces:
                 buffer = io.StringIO()
                 trace.write_csv(buffer)
-                texts.append(buffer.getvalue())
+                texts[trace.algorithm, trace.trial_id] = buffer.getvalue()
         return texts
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_traces_do_not_depend_on_batch_size(self, algorithm, gate_trials):
-        alone = self.trace_texts(algorithm, gate_trials, 1)
+        alone = self.trace_texts((algorithm,), gate_trials, 1)
         assert len(alone) == self.TRIALS
-        assert self.trace_texts(algorithm, gate_trials, 7) == alone
-        assert self.trace_texts(algorithm, gate_trials, self.TRIALS) == alone
+        assert self.trace_texts((algorithm,), gate_trials, 7) == alone
+        assert self.trace_texts((algorithm,), gate_trials, self.TRIALS) == alone
+
+    @pytest.fixture(scope="class")
+    def priced_alone(self, gate_trials):
+        """Every trace with each trial and each algorithm priced on its own."""
+        texts = {}
+        for algorithm in ALGORITHMS:
+            texts |= self.trace_texts((algorithm,), gate_trials, 1)
+        return texts
+
+    @pytest.mark.parametrize("size", [1, 7, TRIALS])
+    def test_algorithms_priced_together_match_priced_alone(
+        self, size, gate_trials, priced_alone
+    ):
+        together = self.trace_texts(ALGORITHMS, gate_trials, size)
+        assert len(together) == len(ALGORITHMS) * self.TRIALS
+        for key, text in priced_alone.items():
+            assert together[key] == text, key
+
+    def test_subset_in_any_order_writes_the_bytes_of_the_full_compare(self, tmp_path):
+        full = small_config(tmp_path / "full")
+        subset = small_config(tmp_path / "subset", algorithms=("NDGM", "SDGM"))
+        run_experiment(full)
+        run_experiment(subset)
+        texts, full_texts = read_all(subset.output_dir), read_all(full.output_dir)
+        assert sorted(texts) == [
+            f"trial_{k:04d}_{alg}.csv" for k in range(full.trials) for alg in ("NDGM", "SDGM")
+        ]
+        assert texts == {name: full_texts[name] for name in texts}
 
     def test_failing_trial_is_named_inside_a_batch(self, tmp_path):
         config = ExperimentConfig(
             master_seed=1, algorithms=("FDGM",), output_dir=str(tmp_path)
         )
+        os.makedirs(tmp_path / "traces")
+        os.makedirs(tmp_path / "oracle_cache")
+        expected = r"^trial 32 \(seed 5418039791164437117\) failed: user 0 faces price 0.0 "
+        with pytest.raises(RuntimeError, match=expected):
+            run_trials(config, range(31, 34))
+
+    def test_failing_trial_is_named_inside_a_fused_batch(self, tmp_path):
+        config = ExperimentConfig(master_seed=1, output_dir=str(tmp_path))
         os.makedirs(tmp_path / "traces")
         os.makedirs(tmp_path / "oracle_cache")
         expected = r"^trial 32 \(seed 5418039791164437117\) failed: user 0 faces price 0.0 "
