@@ -4,16 +4,16 @@ None of these guard primal feasibility; they are the reference curves the
 safe method is measured against.  The accelerated and scaled variants are
 reconstructions of the standard recipes, not line-by-line ports of any
 particular reference implementation.  Each method is a start function,
-which gives its start dual and its update for sdgm.run_pricing, and a
-runner, which takes one instance and returns its iterates, or a
-ProblemBatch and a per-round `record`, as sdgm.run_sdgm does.
+which gives its start dual and its update over a batch for
+sdgm.run_pricing, and a runner, which prices one instance and returns its
+iterates, as sdgm.run_sdgm does.  harness.run_batch prices batches.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .agents import best_response_profile  # unused here; kept as a wrap point of bench/tracer.py
-from .problem import NumProblem, ProblemBatch, as_batch
+from .problem import NumProblem, ProblemBatch, ProblemConstants
 from .sdgm import run_pricing
 from .trace import build_trace  # unused here; kept as a wrap point of bench/tracer.py
 
@@ -31,13 +31,6 @@ def ascent_step(lam: np.ndarray, load: np.ndarray, problem: NumProblem, scale) -
     return np.maximum(0.0, lam + scale * (load - problem.capacities))
 
 
-def scaled_step(
-    lam: np.ndarray, x: np.ndarray, problem: NumProblem, scale
-) -> np.ndarray:
-    """Projected dual ascent step given the realized demand (see ascent_step)."""
-    return ascent_step(lam, problem.a_matrix @ x, problem, scale)
-
-
 def start_dgm(batch: ProblemBatch, constants, step=None, lam_init: np.ndarray | None = None):
     """Start dual and update of plain dual subgradient, for run_pricing.
 
@@ -52,16 +45,15 @@ def start_dgm(batch: ProblemBatch, constants, step=None, lam_init: np.ndarray | 
 
 
 def run_dgm(
-    problem: NumProblem | ProblemBatch,
-    constants,
+    problem: NumProblem,
+    constants: ProblemConstants,
     horizon: int,
     step=None,
     lam_init: np.ndarray | None = None,
-    record=None,
 ):
     """Plain dual subgradient with constant step (default 1/L); see start_dgm."""
-    batch, constants = as_batch(problem, constants)
-    return run_pricing(batch, *start_dgm(batch, constants, step, lam_init), horizon, record)
+    batch = ProblemBatch([problem])
+    return run_pricing(batch, *start_dgm(batch, [constants], step, lam_init), horizon)
 
 
 def start_fdgm(batch: ProblemBatch, constants):
@@ -85,24 +77,22 @@ def start_fdgm(batch: ProblemBatch, constants):
     return lam, extrapolate
 
 
-def run_fdgm(problem: NumProblem | ProblemBatch, constants, horizon: int, record=None):
+def run_fdgm(problem: NumProblem, constants: ProblemConstants, horizon: int):
     """Accelerated projected gradient on the dual with step 1/L; see start_fdgm."""
-    batch, constants = as_batch(problem, constants)
-    return run_pricing(batch, *start_fdgm(batch, constants), horizon, record)
+    batch = ProblemBatch([problem])
+    return run_pricing(batch, *start_fdgm(batch, [constants]), horizon)
 
 
-def diagonal_scaling(
-    problem: NumProblem, x: np.ndarray, epsilon_reg: float = NDGM_EPSILON
-) -> np.ndarray:
+def diagonal_scaling(problem: NumProblem, x: np.ndarray) -> np.ndarray:
     """Inverse of the per-constraint curvature estimate at the current demand.
 
     The estimate sums, over the users in each row, the reciprocal curvature
-    of their utility at the realized demand; the regularizer caps the scaling
-    when that sum degenerates.
+    of their utility at the realized demand; NDGM_EPSILON caps the scaling
+    at 1 / NDGM_EPSILON when that sum degenerates.
     """
     inv_curvature = (np.asarray(x, float) + problem.shift) ** 2 / problem.theta
     h = problem.a_matrix @ inv_curvature
-    return 1.0 / np.maximum(epsilon_reg, h)
+    return 1.0 / np.maximum(NDGM_EPSILON, h)
 
 
 def start_ndgm(batch: ProblemBatch, constants):
@@ -119,7 +109,7 @@ def start_ndgm(batch: ProblemBatch, constants):
     return batch.per_row([c.lambda_bar for c in constants]), step
 
 
-def run_ndgm(problem: NumProblem | ProblemBatch, constants, horizon: int, record=None):
+def run_ndgm(problem: NumProblem, constants: ProblemConstants, horizon: int):
     """Damped diagonally scaled dual ascent from the capped dual start; see start_ndgm."""
-    batch, constants = as_batch(problem, constants)
-    return run_pricing(batch, *start_ndgm(batch, constants), horizon, record)
+    batch = ProblemBatch([problem])
+    return run_pricing(batch, *start_ndgm(batch, [constants]), horizon)

@@ -39,7 +39,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     slv = sub.add_parser("solve", help="reference optimum of a problem file")
     slv.add_argument("problem")
-    slv.add_argument("--tolerance", type=float, default=oracle.DEFAULT_TOLERANCE)
 
     run = sub.add_parser("run", help="one algorithm on one problem")
     run.add_argument("--problem", required=True)
@@ -95,7 +94,7 @@ def _load_valid_problem(path):
 
 def _cmd_solve(args) -> None:
     problem = _load_valid_problem(args.problem)
-    solution = oracle.solve_optimal(problem, tolerance=args.tolerance)
+    solution = oracle.solve_optimal(problem)
     json.dump(solution.to_dict(), sys.stdout, indent=2)
     sys.stdout.write("\n")
 

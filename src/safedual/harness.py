@@ -71,8 +71,11 @@ class ExperimentConfig:
     workers: int = 1
 
     def check(self):
+        self.generator.check()
         if self.trials < 1 or self.horizon < 1:
             raise ValueError("trials and horizon must be at least 1")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be non-negative, got {self.master_seed}")
         if not self.algorithms:
             raise ValueError("no algorithms selected")
         unknown = set(self.algorithms) - set(ALGORITHMS)

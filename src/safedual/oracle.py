@@ -89,12 +89,7 @@ def kkt_residual(problem: NumProblem, x: np.ndarray, lam: np.ndarray) -> float:
     return max(primal, dual, stationarity, complementarity)
 
 
-def solve_optimal(
-    problem: NumProblem,
-    *,
-    tolerance: float = DEFAULT_TOLERANCE,
-    max_iterations: int = MAX_ITERATIONS,
-) -> OptimalSolution:
+def solve_optimal(problem: NumProblem, *, max_iterations: int = MAX_ITERATIONS) -> OptimalSolution:
     """Primal-dual interior-point method, run to certification.
 
     Minimizes -sum theta log(x + shift) over G x <= h, where G stacks the
@@ -104,7 +99,8 @@ def solve_optimal(
     centering target sigma * mu solves one n x n system and goes 0.99 of the
     way to the boundary.  The capacity duals certify the optimum through
     the users' own best responses once the mean complementarity mu is below
-    tolerance * 1e-4 and their optimality residual is below tolerance.
+    DEFAULT_TOLERANCE * 1e-4 and their optimality residual is below
+    DEFAULT_TOLERANCE.
     """
     finite = np.isfinite(problem.upper)
     eye = np.eye(problem.n)
@@ -132,7 +128,7 @@ def solve_optimal(
         x_cand = best_response_profile(problem, lam)
         residual = kkt_residual(problem, x_cand, lam)
         best_residual = min(best_residual, residual)
-        if float(z @ slack) / len(h) <= 1e-4 * tolerance and residual <= tolerance:
+        if float(z @ slack) / len(h) <= 1e-4 * DEFAULT_TOLERANCE and residual <= DEFAULT_TOLERANCE:
             return OptimalSolution(
                 x_star=x_cand,
                 f_star=problem.objective(x_cand),

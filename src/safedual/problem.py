@@ -292,13 +292,6 @@ class ProblemBatch:
         return k, int(user - self.user_start[k])
 
 
-def as_batch(problem, constants) -> tuple[ProblemBatch, tuple]:
-    """A batch and its per-trial constants, from one instance or from a batch."""
-    if isinstance(problem, ProblemBatch):
-        return problem, tuple(constants)
-    return ProblemBatch([problem]), (constants,)
-
-
 # --- serialization ---------------------------------------------------------
 
 def problem_to_dict(problem: NumProblem) -> dict:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .agents import best_response_profile
-from .problem import NumProblem, ProblemBatch, ProblemConstants, as_batch
+from .problem import NumProblem, ProblemBatch, ProblemConstants
 from .trace import build_trace  # unused here; kept as a wrap point of bench/tracer.py
 
 
@@ -162,23 +162,14 @@ def start_sdgm(batch: ProblemBatch, constants, gammas):
     return params.lambda_bar, lambda lam, x, load, t: safe_step(lam, load, t, batch, params)
 
 
-def run_sdgm(
-    problem: NumProblem | ProblemBatch,
-    constants,
-    horizon: int,
-    gamma=None,
-    record=None,
-):
-    """Run the method for `horizon` rounds on one instance or on a batch.
+def run_sdgm(problem: NumProblem, constants: ProblemConstants, horizon: int, gamma=None):
+    """Run the method for `horizon` rounds on one instance (a None gamma is
+    its default_gamma).
 
-    For a batch, `constants` and `gamma` hold one entry per trial (a None
-    gamma is the trial's default_gamma), and each round goes to `record`
-    (see run_pricing).  For one instance, returns (x_hist, lam_hist, params):
-    x_hist[t] is the demand realized at the prices posted in round t + 1,
-    recorded before the dual update.
+    Returns (x_hist, lam_hist, params): x_hist[t] is the demand realized at
+    the prices posted in round t + 1, recorded before the dual update.
     """
-    batch, constants = as_batch(problem, constants)
-    if gamma is None or not isinstance(problem, ProblemBatch):
-        gamma = [gamma] * batch.size
-    history = run_pricing(batch, *start_sdgm(batch, constants, gamma), horizon, record)
-    return None if history is None else (*history, _trial_params(batch, constants, gamma)[0])
+    batch = ProblemBatch([problem])
+    params = _trial_params(batch, [constants], [gamma])[0]
+    x_hist, lam_hist = run_pricing(batch, *start_sdgm(batch, [constants], [params.gamma]), horizon)
+    return x_hist, lam_hist, params

@@ -2,19 +2,19 @@ import numpy as np
 import pytest
 
 from conftest import random_valid_problem
-from safedual import compute_constants, run_dgm, run_fdgm, run_ndgm
-from safedual.baselines import diagonal_scaling, scaled_step
+from safedual import NumProblem, UtilitySpec, compute_constants, run_dgm, run_fdgm, run_ndgm
+from safedual.baselines import NDGM_EPSILON, ascent_step, diagonal_scaling
 from safedual.oracle import dual_value
 
 
 class TestDgm:
     def test_step_is_projected(self, tiny):
-        lam = scaled_step(np.array([0.05]), np.array([0.0, 0.0]), tiny, 1.0)
+        lam = ascent_step(np.array([0.05]), tiny.a_matrix @ np.array([0.0, 0.0]), tiny, 1.0)
         assert lam[0] == 0.0  # gradient is -1, projection clips at zero
 
     def test_step_moves_along_violation(self, tiny):
         # load 1.5 exceeds capacity 1 -> dual rises by step * 0.5
-        lam = scaled_step(np.array([2.0]), np.array([1.0, 0.5]), tiny, 0.2)
+        lam = ascent_step(np.array([2.0]), tiny.a_matrix @ np.array([1.0, 0.5]), tiny, 0.2)
         assert lam[0] == pytest.approx(2.1, rel=1e-15)
 
     def test_converges_on_tiny(self, tiny, tiny_constants, tiny_solution):
@@ -103,13 +103,14 @@ class TestNdgm:
         expected_h = 0.5**2 / 1.0 + 1.0**2 / 1.0
         assert diagonal_scaling(tiny, x) == pytest.approx([1.0 / expected_h])
 
-    def test_scaling_regularizer_caps_blowup(self, tiny):
-        scale = diagonal_scaling(tiny, np.array([0.0, 0.0]), epsilon_reg=0.5)
-        assert scale[0] == 2.0  # h = 0.02 would give 50 without the cap
+    def test_scaling_regularizer_caps_blowup(self):
+        steep = NumProblem([[1]], [1.0], (UtilitySpec(1e6),))
+        scale = diagonal_scaling(steep, np.array([0.0]))
+        assert scale[0] == 1.0 / NDGM_EPSILON  # h = 0.1**2 / 1e6 = 1e-8 would give 1e8
 
     def test_scaled_step_vector_scale(self, tiny):
-        lam = scaled_step(
-            np.array([1.0]), np.array([1.0, 0.5]), tiny, np.array([2.0])
+        lam = ascent_step(
+            np.array([1.0]), tiny.a_matrix @ np.array([1.0, 0.5]), tiny, np.array([2.0])
         )
         assert lam[0] == pytest.approx(2.0)  # 1 + 2 * (1.5 - 1)
 

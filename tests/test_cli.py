@@ -71,6 +71,15 @@ class TestSolve:
         err = json.loads(capsys.readouterr().err)
         assert "message" in err and "error" in err
 
+    def test_tolerance_is_not_an_option(self, tmp_path):
+        """The oracle certifies at DEFAULT_TOLERANCE only; a looser one returned
+        an infeasible point as the optimum."""
+        path = tmp_path / "problem.json"
+        main(generate_args(path))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["solve", str(path), "--tolerance", "1e9"])
+        assert exit_info.value.code == 2
+
 
 class TestRun:
     def test_safe_method_trace_to_file(self, tmp_path, capsys):
@@ -193,12 +202,26 @@ class TestCompareAndReport:
     ["--gamma", "-1"],
     ["--algorithms", "SDGM,SDGM"],
     ["--gamma", "5", "--algorithms", "DGM,FDGM,NDGM"],
-], ids=["gamma-nan", "gamma-inf", "gamma-negative", "repeated-algorithm", "gamma-without-sdgm"])
+    ["--seed", "-1"],
+], ids=["gamma-nan", "gamma-inf", "gamma-negative", "repeated-algorithm", "gamma-without-sdgm",
+        "negative-seed"])
 def test_compare_refuses_bad_setting_before_any_trial(tmp_path, capsys, flags):
     out_dir = tmp_path / "exp"
     assert main(["compare", "--trials", "2", "--horizon", "10", "--algorithms", "SDGM",
                  "--out", str(out_dir), *flags]) == 1
     assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+    assert not out_dir.exists()
+
+
+def test_compare_refuses_bad_generator_setting_before_any_trial(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"generator": {"bernoulli_p": 1.5}}))
+    out_dir = tmp_path / "exp"
+    assert main(["compare", "--config", str(config_path), "--trials", "2", "--horizon", "10",
+                 "--out", str(out_dir)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert "bernoulli_p" in err["message"]
     assert not out_dir.exists()
 
 
