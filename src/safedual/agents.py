@@ -58,10 +58,10 @@ def demand_at_prices(problem: NumProblem | UtilitySpec, prices: np.ndarray) -> n
     if unbounded.any():
         idx = int(np.argmax(unbounded))
         raise UnboundedSubproblemError.at(idx, prices[idx])
-    with np.errstate(divide="ignore"):
-        interior = problem.theta / np.where(prices > 0, prices, np.inf) - problem.shift
-    x = np.where(prices > 0, interior, problem.upper)
-    return np.clip(x, problem.lower, problem.upper)
+    positive = prices > 0
+    interior = problem.theta / np.where(positive, prices, np.inf) - problem.shift
+    x = np.where(positive, interior, problem.upper)
+    return np.minimum(np.maximum(x, problem.lower), problem.upper)
 
 
 def best_response_profile(problem: NumProblem, lam: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ machine-readable JSON error on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -23,7 +24,10 @@ from .problem import (
 )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: every parse makes a
+    fresh namespace, and every default is immutable."""
     parser = argparse.ArgumentParser(prog="safedual")
     sub = parser.add_subparsers(dest="command", required=True)
 

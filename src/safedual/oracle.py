@@ -16,16 +16,24 @@ from .problem import compute_constants  # unused here; kept as a wrap point of b
 
 DEFAULT_TOLERANCE = 1e-8
 MAX_ITERATIONS = 200
+# The duals are certified only once the mean complementarity is this small.
+CERTIFY_MU = 1e-4 * DEFAULT_TOLERANCE
 SIGMA = 0.1  # centering: each Newton step aims at SIGMA times the current complementarity
 # Names the solver in oracle cache file names, so optima of another solver are never reused.
 SOLVER = "ipm1"
 
 
 class OracleConvergenceError(RuntimeError):
-    """Reference solver hit its iteration cap; carries best-so-far diagnostics."""
+    """Reference solver hit its iteration cap.
+
+    `residual` is the best KKT residual over the certified steps, which
+    always include the last one; `iterations` is the cap.
+    """
 
     def __init__(self, message: str, residual: float, iterations: int):
-        super().__init__(f"{message} (best residual {residual:.3e} after {iterations} iterations)")
+        super().__init__(
+            f"{message} (best certified residual {residual:.3e} after {iterations} iterations)"
+        )
         self.residual = residual
         self.iterations = iterations
 
@@ -97,9 +105,10 @@ def solve_optimal(problem: NumProblem, *, max_iterations: int = MAX_ITERATIONS) 
     (Boyd & Vandenberghe, Convex Optimization, 11.7).  It starts strictly
     inside the feasible set and stays there: each Newton step toward the
     centering target sigma * mu solves one n x n system and goes 0.99 of the
-    way to the boundary.  The capacity duals certify the optimum through
-    the users' own best responses once the mean complementarity mu is below
-    DEFAULT_TOLERANCE * 1e-4 and their optimality residual is below
+    way to the boundary.  The capacity duals are certified through the
+    users' own best responses only once the mean complementarity mu is below
+    CERTIFY_MU (1e-12), and at the last allowed step; the solver returns at
+    the first certified step whose optimality residual is below
     DEFAULT_TOLERANCE.
     """
     finite = np.isfinite(problem.upper)
@@ -111,10 +120,11 @@ def solve_optimal(problem: NumProblem, *, max_iterations: int = MAX_ITERATIONS) 
     z = np.ones(len(h))
     best_residual = np.inf
     slack = h - g @ x
+    mu = float(z @ slack) / len(h)
     for k in range(1, max_iterations + 1):
-        mu = float(z @ slack) / len(h)
-        gradient = problem.theta / (x + problem.shift)
-        hessian = np.diag(gradient / (x + problem.shift)) + g.T @ ((z / slack)[:, None] * g)
+        shifted = x + problem.shift
+        gradient = problem.theta / shifted
+        hessian = np.diag(gradient / shifted) + g.T @ ((z / slack)[:, None] * g)
         dx = np.linalg.solve(hessian, gradient - SIGMA * mu * (g.T @ (1.0 / slack)))
         dslack = -g @ dx
         dz = SIGMA * mu / slack - z - z * dslack / slack
@@ -124,11 +134,14 @@ def solve_optimal(problem: NumProblem, *, max_iterations: int = MAX_ITERATIONS) 
         x = x + step * dx
         z = z + step * dz
         slack = h - g @ x
+        mu = float(z @ slack) / len(h)
+        if mu > CERTIFY_MU and k < max_iterations:
+            continue
         lam = z[:problem.m]
         x_cand = best_response_profile(problem, lam)
         residual = kkt_residual(problem, x_cand, lam)
         best_residual = min(best_residual, residual)
-        if float(z @ slack) / len(h) <= 1e-4 * DEFAULT_TOLERANCE and residual <= DEFAULT_TOLERANCE:
+        if mu <= CERTIFY_MU and residual <= DEFAULT_TOLERANCE:
             return OptimalSolution(
                 x_star=x_cand,
                 f_star=problem.objective(x_cand),

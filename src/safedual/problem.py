@@ -100,10 +100,16 @@ class GeneratorConfig:
     seed: int = 0
 
     def check(self):
-        if self.n_range[0] > self.n_range[1] or self.m_range[0] > self.m_range[1]:
-            raise ValueError("empty integer range")
+        for name in ("n_range", "m_range"):
+            low, high = getattr(self, name)
+            if low < 1:
+                raise ValueError(f"{name} must start at 1 or more, not {low}")
+            if low > high:
+                raise ValueError(f"{name} {low}..{high} is empty")
+        if not self.theta_range[0] > 0:
+            raise ValueError(f"theta_range must start above 0, not {self.theta_range[0]}")
         if self.theta_range[0] > self.theta_range[1]:
-            raise ValueError("empty theta range")
+            raise ValueError("theta_range is empty")
         if not 0.0 < self.bernoulli_p < 1.0:
             raise ValueError("bernoulli_p must lie strictly in (0, 1)")
         if self.capacity_value <= 0:

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from safedual.cli import main
+from safedual.cli import _build_parser, main
 from safedual.harness import ALGORITHMS, derive_trial_seed, trial_trace_path
 from safedual.problem import load_problem
 from safedual.trace import CSV_HEADER
@@ -40,6 +40,20 @@ class TestGenerate:
         main(generate_args(a, seed=9))
         main(generate_args(b, seed=9))
         assert a.read_text() == b.read_text()
+
+    def test_refuses_range_without_users(self, tmp_path, capsys):
+        path = tmp_path / "problem.json"
+        assert main(["generate", "--n-range", "0", "0", "--out", str(path)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and "n_range" in err["message"]
+        assert not path.exists()
+
+    def test_reused_parser_keeps_its_defaults(self, tmp_path, capsys):
+        assert main(generate_args(tmp_path / "small.json")) == 0
+        assert main(["generate", "--seed", "1"]) == 0
+        assert 10 <= json.loads(capsys.readouterr().out)["n"] <= 40
+        assert main(["generate", "--seed", "2", "--out", str(tmp_path / "again.json")]) == 0
+        assert _build_parser.cache_info().misses == 1
 
 
 class TestSolve:
@@ -213,15 +227,21 @@ def test_compare_refuses_bad_setting_before_any_trial(tmp_path, capsys, flags):
     assert not out_dir.exists()
 
 
-def test_compare_refuses_bad_generator_setting_before_any_trial(tmp_path, capsys):
+@pytest.mark.parametrize("field, value", [
+    ("bernoulli_p", 1.5),
+    ("n_range", [0, 0]),
+    ("m_range", [0, 0]),
+    ("theta_range", [-5, -1]),
+], ids=["bernoulli_p", "n_range", "m_range", "theta_range"])
+def test_compare_refuses_bad_generator_setting_before_any_trial(tmp_path, capsys, field, value):
     config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps({"generator": {"bernoulli_p": 1.5}}))
+    config_path.write_text(json.dumps({"generator": {field: value}}))
     out_dir = tmp_path / "exp"
     assert main(["compare", "--config", str(config_path), "--trials", "2", "--horizon", "10",
                  "--out", str(out_dir)]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValueError"
-    assert "bernoulli_p" in err["message"]
+    assert field in err["message"]
     assert not out_dir.exists()
 
 

@@ -14,6 +14,8 @@ from safedual import (
     kkt_residual,
     solve_optimal,
 )
+from safedual import oracle
+from safedual.harness import derive_trial_seed
 from safedual.oracle import MAX_ITERATIONS, OracleConvergenceError
 
 
@@ -115,8 +117,24 @@ class TestSolveOptimal:
         assert solution.iterations_used <= MAX_ITERATIONS
 
     def test_iteration_cap_raises(self, tiny):
-        with pytest.raises(OracleConvergenceError):
+        """The last allowed step is certified even though mu is still large."""
+        with pytest.raises(OracleConvergenceError) as caught:
             solve_optimal(tiny, max_iterations=2)
+        assert math.isfinite(caught.value.residual)
+        assert caught.value.iterations == 2
+
+    def test_certifies_once_per_solve(self, monkeypatch):
+        """Only the step that returns is certified on the seed-0 gate networks."""
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return kkt_residual(*args)
+
+        monkeypatch.setattr(oracle, "kkt_residual", counted)
+        for trial in range(20):
+            solve_optimal(generate_random(GeneratorConfig(seed=derive_trial_seed(0, trial))))
+        assert len(calls) == 20
 
     def test_options_are_keyword_only(self, tiny, tiny_constants):
         with pytest.raises(TypeError):
