@@ -11,7 +11,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from . import harness, oracle
 from .problem import (
@@ -19,6 +19,7 @@ from .problem import (
     compute_constants,
     generate_random,
     load_problem,
+    problem_to_dict,
     save_problem,
     validate,
 )
@@ -31,65 +32,62 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="safedual")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    defaults = GeneratorConfig()
     gen = sub.add_parser("generate", help="emit a random problem document")
-    gen.add_argument("--seed", type=int, default=defaults.seed)
+    gen.set_defaults(handler=_cmd_generate)
+    gen.add_argument("--seed", type=int)
     gen.add_argument("--out", help="output path (stdout if omitted)")
-    gen.add_argument("--n-range", type=int, nargs=2, default=defaults.n_range)
-    gen.add_argument("--m-range", type=int, nargs=2, default=defaults.m_range)
-    gen.add_argument("--theta-range", type=float, nargs=2, default=defaults.theta_range)
-    gen.add_argument("--capacity", type=float, default=defaults.capacity_value)
-    gen.add_argument("--bernoulli-p", type=float, default=defaults.bernoulli_p)
+    gen.add_argument("--n-range", type=int, nargs=2)
+    gen.add_argument("--m-range", type=int, nargs=2)
+    gen.add_argument("--theta-range", type=float, nargs=2)
+    gen.add_argument("--capacity", dest="capacity_value", type=float)
+    gen.add_argument("--bernoulli-p", type=float)
 
     slv = sub.add_parser("solve", help="reference optimum of a problem file")
+    slv.set_defaults(handler=_cmd_solve)
     slv.add_argument("problem")
 
     run = sub.add_parser("run", help="one algorithm on one problem")
+    run.set_defaults(handler=_cmd_run)
     run.add_argument("--problem", required=True)
     run.add_argument("--algorithm", default="SDGM", choices=harness.ALGORITHMS)
-    run.add_argument("--horizon", type=int, default=1000)
+    run.add_argument("--horizon", type=int)
     run.add_argument("--gamma", type=float, help="base step override (safe method)")
     run.add_argument("--out", help="trace CSV path (stdout if omitted)")
 
     cmp_ = sub.add_parser("compare", help="full ensemble experiment")
+    cmp_.set_defaults(handler=_cmd_compare)
     cmp_.add_argument("--config", help="JSON experiment config file")
-    cmp_.add_argument("--seed", type=int, help="master seed override")
+    cmp_.add_argument("--seed", dest="master_seed", type=int, help="master seed override")
     cmp_.add_argument("--trials", type=int)
     cmp_.add_argument("--horizon", type=int)
     cmp_.add_argument("--gamma", type=float)
-    cmp_.add_argument("--algorithms", help="comma-separated subset, e.g. SDGM,DGM")
-    cmp_.add_argument("--out", help="output directory")
+    cmp_.add_argument("--algorithms", type=lambda names: tuple(names.split(",")),
+                      help="comma-separated subset, e.g. SDGM,DGM")
+    cmp_.add_argument("--out", dest="output_dir", help="output directory")
     cmp_.add_argument("--workers", type=int)
 
     rep = sub.add_parser("report", help="re-aggregate existing traces")
+    rep.set_defaults(handler=_cmd_report)
     rep.add_argument("--out", required=True, help="experiment output directory")
     return parser
 
 
+def _settings(args, cls) -> dict:
+    """The flags given on the command line that are named after a field of `cls`."""
+    names = {f.name for f in fields(cls)}
+    return {k: v for k, v in vars(args).items() if k in names and v is not None}
+
+
 def _cmd_generate(args) -> None:
-    config = GeneratorConfig(
-        n_range=tuple(args.n_range),
-        m_range=tuple(args.m_range),
-        theta_range=tuple(args.theta_range),
-        capacity_value=args.capacity,
-        bernoulli_p=args.bernoulli_p,
-        seed=args.seed,
-    )
-    problem = generate_random(config)
-    violations = validate(problem)
-    if violations:
-        raise RuntimeError(f"generated problem is invalid: {violations}")
+    config = harness._from_fields(GeneratorConfig, _settings(args, GeneratorConfig))
+    problem = _valid(generate_random(config))
     if args.out:
         save_problem(problem, args.out)
     else:
-        from .problem import problem_to_dict
-
-        json.dump(problem_to_dict(problem), sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        print(json.dumps(problem_to_dict(problem), indent=2))
 
 
-def _load_valid_problem(path):
-    problem = load_problem(path)
+def _valid(problem):
     violations = validate(problem)
     if violations:
         raise RuntimeError(f"invalid problem: {violations}")
@@ -97,50 +95,35 @@ def _load_valid_problem(path):
 
 
 def _cmd_solve(args) -> None:
-    problem = _load_valid_problem(args.problem)
-    solution = oracle.solve_optimal(problem)
-    json.dump(solution.to_dict(), sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    solution = oracle.solve_optimal(_valid(load_problem(args.problem)))
+    print(json.dumps(solution.to_dict(), indent=2))
 
 
 def _cmd_run(args) -> None:
-    if args.horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    if args.gamma is not None and args.algorithm != "SDGM":
-        raise ValueError(f"--gamma is the base step of SDGM, not of {args.algorithm}")
-    problem = _load_valid_problem(args.problem)
+    """One algorithm on one problem; its horizon and gamma default and are
+    refused as compare's are, before the oracle runs."""
+    settings = _settings(args, harness.ExperimentConfig)
+    config = harness.ExperimentConfig(algorithms=(args.algorithm,), **settings)
+    config.check()
+    problem = _valid(load_problem(args.problem))
     constants = compute_constants(problem)
     solution = oracle.solve_optimal(problem)
     trace = harness.run_algorithm(
-        args.algorithm, problem, constants, args.horizon, args.gamma,
+        args.algorithm, problem, constants, config.horizon, config.gamma,
         f_star=solution.f_star, x_star=solution.x_star,
     )
     trace.write_csv(args.out if args.out else sys.stdout)
 
 
 def _cmd_compare(args) -> None:
+    config = harness.ExperimentConfig()
     if args.config:
         with open(args.config) as fh:
             config = harness.ExperimentConfig.from_dict(json.load(fh))
-    else:
-        config = harness.ExperimentConfig()
-    overrides = {}
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-        overrides["generator"] = replace(config.generator, seed=args.seed)
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.horizon is not None:
-        overrides["horizon"] = args.horizon
-    if args.gamma is not None:
-        overrides["gamma"] = args.gamma
-    if args.algorithms is not None:
-        overrides["algorithms"] = tuple(args.algorithms.split(","))
-    if args.out is not None:
-        overrides["output_dir"] = args.out
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    config = replace(config, **overrides)
+    settings = _settings(args, harness.ExperimentConfig)
+    if "master_seed" in settings:
+        settings["generator"] = replace(config.generator, seed=settings["master_seed"])
+    config = replace(config, **settings)
     summary = harness.run_experiment(config)
     final = {
         alg: float(summary.mean[(alg, "distance_to_opt")][-1]) for alg in config.algorithms
@@ -155,15 +138,8 @@ def _cmd_report(args) -> None:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handlers = {
-        "generate": _cmd_generate,
-        "solve": _cmd_solve,
-        "run": _cmd_run,
-        "compare": _cmd_compare,
-        "report": _cmd_report,
-    }
     try:
-        handlers[args.command](args)
+        args.handler(args)
     except Exception as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")

@@ -26,9 +26,10 @@ from .problem import (
     ProblemBatch,
     compute_constants,
     generate_random,
+    is_integer,
     problem_hash,
 )
-from .trace import METRIC_COLUMNS, TraceRecorder, TrialTrace, read_trace_csv
+from .trace import METRIC_COLUMNS, TraceRecorder, TrialTrace, read_trace_csv, write_rows
 
 # name -> start(batch, constants, gammas) -> (start dual, update) for
 # sdgm.run_pricing.  Each entry looks its start function up on its module at
@@ -72,10 +73,10 @@ class ExperimentConfig:
 
     def check(self):
         self.generator.check()
-        if self.trials < 1 or self.horizon < 1:
-            raise ValueError("trials and horizon must be at least 1")
-        if self.master_seed < 0:
-            raise ValueError(f"master_seed must be non-negative, got {self.master_seed}")
+        for name, least in (("trials", 1), ("horizon", 1), ("workers", 1), ("master_seed", 0)):
+            value = getattr(self, name)
+            if not is_integer(value) or value < least:
+                raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
         if not self.algorithms:
             raise ValueError("no algorithms selected")
         unknown = set(self.algorithms) - set(ALGORITHMS)
@@ -112,18 +113,13 @@ class SummaryStats:
     regret_scaled_final: dict  # trial_id -> R(T)/sqrt(T), safe method only
 
     def write_csv(self, path) -> None:
-        header = ["algorithm", "t"]
-        for metric in METRIC_COLUMNS:
-            header += [f"{metric}_mean", f"{metric}_std"]
+        stats = {"mean": self.mean, "std": self.std}
+        names = [(metric, stat) for metric in METRIC_COLUMNS for stat in stats]
         with open(path, "w") as fh:
-            fh.write(",".join(header) + "\n")
+            fh.write(",".join(["algorithm", "t", *(f"{m}_{s}" for m, s in names)]) + "\n")
             for alg in self.algorithms:
-                columns = [np.arange(1, self.horizon + 1)]
-                for metric in METRIC_COLUMNS:
-                    columns += [self.mean[(alg, metric)], self.std[(alg, metric)]]
-                row = alg.replace("%", "%%") + ",%d" + ",%.17g" * (len(columns) - 1) + "\n"
-                values = np.column_stack(columns).ravel().tolist()
-                fh.write(row * self.horizon % tuple(values))
+                columns = [stats[stat][(alg, metric)] for metric, stat in names]
+                write_rows(fh, f"{alg},", np.arange(1, self.horizon + 1), columns)
 
 
 def derive_trial_seed(master_seed: int, index: int) -> int:
@@ -137,17 +133,17 @@ def trial_trace_path(output_dir: str, trial_id: int, algorithm: str) -> str:
 
 
 def _cached_oracle(problem, cache_dir):
-    name = f"{problem_hash(problem)}.{oracle.SOLVER}.json"
-    path = os.path.join(cache_dir, name) if cache_dir else None
-    if path and os.path.exists(path):
+    """The problem's reference optimum, read from `cache_dir` or solved and
+    stored there; written whole under a temporary name, as workers share it."""
+    path = os.path.join(cache_dir, f"{problem_hash(problem)}.{oracle.SOLVER}.json")
+    if os.path.exists(path):
         with open(path) as fh:
             return oracle.OptimalSolution.from_dict(json.load(fh))
     solution = oracle.solve_optimal(problem)
-    if path:
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w") as fh:
-            json.dump(solution.to_dict(), fh)
-        os.replace(tmp, path)
+    tmp = f"{path}.tmp.{os.getpid()}"
+    with open(tmp, "w") as fh:
+        json.dump(solution.to_dict(), fh)
+    os.replace(tmp, path)
     return solution
 
 
@@ -233,7 +229,7 @@ def _prepare_trial(config: ExperimentConfig, trial_id: int):
         "lambda_bar": constants.lambda_bar,
         "mu": constants.mu,
         "spectral": constants.spectral,
-        "c_l1": float(np.abs(problem.capacities).sum()),
+        "c_l1": constants.c_l1,
         "regret_constant": sdgm.regret_constant(constants, problem),
         "f_star": solution.f_star,
         "kkt_residual": solution.kkt_residual,
@@ -324,11 +320,10 @@ def _write_artifacts(config: ExperimentConfig, metas, summary: SummaryStats) -> 
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     if summary.regret_scaled_final:
-        path = os.path.join(config.output_dir, "sdgm_regret_scaled.csv")
-        with open(path, "w") as fh:
+        trial_ids = sorted(summary.regret_scaled_final)
+        with open(os.path.join(config.output_dir, "sdgm_regret_scaled.csv"), "w") as fh:
             fh.write("trial_id,regret_final_over_sqrt_horizon\n")
-            for trial_id in sorted(summary.regret_scaled_final):
-                fh.write(f"{trial_id},{summary.regret_scaled_final[trial_id]:.17g}\n")
+            write_rows(fh, "", trial_ids, [[summary.regret_scaled_final[k] for k in trial_ids]])
 
 
 def run_experiment(config: ExperimentConfig) -> SummaryStats:

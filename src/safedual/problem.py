@@ -24,6 +24,11 @@ class GenerationError(RuntimeError):
     """Random generation could not produce a non-degenerate constraint matrix."""
 
 
+def is_integer(value) -> bool:
+    """Whether a setting is an int proper: a bool or a float of integral value is not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class UtilitySpec:
     """Shifted-log utility theta * log(x + shift) on the box [lower, upper].
@@ -102,8 +107,8 @@ class GeneratorConfig:
     def check(self):
         for name in ("n_range", "m_range"):
             low, high = getattr(self, name)
-            if low < 1:
-                raise ValueError(f"{name} must start at 1 or more, not {low}")
+            if not (is_integer(low) and is_integer(high)) or low < 1:
+                raise ValueError(f"{name} must hold integers from 1 up, not {low!r}..{high!r}")
             if low > high:
                 raise ValueError(f"{name} {low}..{high} is empty")
         if not self.theta_range[0] > 0:
@@ -126,6 +131,7 @@ class ProblemConstants:
     dual_smoothness  spectral / mu, the smoothness constant of the dual
     lambda_bar       uniform dual cap: a dual at lambda_bar keeps its row feasible
     row_weights      A A^T applied to the all-ones vector, in exact integers
+    c_l1             ||c||_1, the sum of the capacities' magnitudes
     """
 
     mu: float
@@ -133,6 +139,7 @@ class ProblemConstants:
     dual_smoothness: float
     lambda_bar: float
     row_weights: np.ndarray
+    c_l1: float
 
 
 def validate(problem: NumProblem) -> list[str]:
@@ -207,6 +214,7 @@ def compute_constants(problem: NumProblem) -> ProblemConstants:
         dual_smoothness=spectral / mu,
         lambda_bar=lambda_bar,
         row_weights=row_weights,
+        c_l1=float(np.abs(problem.capacities).sum()),
     )
 
 

@@ -96,17 +96,15 @@ def regret_constant(constants: ProblemConstants, problem: NumProblem) -> float:
     """The constant C entering the regret bound and the optimal base step."""
     col_norm_sq = float(constants.row_weights.sum())  # ||A^T 1||^2 = 1^T A A^T 1
     m = problem.m
-    c_l1 = float(np.abs(problem.capacities).sum())
-    return c_l1 + constants.lambda_bar * m * (
+    return constants.c_l1 + constants.lambda_bar * m * (
         col_norm_sq + constants.spectral * (m - 1) ** 2 / constants.mu
     ) / constants.mu
 
 
 def default_gamma(constants: ProblemConstants, problem: NumProblem) -> float:
     """Base step minimizing the worst-case regret bound."""
-    c_l1 = float(np.abs(problem.capacities).sum())
     big_c = regret_constant(constants, problem)
-    return math.sqrt(constants.lambda_bar**2 * c_l1 / (2.0 * big_c))
+    return math.sqrt(constants.lambda_bar**2 * constants.c_l1 / (2.0 * big_c))
 
 
 def regret_bound(

@@ -1,6 +1,7 @@
 """Per-trial iteration records, the per-round metrics that fill them, and their CSV form."""
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,15 @@ CSV_COLUMNS = (
 )
 CSV_HEADER = ",".join(CSV_COLUMNS)
 METRIC_COLUMNS = CSV_COLUMNS[3:]
+
+
+def write_rows(fh, prefix: str, index, columns) -> None:
+    """One CSV row per entry of `index`: `prefix` as it stands, the entry as
+    an integer, then that entry's value of each column in `%.17g`, which
+    reads back to the same float."""
+    row = prefix.replace("%", "%%") + "%d" + ",%.17g" * len(columns) + "\n"
+    values = np.column_stack([index, *columns]).ravel().tolist()
+    fh.write(row * len(index) % tuple(values))
 
 
 def regret_series(objectives: np.ndarray, f_star: float) -> np.ndarray:
@@ -51,18 +61,11 @@ class TrialTrace:
         return {name: getattr(self, name) for name in METRIC_COLUMNS}
 
     def write_csv(self, path_or_file) -> None:
-        if hasattr(path_or_file, "write"):
-            self._write_rows(path_or_file)
-        else:
-            with open(path_or_file, "w") as fh:
-                self._write_rows(fh)
-
-    def _write_rows(self, fh) -> None:
-        prefix = f"{self.trial_id},{self.algorithm},".replace("%", "%%")
-        row = prefix + "%d" + ",%.17g" * len(METRIC_COLUMNS) + "\n"
-        values = np.column_stack([self.iterations(), *self.metrics().values()])
-        fh.write(CSV_HEADER + "\n")
-        fh.write(row * self.horizon % tuple(values.ravel().tolist()))
+        to_stream = hasattr(path_or_file, "write")
+        with nullcontext(path_or_file) if to_stream else open(path_or_file, "w") as fh:
+            fh.write(CSV_HEADER + "\n")
+            prefix = f"{self.trial_id},{self.algorithm},"
+            write_rows(fh, prefix, self.iterations(), self.metrics().values())
 
 
 def round_metrics(
@@ -155,10 +158,5 @@ def read_trace_csv(path) -> TrialTrace:
     return TrialTrace(
         trial_id=int(cells[0, 0]),
         algorithm=str(cells[0, 1]),
-        objective=data[:, 0],
-        regret_cum=data[:, 1],
-        infeasibility=data[:, 2],
-        distance_to_opt=data[:, 3],
-        max_lambda=data[:, 4],
-        min_slack=data[:, 5],
+        **dict(zip(METRIC_COLUMNS, data.T)),
     )

@@ -3,12 +3,13 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
 from safedual.cli import _build_parser, main
-from safedual.harness import ALGORITHMS, derive_trial_seed, trial_trace_path
-from safedual.problem import load_problem
+from safedual.harness import ALGORITHMS, ExperimentConfig, derive_trial_seed, trial_trace_path
+from safedual.problem import GeneratorConfig, load_problem
 from safedual.trace import CSV_HEADER
 
 
@@ -54,6 +55,15 @@ class TestGenerate:
         assert 10 <= json.loads(capsys.readouterr().out)["n"] <= 40
         assert main(["generate", "--seed", "2", "--out", str(tmp_path / "again.json")]) == 0
         assert _build_parser.cache_info().misses == 1
+
+
+def test_flags_are_named_after_config_fields():
+    """`compare` and `generate` hand each flag to the config field its dest names."""
+    parser = _build_parser()
+    compare = set(vars(parser.parse_args(["compare"]))) - {"command", "handler", "config"}
+    assert compare <= {f.name for f in fields(ExperimentConfig)}
+    generate = set(vars(parser.parse_args(["generate"]))) - {"command", "handler", "out"}
+    assert generate <= {f.name for f in fields(GeneratorConfig)}
 
 
 class TestSolve:
@@ -208,22 +218,37 @@ class TestCompareAndReport:
         manifest = json.load(open(out_dir / "manifest.json"))
         assert manifest["config"]["trials"] == 1
         assert manifest["config"]["master_seed"] == 2
+        assert manifest["config"]["generator"]["seed"] == 2
+        assert manifest["config"]["algorithms"] == ["SDGM", "FDGM"]
 
 
-@pytest.mark.parametrize("flags", [
-    ["--gamma", "nan"],
-    ["--gamma", "inf"],
-    ["--gamma", "-1"],
-    ["--algorithms", "SDGM,SDGM"],
-    ["--gamma", "5", "--algorithms", "DGM,FDGM,NDGM"],
-    ["--seed", "-1"],
+@pytest.mark.parametrize("flags, settings, field", [
+    (["--gamma", "nan"], {}, "gamma"),
+    (["--gamma", "inf"], {}, "gamma"),
+    (["--gamma", "-1"], {}, "gamma"),
+    (["--algorithms", "SDGM,SDGM"], {}, "algorithms"),
+    (["--gamma", "5", "--algorithms", "DGM,FDGM,NDGM"], {}, "gamma"),
+    (["--seed", "-1"], {}, "master_seed"),
+    ([], {"trials": 2.5}, "trials"),
+    ([], {"trials": True}, "trials"),
+    ([], {"horizon": 10.5, "trials": 1}, "horizon"),
+    ([], {"workers": 1.5}, "workers"),
+    ([], {"workers": 0}, "workers"),
+    ([], {"master_seed": 1.5}, "master_seed"),
 ], ids=["gamma-nan", "gamma-inf", "gamma-negative", "repeated-algorithm", "gamma-without-sdgm",
-        "negative-seed"])
-def test_compare_refuses_bad_setting_before_any_trial(tmp_path, capsys, flags):
+        "negative-seed", "float-trials", "bool-trials", "float-horizon", "float-workers",
+        "zero-workers", "float-master-seed"])
+def test_compare_refuses_bad_setting_before_any_trial(tmp_path, capsys, flags, settings, field):
+    """A setting given as a flag or in the --config document is refused, naming
+    its field, before the output directory is made."""
+    config_path = tmp_path / "config.json"
+    base = {"trials": 2, "horizon": 10, "algorithms": ["SDGM"]}
+    config_path.write_text(json.dumps(base | settings))
     out_dir = tmp_path / "exp"
-    assert main(["compare", "--trials", "2", "--horizon", "10", "--algorithms", "SDGM",
-                 "--out", str(out_dir), *flags]) == 1
-    assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+    assert main(["compare", "--config", str(config_path), "--out", str(out_dir), *flags]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert field in err["message"]
     assert not out_dir.exists()
 
 
@@ -232,7 +257,9 @@ def test_compare_refuses_bad_setting_before_any_trial(tmp_path, capsys, flags):
     ("n_range", [0, 0]),
     ("m_range", [0, 0]),
     ("theta_range", [-5, -1]),
-], ids=["bernoulli_p", "n_range", "m_range", "theta_range"])
+    ("n_range", [3.5, 5]),
+    ("m_range", [2, 4.5]),
+], ids=["bernoulli_p", "n_range", "m_range", "theta_range", "float-n_range", "float-m_range"])
 def test_compare_refuses_bad_generator_setting_before_any_trial(tmp_path, capsys, field, value):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"generator": {field: value}}))

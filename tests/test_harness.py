@@ -248,6 +248,17 @@ class TestRunExperiment:
         assert [m["trial_id"] for m in manifest["trials"]] == [0, 1, 2]
         assert len(os.listdir(os.path.join(out, "traces"))) == 3 * len(ALGORITHMS)
 
+    def test_regret_scaled_rows(self, tmp_path):
+        """One row per trial, in trial order: SDGM's R(T)/sqrt(T) from its trace."""
+        config = small_config(tmp_path, workers=2)
+        run_experiment(config)
+        expected = ["trial_id,regret_final_over_sqrt_horizon"]
+        for trial_id in range(config.trials):
+            trace = read_trace_csv(trial_trace_path(config.output_dir, trial_id, "SDGM"))
+            expected.append(f"{trial_id},{trace.regret_cum[-1] / np.sqrt(config.horizon):.17g}")
+        with open(os.path.join(config.output_dir, "sdgm_regret_scaled.csv")) as fh:
+            assert fh.read().splitlines() == expected
+
     def test_safe_traces_never_violate(self, tmp_path):
         config = small_config(tmp_path)
         run_experiment(config)
