@@ -2,16 +2,21 @@
 
 A run generates an ensemble of random networks, solves each to optimality,
 runs the selected algorithms for a fixed horizon, and writes one trace CSV
-per (trial, algorithm) plus an aggregate summary.  Each worker takes a
-contiguous block of trials and runs every selected algorithm over it in
-one loop, over a ProblemBatch that holds the block once per algorithm.
-Everything is a pure function of the master seed, regardless of worker
-count and batch size.
+per (trial, algorithm) plus an aggregate summary.  The calling process
+prepares every trial, then splits the trials into contiguous blocks: it
+prices the first block itself while forked workers price the others, each
+running every selected algorithm over its block in one loop, over a
+ProblemBatch that holds the block once per algorithm.  Every block records
+its traces into one shared (metric, round, algorithm, trial) table, from
+which the caller aggregates.  Everything is a pure function of the master
+seed, regardless of worker count and batch size.
 """
 from __future__ import annotations
 
 import json
 import math
+import mmap
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -27,9 +32,17 @@ from .problem import (
     compute_constants,
     generate_random,
     is_integer,
+    is_real,
     problem_hash,
 )
-from .trace import METRIC_COLUMNS, TraceRecorder, TrialTrace, read_trace_csv, write_rows
+from .trace import (
+    METRIC_COLUMNS,
+    TraceRecorder,
+    TrialTrace,
+    read_trace_csv,
+    table_traces,
+    write_rows,
+)
 
 # name -> start(batch, constants, gammas) -> (start dual, update) for
 # sdgm.run_pricing.  Each entry looks its start function up on its module at
@@ -60,6 +73,17 @@ def _from_fields(cls, doc: dict):
     return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()})
 
 
+def _can_fork() -> bool:
+    return "fork" in multiprocessing.get_all_start_methods()
+
+
+def available_workers() -> int:
+    """The CPUs this process may run on, or 1 where it cannot fork workers."""
+    if not hasattr(os, "sched_getaffinity") or not _can_fork():
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     generator: GeneratorConfig = field(default_factory=GeneratorConfig)
@@ -69,14 +93,20 @@ class ExperimentConfig:
     master_seed: int = 0
     output_dir: str = "results"
     gamma: float | None = None  # overrides the tuned base step of the safe method
-    workers: int = 1
+    workers: int = field(default_factory=available_workers)  # the caller is one of them
 
     def check(self):
-        self.generator.check()
         for name, least in (("trials", 1), ("horizon", 1), ("workers", 1), ("master_seed", 0)):
             value = getattr(self, name)
             if not is_integer(value) or value < least:
                 raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+        self.generator.check()  # after master_seed, which --seed also sets as its seed
+        if self.workers > 1 and not _can_fork():
+            raise ValueError(f"workers must be 1 where processes cannot fork, got {self.workers}")
+        if not isinstance(self.algorithms, (list, tuple)) or not all(
+            isinstance(name, str) for name in self.algorithms
+        ):
+            raise ValueError(f"algorithms must be a list of names, got {self.algorithms!r}")
         if not self.algorithms:
             raise ValueError("no algorithms selected")
         unknown = set(self.algorithms) - set(ALGORITHMS)
@@ -84,8 +114,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown algorithms: {sorted(unknown)}")
         if len(set(self.algorithms)) != len(self.algorithms):
             raise ValueError(f"repeated algorithms: {list(self.algorithms)}")
-        if self.gamma is not None and not 0 < self.gamma < math.inf:
-            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
+        if self.gamma is not None and not (is_real(self.gamma) and 0 < self.gamma < math.inf):
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma!r}")
         if self.gamma is not None and "SDGM" not in self.algorithms:
             raise ValueError(
                 f"gamma is the base step of SDGM, which {list(self.algorithms)} leaves out"
@@ -134,7 +164,9 @@ def trial_trace_path(output_dir: str, trial_id: int, algorithm: str) -> str:
 
 def _cached_oracle(problem, cache_dir):
     """The problem's reference optimum, read from `cache_dir` or solved and
-    stored there; written whole under a temporary name, as workers share it."""
+    stored there.  The caller of run_experiment is the one writer; a file is
+    written whole under a temporary name, so a run cut short leaves none half
+    written."""
     path = os.path.join(cache_dir, f"{problem_hash(problem)}.{oracle.SOLVER}.json")
     if os.path.exists(path):
         with open(path) as fh:
@@ -167,7 +199,7 @@ def _fuse(starts, m: int, n: int):
 
 def run_batch(
     algorithms: tuple[str, ...], batch: ProblemBatch, constants, horizon: int, gammas,
-    trial_ids, f_stars, x_star=None,
+    trial_ids, f_stars, x_star=None, table=None,
 ) -> list[TrialTrace]:
     """Run registered algorithms over a batch; one trace per (algorithm, trial),
     algorithm by algorithm.
@@ -177,18 +209,18 @@ def run_batch(
     own slice of the duals.  An UnboundedSubproblemError names a user of
     that fused batch.  `constants`, `gammas`, `trial_ids` and `f_stars` hold
     one entry per trial; `x_star` is the trials' reference optima,
-    concatenated, or None.
+    concatenated, or None.  The traces are views of `table`, the
+    (metric, round, algorithm, trial) array they are recorded into; a fresh
+    one if None.
     """
     starts = [STARTS[alg](batch, constants, gammas) for alg in algorithms]
     copies = len(algorithms)
+    if table is None:
+        table = np.empty((len(METRIC_COLUMNS), horizon, copies, batch.size))
     fused = ProblemBatch(batch.problems * copies)
-    record = TraceRecorder(fused, horizon, None if x_star is None else np.tile(x_star, copies))
+    record = TraceRecorder(fused, table, None if x_star is None else np.tile(x_star, copies))
     sdgm.run_pricing(fused, *_fuse(starts, batch.m, batch.n), horizon, record)
-    return [
-        trace
-        for a, alg in enumerate(algorithms)
-        for trace in record.traces(alg, trial_ids, f_stars, first=a * batch.size)
-    ]
+    return record.traces(algorithms, trial_ids, f_stars)
 
 
 def run_algorithm(
@@ -238,28 +270,27 @@ def _prepare_trial(config: ExperimentConfig, trial_id: int):
     return problem, constants, solution, meta
 
 
-def run_trials(config: ExperimentConfig, trial_ids) -> tuple[list[dict], list[TrialTrace]]:
-    """Run a block of trials as one batch.
-
-    Prepares each trial, runs the selected algorithms together over the
-    batch, then writes one CSV per (trial, algorithm) under the output
-    directory.
-    Returns the trials' manifest entries and their traces.
-    """
-    trial_ids = list(trial_ids)
+def _prepare_trials(config: ExperimentConfig, trial_ids) -> list[tuple]:
     prepared = []
     for trial_id in trial_ids:
         with _naming_trial(config, trial_id):
             prepared.append(_prepare_trial(config, trial_id))
+    return prepared
+
+
+def _price_block(config: ExperimentConfig, prepared, table) -> list[TrialTrace]:
+    """Price a block of prepared trials as one batch, record their traces
+    into `table`, its (metric, round, algorithm, trial) slice, and write one
+    CSV per (trial, algorithm) under the output directory."""
     problems, constants, solutions, metas = zip(*prepared)
+    trial_ids = [meta["trial_id"] for meta in metas]
     batch = ProblemBatch(problems)
-    gammas = [meta["gamma"] for meta in metas]
-    f_stars = [solution.f_star for solution in solutions]
-    x_star = np.concatenate([solution.x_star for solution in solutions])
     try:
         traces = run_batch(
-            config.algorithms, batch, constants, config.horizon, gammas, trial_ids, f_stars,
-            x_star,
+            config.algorithms, batch, constants, config.horizon,
+            [meta["gamma"] for meta in metas], trial_ids,
+            [solution.f_star for solution in solutions],
+            np.concatenate([solution.x_star for solution in solutions]), table,
         )
     except UnboundedSubproblemError as exc:
         # the fused batch holds the batch's users once per algorithm
@@ -268,7 +299,19 @@ def run_trials(config: ExperimentConfig, trial_ids) -> tuple[list[dict], list[Tr
             raise UnboundedSubproblemError.at(user, exc.price) from exc
     for trace in traces:
         trace.write_csv(trial_trace_path(config.output_dir, trace.trial_id, trace.algorithm))
-    return list(metas), traces
+    return traces
+
+
+def run_trials(config: ExperimentConfig, trial_ids) -> tuple[list[dict], list[TrialTrace]]:
+    """Run a block of trials as one batch, in this process.
+
+    Prepares each trial, runs the selected algorithms together over the
+    batch, then writes one CSV per (trial, algorithm) under the output
+    directory.
+    Returns the trials' manifest entries and their traces.
+    """
+    prepared = _prepare_trials(config, trial_ids)
+    return [meta for *_, meta in prepared], _price_block(config, prepared, None)
 
 
 def run_trial(config: ExperimentConfig, trial_id: int) -> tuple[dict, list[TrialTrace]]:
@@ -282,6 +325,46 @@ def trial_blocks(trials: int, workers: int) -> list[range]:
     workers = max(1, min(workers, trials))
     bounds = [trials * k // workers for k in range(workers + 1)]
     return [range(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+_forked_work = None  # set in each forked worker, by _install, to its fan_out's work
+
+
+def _install(work) -> None:
+    global _forked_work
+    _forked_work = work
+
+
+def _run_forked(item) -> None:
+    _forked_work(item)
+
+
+def fan_out(work, items) -> None:
+    """Run work(item) for each item: the caller runs the first item while
+    len(items) - 1 forked workers run the others.
+
+    `work` reaches the workers through fork, not pickle, so it may close over
+    memory that they share with the caller; only the items are pickled, and
+    whatever work returns is dropped.  A failure is raised in item order.
+    """
+    if len(items) == 1:
+        work(items[0])
+        return
+    with ProcessPoolExecutor(
+        max_workers=len(items) - 1, mp_context=multiprocessing.get_context("fork"),
+        initializer=_install, initargs=(work,),
+    ) as pool:
+        futures = [pool.submit(_run_forked, item) for item in items[1:]]
+        work(items[0])
+        for future in futures:
+            future.result()
+
+
+def _shared_table(config: ExperimentConfig, trials: int) -> np.ndarray:
+    """An unfilled (metric, round, algorithm, trial) trace table in anonymous
+    shared memory: what forked workers write into it, the caller reads."""
+    shape = (len(METRIC_COLUMNS), config.horizon, len(config.algorithms), trials)
+    return np.ndarray(shape, buffer=mmap.mmap(-1, 8 * max(1, math.prod(shape))))
 
 
 def aggregate(traces: list[TrialTrace], algorithms, horizon: int) -> SummaryStats:
@@ -331,36 +414,45 @@ def run_experiment(config: ExperimentConfig) -> SummaryStats:
     config.check()
     os.makedirs(os.path.join(config.output_dir, "traces"), exist_ok=True)
     os.makedirs(os.path.join(config.output_dir, "oracle_cache"), exist_ok=True)
+    prepared = _prepare_trials(config, range(config.trials))
+    table = _shared_table(config, config.trials)
     blocks = trial_blocks(config.trials, config.workers)
-    if len(blocks) > 1:
-        with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
-            results = list(pool.map(run_trials, [config] * len(blocks), blocks))
-    else:
-        results = [run_trials(config, blocks[0])]
-    metas = [meta for block_metas, _ in results for meta in block_metas]
-    traces = [trace for _, block_traces in results for trace in block_traces]
+
+    def price(block) -> None:
+        _price_block(config, prepared[block.start:block.stop], table[..., block.start:block.stop])
+
+    fan_out(price, blocks)
+    metas = [meta for *_, meta in prepared]
+    traces = table_traces(table, config.algorithms, range(config.trials))
     summary = aggregate(traces, config.algorithms, config.horizon)
     _write_artifacts(config, metas, summary)
     return summary
 
 
 def report(output_dir: str) -> SummaryStats:
-    """Re-aggregate the traces of the run that `manifest.json` records."""
+    """Re-aggregate the traces of the run that `manifest.json` records, read
+    by as many processes as that run priced them with."""
     with open(os.path.join(output_dir, "manifest.json")) as fh:
         manifest = json.load(fh)
     config = ExperimentConfig.from_dict(manifest["config"])
-    traces = []
-    for meta in manifest["trials"]:
-        for alg in config.algorithms:
-            path = trial_trace_path(output_dir, meta["trial_id"], alg)
-            if not os.path.exists(path):
-                raise TraceMismatchError(f"missing trace {path}")
-            trace = read_trace_csv(path)
-            if trace.horizon != config.horizon:
-                raise TraceMismatchError(
-                    f"{path} has {trace.horizon} rounds, the manifest {config.horizon}"
-                )
-            traces.append(trace)
+    trial_ids = [meta["trial_id"] for meta in manifest["trials"]]
+    table = _shared_table(config, len(trial_ids))
+
+    def parse(block) -> None:
+        for k in block:
+            for a, alg in enumerate(config.algorithms):
+                path = trial_trace_path(output_dir, trial_ids[k], alg)
+                if not os.path.exists(path):
+                    raise TraceMismatchError(f"missing trace {path}")
+                trace = read_trace_csv(path)
+                if trace.horizon != config.horizon:
+                    raise TraceMismatchError(
+                        f"{path} has {trace.horizon} rounds, the manifest {config.horizon}"
+                    )
+                table[:, :, a, k] = [*trace.metrics().values()]
+
+    fan_out(parse, trial_blocks(len(trial_ids), config.workers))
+    traces = table_traces(table, config.algorithms, trial_ids)
     summary = aggregate(traces, config.algorithms, config.horizon)
     summary.write_csv(os.path.join(output_dir, "summary.csv"))
     return summary

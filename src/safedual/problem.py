@@ -29,6 +29,11 @@ def is_integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """Whether a setting is a real number: an int or a float, not a bool or a string."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class UtilitySpec:
     """Shifted-log utility theta * log(x + shift) on the box [lower, upper].
@@ -102,9 +107,16 @@ class GeneratorConfig:
     theta_range: tuple[float, float] = (10.0, 30.0)
     capacity_value: float = 1.0
     bernoulli_p: float = 0.5
-    seed: int = 0
+    seed: int | None = 0
 
     def check(self):
+        if self.seed is not None and not (is_integer(self.seed) and self.seed >= 0):
+            raise ValueError(f"seed must be None or a non-negative integer, got {self.seed!r}")
+        reals = {"theta_range": self.theta_range, "bernoulli_p": [self.bernoulli_p],
+                 "capacity_value": [self.capacity_value]}
+        for name, values in reals.items():
+            if not all(map(is_real, values)):
+                raise ValueError(f"{name} must hold real numbers, got {getattr(self, name)!r}")
         for name in ("n_range", "m_range"):
             low, high = getattr(self, name)
             if not (is_integer(low) and is_integer(high)) or low < 1:
@@ -117,7 +129,7 @@ class GeneratorConfig:
             raise ValueError("theta_range is empty")
         if not 0.0 < self.bernoulli_p < 1.0:
             raise ValueError("bernoulli_p must lie strictly in (0, 1)")
-        if self.capacity_value <= 0:
+        if not self.capacity_value > 0:
             raise ValueError("capacity_value must be positive")
 
 

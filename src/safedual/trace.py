@@ -91,33 +91,45 @@ def round_metrics(
 
 
 class TraceRecorder:
-    """The trace columns of a batch, filled in one round at a time.
+    """The trace columns of a batch, filled in place one round at a time.
 
-    Holds one (horizon, trials) array per metric, never the iterates.
-    `x_star` is the trials' reference optima, concatenated, or None.
+    `table` is a (metric, round, algorithm, trial) array, or a slice of one,
+    with one entry per METRIC_COLUMNS; the batch holds its trials once per
+    algorithm, algorithm by algorithm.  Holds no iterates.  `x_star` is the
+    batch's reference optima, concatenated, or None.
     """
 
     COLUMNS = ("objective", "infeasibility", "distance_to_opt", "max_lambda", "min_slack")
 
-    def __init__(self, batch: ProblemBatch, horizon: int, x_star=None):
+    def __init__(self, batch: ProblemBatch, table: np.ndarray, x_star=None):
         self.batch = batch
+        self.table = table
         self.x_star = None if x_star is None else np.asarray(x_star, float)
-        self.columns = [np.empty((horizon, batch.size)) for _ in self.COLUMNS]
+        self.columns = [table[METRIC_COLUMNS.index(name)] for name in self.COLUMNS]
 
     def __call__(self, t: int, x: np.ndarray, lam: np.ndarray, load: np.ndarray) -> None:
         metrics = round_metrics(self.batch, x, lam, load, self.x_star)
         for column, values in zip(self.columns, metrics):
-            column[t - 1] = values
+            column[t - 1] = values.reshape(column.shape[1:])
 
-    def traces(self, algorithm: str, trial_ids, f_stars, first: int = 0) -> list[TrialTrace]:
-        """One trace per trial, from the batch's trials at positions first,
-        first + 1, ...; regret is the running sum of f_star - objective."""
-        traces = []
-        for k, (trial_id, f_star) in enumerate(zip(trial_ids, f_stars), start=first):
-            columns = {name: column[:, k] for name, column in zip(self.COLUMNS, self.columns)}
-            columns["regret_cum"] = regret_series(columns["objective"], f_star)
-            traces.append(TrialTrace(trial_id=trial_id, algorithm=algorithm, **columns))
-        return traces
+    def traces(self, algorithms, trial_ids, f_stars) -> list[TrialTrace]:
+        """Fill the regret column, the running sum of each trial's f_star -
+        objective, and view the table as traces (see table_traces)."""
+        objective = self.table[METRIC_COLUMNS.index("objective")]
+        regret = self.table[METRIC_COLUMNS.index("regret_cum")]
+        np.subtract(np.asarray(f_stars, float), objective, out=regret)
+        np.cumsum(regret, axis=0, out=regret)
+        return table_traces(self.table, algorithms, trial_ids)
+
+
+def table_traces(table: np.ndarray, algorithms, trial_ids) -> list[TrialTrace]:
+    """One trace per (algorithm, trial) of a (metric, round, algorithm, trial)
+    table, algorithm by algorithm; its columns are views of the table."""
+    return [
+        TrialTrace(trial_id, algorithm, *table[:, :, a, k])
+        for a, algorithm in enumerate(algorithms)
+        for k, trial_id in enumerate(trial_ids)
+    ]
 
 
 def build_trace(
@@ -137,26 +149,27 @@ def build_trace(
     x_hist = np.asarray(x_hist, float)
     lam_hist = np.asarray(lam_hist, float)
     batch = ProblemBatch([problem])
-    record = TraceRecorder(batch, len(x_hist), x_star)
+    record = TraceRecorder(batch, np.empty((len(METRIC_COLUMNS), len(x_hist), 1, 1)), x_star)
     for t, (x, lam) in enumerate(zip(x_hist, lam_hist), start=1):
         record(t, x, lam, batch.a_matrix @ x)
-    return record.traces(algorithm, [trial_id], [f_star])[0]
+    return record.traces([algorithm], [trial_id], [f_star])[0]
 
 
 def read_trace_csv(path) -> TrialTrace:
-    """Load the metric columns of a trace CSV (raw iterates are not stored)."""
+    """Load the metric columns of a trace CSV (raw iterates are not stored);
+    its trial id and algorithm come from the first row."""
     with open(path) as fh:
-        header = fh.readline().strip()
-        if header != CSV_HEADER:
+        if fh.readline().strip() != CSV_HEADER:
             raise ValueError(f"unexpected trace header in {path}")
-        rows = fh.read().split()
-    if not rows:
-        raise ValueError(f"empty trace file {path}")
-    cells = np.array(",".join(rows).split(","), dtype=object)
-    cells = cells.reshape(len(rows), len(CSV_COLUMNS))
-    data = cells[:, 3:].astype(float)
+        first = fh.readline().split(",", 2)
+        if len(first) < 3:
+            raise ValueError(f"empty trace file {path}")
+        fh.seek(0)
+        data = np.loadtxt(
+            fh, delimiter=",", skiprows=1, usecols=range(3, 9), comments=None, ndmin=2
+        )
     return TrialTrace(
-        trial_id=int(cells[0, 0]),
-        algorithm=str(cells[0, 1]),
+        trial_id=int(first[0]),
+        algorithm=first[1],
         **dict(zip(METRIC_COLUMNS, data.T)),
     )

@@ -1,9 +1,17 @@
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
 
 from safedual import NumProblem, UtilitySpec, compute_constants, solve_optimal
+
+
+@pytest.fixture(autouse=True)
+def no_worker_outlives_its_test():
+    """Every worker process a test forks is joined before the test ends."""
+    yield
+    assert multiprocessing.active_children() == []
 
 
 @pytest.fixture(scope="session")

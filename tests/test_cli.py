@@ -235,9 +235,12 @@ class TestCompareAndReport:
     ([], {"workers": 1.5}, "workers"),
     ([], {"workers": 0}, "workers"),
     ([], {"master_seed": 1.5}, "master_seed"),
+    ([], {"gamma": "0.5"}, "gamma"),
+    ([], {"gamma": True}, "gamma"),
+    ([], {"algorithms": "SDGM"}, "algorithms"),
 ], ids=["gamma-nan", "gamma-inf", "gamma-negative", "repeated-algorithm", "gamma-without-sdgm",
         "negative-seed", "float-trials", "bool-trials", "float-horizon", "float-workers",
-        "zero-workers", "float-master-seed"])
+        "zero-workers", "float-master-seed", "str-gamma", "bool-gamma", "str-algorithms"])
 def test_compare_refuses_bad_setting_before_any_trial(tmp_path, capsys, flags, settings, field):
     """A setting given as a flag or in the --config document is refused, naming
     its field, before the output directory is made."""
@@ -259,7 +262,15 @@ def test_compare_refuses_bad_setting_before_any_trial(tmp_path, capsys, flags, s
     ("theta_range", [-5, -1]),
     ("n_range", [3.5, 5]),
     ("m_range", [2, 4.5]),
-], ids=["bernoulli_p", "n_range", "m_range", "theta_range", "float-n_range", "float-m_range"])
+    ("bernoulli_p", "0.5"),
+    ("capacity_value", "1"),
+    ("theta_range", ["10", 30]),
+    ("theta_range", [10, True]),
+    ("seed", 1.5),
+    ("seed", -1),
+], ids=["bernoulli_p", "n_range", "m_range", "theta_range", "float-n_range", "float-m_range",
+        "str-bernoulli_p", "str-capacity_value", "str-theta_range", "bool-theta_range",
+        "float-seed", "negative-seed"])
 def test_compare_refuses_bad_generator_setting_before_any_trial(tmp_path, capsys, field, value):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"generator": {field: value}}))
@@ -270,6 +281,28 @@ def test_compare_refuses_bad_generator_setting_before_any_trial(tmp_path, capsys
     assert err["error"] == "ValueError"
     assert field in err["message"]
     assert not out_dir.exists()
+
+
+def test_compare_and_report_write_the_same_bytes_for_any_workers(tmp_path, capsys):
+    """Every file and stdout of `compare` then `report` is the same whether the
+    caller prices the trials alone or with one or two forked workers; the
+    manifest differs only in its output directory and worker count."""
+    runs = []
+    for workers in (1, 2, 3):
+        out_dir = tmp_path / f"workers{workers}"
+        assert main(["compare", "--seed", "3", "--trials", "7", "--horizon", "40",
+                     "--workers", str(workers), "--out", str(out_dir)]) == 0
+        assert main(["report", "--out", str(out_dir)]) == 0
+        files = {
+            str(path.relative_to(out_dir)): path.read_bytes()
+            for path in out_dir.rglob("*") if path.is_file() and path.name != "manifest.json"
+        }
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["config"].pop("workers") == workers
+        assert manifest["config"].pop("output_dir") == str(out_dir)
+        runs.append((files, manifest, capsys.readouterr().out))
+    assert len(runs[0][0]) == 7 * len(ALGORITHMS) + 7 + 2  # traces, optima, two tables
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_cli_imports_no_heavy_dependency():

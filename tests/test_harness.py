@@ -1,5 +1,6 @@
 import io
 import json
+import multiprocessing
 import os
 import re
 from dataclasses import replace
@@ -94,6 +95,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(tmp_path, trials=0).check()
 
+    def test_workers_default_to_the_usable_cpus(self):
+        assert ExperimentConfig().workers == len(os.sched_getaffinity(0))
+
+    def test_check_refuses_workers_without_fork(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert ExperimentConfig().workers == 1
+        small_config(tmp_path, workers=1).check()
+        with pytest.raises(ValueError, match="workers"):
+            small_config(tmp_path, workers=2).check()
+
 
 class TestRunTrial:
     def test_artifacts_and_metadata(self, tmp_path):
@@ -169,6 +180,19 @@ class TestBatching:
                 texts[trace.algorithm, trace.trial_id] = buffer.getvalue()
         return texts
 
+    def test_traces_are_views_of_the_table_they_fill(self, tiny, tiny_constants):
+        """run_batch records into the table it is given, in place: no trace keeps a copy."""
+        table = np.full((len(METRIC_COLUMNS), 5, 2, 1), np.nan)
+        traces = run_batch(
+            ("SDGM", "DGM"), ProblemBatch([tiny]), [tiny_constants], 5, [None], [7], [0.0],
+            np.zeros(tiny.n), table,
+        )
+        assert not np.isnan(table).any()
+        assert [(trace.algorithm, trace.trial_id) for trace in traces] == [("SDGM", 7), ("DGM", 7)]
+        for a, trace in enumerate(traces):
+            for m, column in enumerate(trace.metrics().values()):
+                assert np.shares_memory(column, table[m, :, a, 0])
+
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_traces_do_not_depend_on_batch_size(self, algorithm, gate_trials):
         alone = self.trace_texts((algorithm,), gate_trials, 1)
@@ -221,6 +245,16 @@ class TestBatching:
         expected = r"^trial 32 \(seed 5418039791164437117\) failed: user 0 faces price 0.0 "
         with pytest.raises(RuntimeError, match=expected):
             run_trials(config, range(31, 34))
+
+    def test_failing_trial_is_named_inside_a_forked_block(self, tmp_path):
+        """Trial 32 fails in the second of two blocks, which a forked worker prices."""
+        config = ExperimentConfig(
+            master_seed=1, algorithms=("FDGM",), trials=34, workers=2, output_dir=str(tmp_path)
+        )
+        assert 32 in trial_blocks(config.trials, config.workers)[1]
+        expected = r"^trial 32 \(seed 5418039791164437117\) failed: user 0 faces price 0.0 "
+        with pytest.raises(RuntimeError, match=expected):
+            run_experiment(config)
 
     def test_blocks_are_contiguous_and_balanced(self):
         assert trial_blocks(10, 3) == [range(0, 3), range(3, 6), range(6, 10)]
@@ -337,6 +371,21 @@ class TestAggregateAndReport:
         summary = report(config.output_dir)
         assert summary.trials == config.trials
         assert open(summary_path).read() == original
+
+    def test_report_summary_does_not_depend_on_recorded_workers(self, tmp_path):
+        config = small_config(tmp_path, trials=5, workers=1)
+        run_experiment(config)
+        manifest_path = os.path.join(config.output_dir, "manifest.json")
+        summary_path = os.path.join(config.output_dir, "summary.csv")
+        compared = open(summary_path).read()
+        manifest = json.load(open(manifest_path))
+        for workers in (1, 2):
+            manifest["config"]["workers"] = workers
+            with open(manifest_path, "w") as fh:
+                json.dump(manifest, fh)
+            os.remove(summary_path)
+            assert report(config.output_dir).trials == 5
+            assert open(summary_path).read() == compared
 
     def test_report_reads_only_the_recorded_run(self, tmp_path):
         run_experiment(small_config(tmp_path, trials=5))

@@ -101,3 +101,9 @@ class TestCsvRoundTrip:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError):
             read_trace_csv(path)
+
+    def test_read_rejects_file_without_rows(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text(CSV_HEADER + "\n")
+        with pytest.raises(ValueError, match="empty trace file"):
+            read_trace_csv(path)
