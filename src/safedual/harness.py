@@ -431,7 +431,8 @@ def run_experiment(config: ExperimentConfig) -> SummaryStats:
 
 def report(output_dir: str) -> SummaryStats:
     """Re-aggregate the traces of the run that `manifest.json` records, read
-    by as many processes as that run priced them with."""
+    by as many processes as that run priced them with, or as this machine
+    can run if fewer."""
     with open(os.path.join(output_dir, "manifest.json")) as fh:
         manifest = json.load(fh)
     config = ExperimentConfig.from_dict(manifest["config"])
@@ -445,13 +446,19 @@ def report(output_dir: str) -> SummaryStats:
                 if not os.path.exists(path):
                     raise TraceMismatchError(f"missing trace {path}")
                 trace = read_trace_csv(path)
+                if (trace.trial_id, trace.algorithm) != (trial_ids[k], alg):
+                    raise TraceMismatchError(
+                        f"{path} holds trial {trace.trial_id} {trace.algorithm}, "
+                        f"the manifest trial {trial_ids[k]} {alg}"
+                    )
                 if trace.horizon != config.horizon:
                     raise TraceMismatchError(
                         f"{path} has {trace.horizon} rounds, the manifest {config.horizon}"
                     )
                 table[:, :, a, k] = [*trace.metrics().values()]
 
-    fan_out(parse, trial_blocks(len(trial_ids), config.workers))
+    workers = min(config.workers, available_workers())
+    fan_out(parse, trial_blocks(len(trial_ids), workers))
     traces = table_traces(table, config.algorithms, trial_ids)
     summary = aggregate(traces, config.algorithms, config.horizon)
     summary.write_csv(os.path.join(output_dir, "summary.csv"))

@@ -21,15 +21,23 @@ CSV_COLUMNS = (
 )
 CSV_HEADER = ",".join(CSV_COLUMNS)
 METRIC_COLUMNS = CSV_COLUMNS[3:]
+# Rows that write_rows formats at a time, so the values and text it holds at
+# once stay this size whatever the file's length.
+CHUNK = 1024
 
 
 def write_rows(fh, prefix: str, index, columns) -> None:
     """One CSV row per entry of `index`: `prefix` as it stands, the entry as
     an integer, then that entry's value of each column in `%.17g`, which
-    reads back to the same float."""
+    reads back to the same float.  Rows are formatted and written CHUNK at a
+    time."""
     row = prefix.replace("%", "%%") + "%d" + ",%.17g" * len(columns) + "\n"
-    values = np.column_stack([index, *columns]).ravel().tolist()
-    fh.write(row * len(index) % tuple(values))
+    full = row * CHUNK
+    for start in range(0, len(index), CHUNK):
+        chunk = [index[start:start + CHUNK], *(column[start:start + CHUNK] for column in columns)]
+        length = len(chunk[0])
+        values = np.column_stack(chunk).ravel().tolist()
+        fh.write((full if length == CHUNK else row * length) % tuple(values))
 
 
 def regret_series(objectives: np.ndarray, f_star: float) -> np.ndarray:

@@ -3,6 +3,7 @@ import json
 import multiprocessing
 import os
 import re
+import shutil
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,7 @@ from safedual import (
     baselines,
     compute_constants,
     generate_random,
+    harness,
     problem_hash,
     run_experiment,
     solve_optimal,
@@ -26,6 +28,7 @@ from safedual.harness import (
     ConfigError,
     TraceMismatchError,
     aggregate,
+    available_workers,
     derive_trial_seed,
     report,
     run_algorithm,
@@ -387,6 +390,48 @@ class TestAggregateAndReport:
             assert report(config.output_dir).trials == 5
             assert open(summary_path).read() == compared
 
+    def _record_workers(self, config, workers):
+        manifest_path = os.path.join(config.output_dir, "manifest.json")
+        manifest = json.load(open(manifest_path))
+        manifest["config"]["workers"] = workers
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh)
+
+    def test_report_forks_no_more_workers_than_this_machine_runs(self, tmp_path, monkeypatch):
+        config = small_config(tmp_path, trials=8, workers=1)
+        run_experiment(config)
+        summary_path = os.path.join(config.output_dir, "summary.csv")
+        compared = open(summary_path).read()
+        self._record_workers(config, 8)
+        pools = []
+
+        class RecordingPool(harness.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                pools.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        os.remove(summary_path)
+        assert report(config.output_dir).trials == 8
+        assert all(workers <= available_workers() - 1 for workers in pools)
+        assert open(summary_path).read() == compared
+
+    def test_report_reads_in_process_without_fork(self, tmp_path, monkeypatch):
+        config = small_config(tmp_path, workers=1)
+        run_experiment(config)
+        summary_path = os.path.join(config.output_dir, "summary.csv")
+        compared = open(summary_path).read()
+        self._record_workers(config, 2)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("report started a worker process")
+
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        os.remove(summary_path)
+        assert report(config.output_dir).trials == 3
+        assert open(summary_path).read() == compared
+
     def test_report_reads_only_the_recorded_run(self, tmp_path):
         run_experiment(small_config(tmp_path, trials=5))
         config = small_config(tmp_path, trials=3)
@@ -402,6 +447,15 @@ class TestAggregateAndReport:
         run_experiment(config)
         path = trial_trace_path(config.output_dir, 1, "FDGM")
         os.remove(path)
+        with pytest.raises(TraceMismatchError, match=re.escape(path)):
+            report(config.output_dir)
+
+    @pytest.mark.parametrize("source", [(0, "SDGM"), (1, "DGM")], ids=["trial", "algorithm"])
+    def test_report_names_trace_of_other_trial_or_algorithm(self, tmp_path, source):
+        config = small_config(tmp_path, trials=2)
+        run_experiment(config)
+        path = trial_trace_path(config.output_dir, 1, "SDGM")
+        shutil.copyfile(trial_trace_path(config.output_dir, *source), path)
         with pytest.raises(TraceMismatchError, match=re.escape(path)):
             report(config.output_dir)
 

@@ -1,11 +1,14 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from safedual import TrialTrace, build_trace, regret_series
-from safedual.trace import CSV_HEADER, read_trace_csv
+from safedual.trace import CHUNK, CSV_HEADER, read_trace_csv, write_rows
+
+SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 0.1, 1e300, -2.5, 1.0 / 3.0]
 
 
 class TestRegretSeries:
@@ -107,3 +110,36 @@ class TestCsvRoundTrip:
         path.write_text(CSV_HEADER + "\n")
         with pytest.raises(ValueError, match="empty trace file"):
             read_trace_csv(path)
+
+
+class TestWriteRows:
+    @pytest.mark.parametrize("length", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+    def test_matches_per_row_reference(self, length):
+        """Chunked rows give the bytes of formatting each row on its own, for a
+        prefix holding %, special floats, and a plain-list index and column
+        as the regret-scaled writer passes them."""
+        values = np.resize(SPECIAL, length)
+        index = list(range(7, 7 + length))
+        columns = [values, values[::-1], np.arange(length) - 0.5, values.tolist()]
+        prefix = "%d%s%%,SDGM,"
+        buffer = io.StringIO()
+        write_rows(buffer, prefix, index, columns)
+        expected = "".join(
+            prefix + f"{t}," + ",".join(f"{column[i]:.17g}" for column in columns) + "\n"
+            for i, t in enumerate(index)
+        )
+        assert buffer.getvalue() == expected
+
+    def test_memory_does_not_grow_with_rows(self, tmp_path):
+        def peak(rows):
+            index = np.arange(1, rows + 1)
+            columns = [np.linspace(k, k + 1, rows) for k in range(12)]
+            tracemalloc.start()
+            try:
+                with open(tmp_path / "rows.csv", "w") as fh:
+                    write_rows(fh, "SDGM,", index, columns)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(50 * CHUNK) <= 2 * peak(CHUNK)
