@@ -3,13 +3,15 @@
 A run generates an ensemble of random networks, solves each to optimality,
 runs the selected algorithms for a fixed horizon, and writes one trace CSV
 per (trial, algorithm) plus an aggregate summary.  The calling process
-prepares every trial, then splits the trials into contiguous blocks: it
+prepares every trial, solving each reference optimum afresh and storing it
+under oracle_cache/, then splits the trials into contiguous blocks: it
 prices the first block itself while forked workers price the others, each
 running every selected algorithm over its block in one loop, over a
 ProblemBatch that holds the block once per algorithm.  Every block records
-its traces into one shared (metric, round, algorithm, trial) table, from
-which the caller aggregates.  Everything is a pure function of the master
-seed, regardless of worker count and batch size.
+its traces into one shared (metric, round, algorithm, trial) table, which
+the caller reduces to the summary; `report` refills such a table from the
+trace CSVs and reduces it the same way.  Everything is a pure function of
+the master seed, regardless of worker count and batch size.
 """
 from __future__ import annotations
 
@@ -40,7 +42,6 @@ from .trace import (
     TraceRecorder,
     TrialTrace,
     read_trace_csv,
-    table_traces,
     write_rows,
 )
 
@@ -162,23 +163,6 @@ def trial_trace_path(output_dir: str, trial_id: int, algorithm: str) -> str:
     return os.path.join(output_dir, "traces", f"trial_{trial_id:04d}_{algorithm}.csv")
 
 
-def _cached_oracle(problem, cache_dir):
-    """The problem's reference optimum, read from `cache_dir` or solved and
-    stored there.  The caller of run_experiment is the one writer; a file is
-    written whole under a temporary name, so a run cut short leaves none half
-    written."""
-    path = os.path.join(cache_dir, f"{problem_hash(problem)}.{oracle.SOLVER}.json")
-    if os.path.exists(path):
-        with open(path) as fh:
-            return oracle.OptimalSolution.from_dict(json.load(fh))
-    solution = oracle.solve_optimal(problem)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        json.dump(solution.to_dict(), fh)
-    os.replace(tmp, path)
-    return solution
-
-
 def _fuse(starts, m: int, n: int):
     """One start dual and one update from the starts of several algorithms
     over one batch of m rows and n users: the a-th owns rows a*m to (a+1)*m
@@ -245,12 +229,19 @@ def _naming_trial(config: ExperimentConfig, trial_id: int):
 
 
 def _prepare_trial(config: ExperimentConfig, trial_id: int):
-    """Generate one trial, derive its constants and solve its reference optimum."""
+    """Generate one trial, derive its constants, solve its reference optimum
+    and store that in oracle_cache/, which no run reads back.  The file is
+    written whole under a temporary name: a run cut short leaves none half
+    written."""
     seed = derive_trial_seed(config.master_seed, trial_id)
     problem = generate_random(replace(config.generator, seed=seed))
     constants = compute_constants(problem)
-    cache_dir = os.path.join(config.output_dir, "oracle_cache")
-    solution = _cached_oracle(problem, cache_dir)
+    solution = oracle.solve_optimal(problem)
+    path = os.path.join(config.output_dir, "oracle_cache", f"{problem_hash(problem)}.json")
+    tmp = f"{path}.tmp.{os.getpid()}"
+    with open(tmp, "w") as fh:
+        json.dump(solution.to_dict(), fh)
+    os.replace(tmp, path)
     gamma = config.gamma if config.gamma is not None else sdgm.default_gamma(constants, problem)
     meta = {
         "trial_id": trial_id,
@@ -367,33 +358,24 @@ def _shared_table(config: ExperimentConfig, trials: int) -> np.ndarray:
     return np.ndarray(shape, buffer=mmap.mmap(-1, 8 * max(1, math.prod(shape))))
 
 
-def aggregate(traces: list[TrialTrace], algorithms, horizon: int) -> SummaryStats:
-    """Across-trial statistics, computed in trial order for reproducibility."""
-    by_alg: dict[str, list[TrialTrace]] = {alg: [] for alg in algorithms}
-    for trace in sorted(traces, key=lambda tr: (tr.trial_id, tr.algorithm)):
-        if trace.algorithm in by_alg:
-            by_alg[trace.algorithm].append(trace)
+def aggregate(table: np.ndarray, algorithms, trial_ids) -> SummaryStats:
+    """Across-trial statistics of a (metric, round, algorithm, trial) table
+    whose trial axis holds `trial_ids`, summed in that order.
+
+    Each (metric, algorithm) block is copied to a contiguous (trial, round)
+    array before it is reduced, so its sums run in one order, and give the
+    same bits, whatever the table's strides.
+    """
+    horizon = table.shape[1]
     mean, std = {}, {}
-    for alg in algorithms:
-        group = by_alg[alg]
-        if not group:
-            raise ValueError(f"no traces for algorithm {alg}")
-        for metric in METRIC_COLUMNS:
-            stacked = np.vstack([getattr(tr, metric) for tr in group])
-            mean[(alg, metric)] = stacked.mean(axis=0)
-            std[(alg, metric)] = stacked.std(axis=0)
-    regret_scaled = {}
-    for trace in by_alg.get("SDGM", []):
-        regret_scaled[trace.trial_id] = float(trace.regret_cum[-1] / np.sqrt(horizon))
-    trials = len(next(iter(by_alg.values())))
-    return SummaryStats(
-        algorithms=tuple(algorithms),
-        horizon=horizon,
-        trials=trials,
-        mean=mean,
-        std=std,
-        regret_scaled_final=regret_scaled,
-    )
+    for a, alg in enumerate(algorithms):
+        for i, metric in enumerate(METRIC_COLUMNS):
+            block = np.ascontiguousarray(table[i, :, a].T)
+            mean[(alg, metric)] = block.mean(axis=0)
+            std[(alg, metric)] = block.std(axis=0)
+    final = dict(zip(algorithms, table[METRIC_COLUMNS.index("regret_cum"), -1] / np.sqrt(horizon)))
+    regret_scaled = {k: float(r) for k, r in zip(trial_ids, final.get("SDGM", ()))}
+    return SummaryStats(tuple(algorithms), horizon, len(trial_ids), mean, std, regret_scaled)
 
 
 def _write_artifacts(config: ExperimentConfig, metas, summary: SummaryStats) -> None:
@@ -422,21 +404,23 @@ def run_experiment(config: ExperimentConfig) -> SummaryStats:
         _price_block(config, prepared[block.start:block.stop], table[..., block.start:block.stop])
 
     fan_out(price, blocks)
-    metas = [meta for *_, meta in prepared]
-    traces = table_traces(table, config.algorithms, range(config.trials))
-    summary = aggregate(traces, config.algorithms, config.horizon)
-    _write_artifacts(config, metas, summary)
+    summary = aggregate(table, config.algorithms, range(config.trials))
+    _write_artifacts(config, [meta for *_, meta in prepared], summary)
     return summary
 
 
 def report(output_dir: str) -> SummaryStats:
-    """Re-aggregate the traces of the run that `manifest.json` records, read
-    by as many processes as that run priced them with, or as this machine
-    can run if fewer."""
-    with open(os.path.join(output_dir, "manifest.json")) as fh:
+    """Re-aggregate the traces of the run that `manifest.json` records, in
+    ascending trial order whatever the manifest's order, read by as many
+    processes as that run priced them with, or as this machine can run if
+    fewer."""
+    manifest_path = os.path.join(output_dir, "manifest.json")
+    with open(manifest_path) as fh:
         manifest = json.load(fh)
     config = ExperimentConfig.from_dict(manifest["config"])
-    trial_ids = [meta["trial_id"] for meta in manifest["trials"]]
+    trial_ids = sorted(meta["trial_id"] for meta in manifest["trials"])
+    if not trial_ids:
+        raise TraceMismatchError(f"{manifest_path} lists no trials")
     table = _shared_table(config, len(trial_ids))
 
     def parse(block) -> None:
@@ -459,7 +443,6 @@ def report(output_dir: str) -> SummaryStats:
 
     workers = min(config.workers, available_workers())
     fan_out(parse, trial_blocks(len(trial_ids), workers))
-    traces = table_traces(table, config.algorithms, trial_ids)
-    summary = aggregate(traces, config.algorithms, config.horizon)
+    summary = aggregate(table, config.algorithms, trial_ids)
     summary.write_csv(os.path.join(output_dir, "summary.csv"))
     return summary

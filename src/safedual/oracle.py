@@ -19,8 +19,6 @@ MAX_ITERATIONS = 200
 # The duals are certified only once the mean complementarity is this small.
 CERTIFY_MU = 1e-4 * DEFAULT_TOLERANCE
 SIGMA = 0.1  # centering: each Newton step aims at SIGMA times the current complementarity
-# Names the solver in oracle cache file names, so optima of another solver are never reused.
-SOLVER = "ipm1"
 
 
 class OracleConvergenceError(RuntimeError):
@@ -54,16 +52,6 @@ class OptimalSolution:
             "kkt_residual": self.kkt_residual,
             "iterations_used": self.iterations_used,
         }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "OptimalSolution":
-        return cls(
-            x_star=np.asarray(doc["x_star"], float),
-            f_star=float(doc["f_star"]),
-            lambda_star=np.asarray(doc["lambda_star"], float),
-            kkt_residual=float(doc["kkt_residual"]),
-            iterations_used=int(doc["iterations_used"]),
-        )
 
 
 def dual_value(problem: NumProblem, lam: np.ndarray) -> float:

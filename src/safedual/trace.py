@@ -1,4 +1,9 @@
-"""Per-trial iteration records, the per-round metrics that fill them, and their CSV form."""
+"""Per-trial iteration records, the per-round metrics that fill them, and their CSV form.
+
+A run records every trial's metrics into one (metric, round, algorithm,
+trial) table; a TrialTrace is one (algorithm, trial) column of it, viewed
+for its CSV file, and the run's summary reduces the table itself.
+"""
 from __future__ import annotations
 
 from contextlib import nullcontext
@@ -122,22 +127,17 @@ class TraceRecorder:
 
     def traces(self, algorithms, trial_ids, f_stars) -> list[TrialTrace]:
         """Fill the regret column, the running sum of each trial's f_star -
-        objective, and view the table as traces (see table_traces)."""
+        objective, and view the table as one trace per (algorithm, trial),
+        algorithm by algorithm; their columns are views of the table."""
         objective = self.table[METRIC_COLUMNS.index("objective")]
         regret = self.table[METRIC_COLUMNS.index("regret_cum")]
         np.subtract(np.asarray(f_stars, float), objective, out=regret)
         np.cumsum(regret, axis=0, out=regret)
-        return table_traces(self.table, algorithms, trial_ids)
-
-
-def table_traces(table: np.ndarray, algorithms, trial_ids) -> list[TrialTrace]:
-    """One trace per (algorithm, trial) of a (metric, round, algorithm, trial)
-    table, algorithm by algorithm; its columns are views of the table."""
-    return [
-        TrialTrace(trial_id, algorithm, *table[:, :, a, k])
-        for a, algorithm in enumerate(algorithms)
-        for k, trial_id in enumerate(trial_ids)
-    ]
+        return [
+            TrialTrace(trial_id, algorithm, *self.table[:, :, a, k])
+            for a, algorithm in enumerate(algorithms)
+            for k, trial_id in enumerate(trial_ids)
+        ]
 
 
 def build_trace(

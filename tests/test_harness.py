@@ -320,36 +320,41 @@ class TestRunExperiment:
         summary_b = open(os.path.join(parallel.output_dir, "summary.csv")).read()
         assert summary_a == summary_b
 
-    def test_repeat_run_reuses_oracle_cache(self, tmp_path):
+    def test_repeat_run_rewrites_the_same_optima(self, tmp_path):
+        """A rerun into the same directory solves every optimum again and
+        writes the same optimum files, under the same names, and the same traces."""
         config = small_config(tmp_path, trials=2)
-        run_experiment(config)
         cache_dir = os.path.join(config.output_dir, "oracle_cache")
-        before = {
-            name: os.path.getmtime(os.path.join(cache_dir, name))
-            for name in os.listdir(cache_dir)
-        }
-        traces_before = read_all(config.output_dir)
+
+        def optima():
+            return {
+                name: open(os.path.join(cache_dir, name)).read() for name in os.listdir(cache_dir)
+            }
+
         run_experiment(config)
-        after = {
-            name: os.path.getmtime(os.path.join(cache_dir, name))
-            for name in os.listdir(cache_dir)
-        }
-        assert after == before  # cache hits, no rewrites
+        before, traces_before = optima(), read_all(config.output_dir)
+        assert len(before) == 2
+        run_experiment(config)
+        assert optima() == before
         assert read_all(config.output_dir) == traces_before
 
-    def test_oracle_cache_ignores_optima_of_another_solver(self, tmp_path):
-        """A cache file under the bare problem hash, as an older solver wrote it,
-        is never read: the cache file name names the solver."""
+    def test_planted_optimum_file_is_never_read(self, tmp_path):
+        """An optimum file planted under the very name the run writes, holding
+        a wrong f_star, is never read: the run solves the optimum and
+        overwrites the file with it."""
         config = small_config(tmp_path, trials=1)
         problem = generate_random(replace(config.generator, seed=derive_trial_seed(5, 0)))
         cache_dir = os.path.join(config.output_dir, "oracle_cache")
         os.makedirs(cache_dir)
         solution = solve_optimal(problem)
-        with open(os.path.join(cache_dir, f"{problem_hash(problem)}.json"), "w") as fh:
+        path = os.path.join(cache_dir, f"{problem_hash(problem)}.json")
+        with open(path, "w") as fh:
             json.dump(solution.to_dict() | {"f_star": -12345.0}, fh)
         run_experiment(config)
         manifest = json.load(open(os.path.join(config.output_dir, "manifest.json")))
         assert manifest["trials"][0]["f_star"] == solution.f_star
+        assert os.listdir(cache_dir) == [os.path.basename(path)]
+        assert json.load(open(path)) == solution.to_dict()
 
 
 class TestAggregateAndReport:
@@ -360,10 +365,31 @@ class TestAggregateAndReport:
             read_trace_csv(trial_trace_path(config.output_dir, k, "DGM"))
             for k in range(3)
         ]
-        summary = aggregate(traces, ("DGM",), config.horizon)
+        # (metric, round, algorithm, trial), as a run records it
+        table = np.array([[[*tr.metrics().values()] for tr in traces]]).transpose(2, 3, 0, 1)
+        summary = aggregate(table, ("DGM",), range(3))
         stacked = np.vstack([tr.objective for tr in traces])
         assert np.array_equal(summary.mean[("DGM", "objective")], stacked.mean(axis=0))
         assert np.array_equal(summary.std[("DGM", "objective")], stacked.std(axis=0))
+
+        # Wider tables, whose trial axis a strided reduction would sum in
+        # another order: 8 and 12 trials, and a strided slice of 8 of them.
+        algorithms = ("SDGM", "DGM")
+        larger = np.random.default_rng(0).lognormal(0.0, 3.0, (len(METRIC_COLUMNS), 40, 2, 12))
+        for table, trial_ids in (
+            (larger[..., :8], range(8)), (larger, range(12)), (larger[..., 1:9], range(1, 9)),
+        ):
+            summary = aggregate(table, algorithms, trial_ids)
+            assert summary.trials == len(trial_ids)
+            for a, alg in enumerate(algorithms):
+                for i, metric in enumerate(METRIC_COLUMNS):
+                    stacked = np.vstack([table[i, :, a, k] for k in range(len(trial_ids))])
+                    assert np.array_equal(summary.mean[(alg, metric)], stacked.mean(axis=0))
+                    assert np.array_equal(summary.std[(alg, metric)], stacked.std(axis=0))
+            regret = table[METRIC_COLUMNS.index("regret_cum"), -1, 0]
+            assert summary.regret_scaled_final == {
+                trial_id: float(regret[k] / np.sqrt(40)) for k, trial_id in enumerate(trial_ids)
+            }
 
     def test_report_rebuilds_summary(self, tmp_path):
         config = small_config(tmp_path)
@@ -374,6 +400,39 @@ class TestAggregateAndReport:
         summary = report(config.output_dir)
         assert summary.trials == config.trials
         assert open(summary_path).read() == original
+
+    def test_report_sums_in_trial_order_whatever_the_manifest_order(self, tmp_path):
+        config = small_config(tmp_path, trials=20)
+        run_experiment(config)
+        manifest_path = os.path.join(config.output_dir, "manifest.json")
+        summary_path = os.path.join(config.output_dir, "summary.csv")
+        compared = open(summary_path).read()
+        manifest = json.load(open(manifest_path))
+        manifest["trials"].reverse()
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh)
+        os.remove(summary_path)
+        assert report(config.output_dir).trials == 20
+        assert open(summary_path).read() == compared
+
+    def test_report_refuses_manifest_without_trials(self, tmp_path, monkeypatch):
+        config = small_config(tmp_path, trials=2)
+        run_experiment(config)
+        manifest_path = os.path.join(config.output_dir, "manifest.json")
+        summary_path = os.path.join(config.output_dir, "summary.csv")
+        manifest = json.load(open(manifest_path))
+        manifest["trials"] = []
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh)
+        os.remove(summary_path)
+
+        def no_table(*args, **kwargs):
+            raise AssertionError("report made a trace table")
+
+        monkeypatch.setattr(harness, "_shared_table", no_table)
+        with pytest.raises(TraceMismatchError, match=re.escape(manifest_path)):
+            report(config.output_dir)
+        assert not os.path.exists(summary_path)
 
     def test_report_summary_does_not_depend_on_recorded_workers(self, tmp_path):
         config = small_config(tmp_path, trials=5, workers=1)

@@ -7,7 +7,6 @@ from conftest import grid_search_optimum, random_valid_problem
 from safedual import (
     GeneratorConfig,
     NumProblem,
-    OptimalSolution,
     UtilitySpec,
     dual_value,
     generate_random,
@@ -139,11 +138,3 @@ class TestSolveOptimal:
     def test_options_are_keyword_only(self, tiny, tiny_constants):
         with pytest.raises(TypeError):
             solve_optimal(tiny, tiny_constants)
-
-    def test_solution_round_trip(self, tiny_solution):
-        back = OptimalSolution.from_dict(tiny_solution.to_dict())
-        assert np.array_equal(back.x_star, tiny_solution.x_star)
-        assert back.f_star == tiny_solution.f_star
-        assert np.array_equal(back.lambda_star, tiny_solution.lambda_star)
-        assert back.kkt_residual == tiny_solution.kkt_residual
-        assert back.iterations_used == tiny_solution.iterations_used
