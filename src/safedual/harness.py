@@ -4,14 +4,19 @@ A run generates an ensemble of random networks, solves each to optimality,
 runs the selected algorithms for a fixed horizon, and writes one trace CSV
 per (trial, algorithm) plus an aggregate summary.  The calling process
 prepares every trial, solving each reference optimum afresh and storing it
-under oracle_cache/, then splits the trials into contiguous blocks: it
-prices the first block itself while forked workers price the others, each
-running every selected algorithm over its block in one loop, over a
-ProblemBatch that holds the block once per algorithm.  Every block records
-its traces into one shared (metric, round, algorithm, trial) table, which
-the caller reduces to the summary; `report` refills such a table from the
-trace CSVs and reduces it the same way.  Everything is a pure function of
-the master seed, regardless of worker count and batch size.
+under oracle_cache/.  A run then works in two phases, price then write.
+Pricing splits the trials into contiguous blocks: the caller prices the
+first block itself while forked workers price the others, each running
+every selected algorithm over its block in one loop, over a ProblemBatch
+that holds the block once per algorithm.  Every block records its traces
+into one shared (metric, round, algorithm, trial) table, which the caller
+reduces to the summary.  Writing deals the files over the workers again:
+each trace CSV and each algorithm's section of summary.csv is one unit,
+dealt by its cost; the sections go to part files that the caller joins
+behind the header.  `report` refills such a table from the trace CSVs,
+dealt file by file, then reduces and writes it the same way.  Everything is
+a pure function of the master seed, regardless of worker count and batch
+size.
 """
 from __future__ import annotations
 
@@ -20,9 +25,11 @@ import math
 import mmap
 import multiprocessing
 import os
+import shutil
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -42,6 +49,7 @@ from .trace import (
     TraceRecorder,
     TrialTrace,
     read_trace_csv,
+    table_traces,
     write_rows,
 )
 
@@ -143,14 +151,24 @@ class SummaryStats:
     std: dict
     regret_scaled_final: dict  # trial_id -> R(T)/sqrt(T), safe method only
 
+    STATS = ("mean", "std")
+
+    def header(self) -> str:
+        names = (f"{metric}_{stat}" for metric in METRIC_COLUMNS for stat in self.STATS)
+        return ",".join(["algorithm", "t", *names]) + "\n"
+
+    def write_section(self, fh, algorithm: str) -> None:
+        """The rows of one algorithm, t = 1 to horizon."""
+        columns = [
+            getattr(self, stat)[(algorithm, metric)] for metric in METRIC_COLUMNS for stat in self.STATS
+        ]
+        write_rows(fh, f"{algorithm},", np.arange(1, self.horizon + 1), columns)
+
     def write_csv(self, path) -> None:
-        stats = {"mean": self.mean, "std": self.std}
-        names = [(metric, stat) for metric in METRIC_COLUMNS for stat in stats]
         with open(path, "w") as fh:
-            fh.write(",".join(["algorithm", "t", *(f"{m}_{s}" for m, s in names)]) + "\n")
+            fh.write(self.header())
             for alg in self.algorithms:
-                columns = [stats[stat][(alg, metric)] for metric, stat in names]
-                write_rows(fh, f"{alg},", np.arange(1, self.horizon + 1), columns)
+                self.write_section(fh, alg)
 
 
 def derive_trial_seed(master_seed: int, index: int) -> int:
@@ -270,9 +288,8 @@ def _prepare_trials(config: ExperimentConfig, trial_ids) -> list[tuple]:
 
 
 def _price_block(config: ExperimentConfig, prepared, table) -> list[TrialTrace]:
-    """Price a block of prepared trials as one batch, record their traces
-    into `table`, its (metric, round, algorithm, trial) slice, and write one
-    CSV per (trial, algorithm) under the output directory."""
+    """Price a block of prepared trials as one batch and record their traces
+    into `table`, its (metric, round, algorithm, trial) slice."""
     problems, constants, solutions, metas = zip(*prepared)
     trial_ids = [meta["trial_id"] for meta in metas]
     batch = ProblemBatch(problems)
@@ -288,8 +305,6 @@ def _price_block(config: ExperimentConfig, prepared, table) -> list[TrialTrace]:
         k, user = batch.locate_user(exc.user % batch.n)
         with _naming_trial(config, trial_ids[k]):
             raise UnboundedSubproblemError.at(user, exc.price) from exc
-    for trace in traces:
-        trace.write_csv(trial_trace_path(config.output_dir, trace.trial_id, trace.algorithm))
     return traces
 
 
@@ -302,7 +317,10 @@ def run_trials(config: ExperimentConfig, trial_ids) -> tuple[list[dict], list[Tr
     Returns the trials' manifest entries and their traces.
     """
     prepared = _prepare_trials(config, trial_ids)
-    return [meta for *_, meta in prepared], _price_block(config, prepared, None)
+    traces = _price_block(config, prepared, None)
+    for trace in traces:
+        trace.write_csv(trial_trace_path(config.output_dir, trace.trial_id, trace.algorithm))
+    return [meta for *_, meta in prepared], traces
 
 
 def run_trial(config: ExperimentConfig, trial_id: int) -> tuple[dict, list[TrialTrace]]:
@@ -334,9 +352,12 @@ def fan_out(work, items) -> None:
     """Run work(item) for each item: the caller runs the first item while
     len(items) - 1 forked workers run the others.
 
-    `work` reaches the workers through fork, not pickle, so it may close over
-    memory that they share with the caller; only the items are pickled, and
-    whatever work returns is dropped.  A failure is raised in item order.
+    A run calls it twice: once to price its trial blocks, once to write the
+    files those blocks recorded (`report`: to parse, then to write).  `work`
+    reaches the workers through fork, not pickle, so it may close over
+    memory that they share with the caller, such as the trace table and the
+    summary; only the items are pickled, and whatever work returns is
+    dropped.  A failure is raised in item order.
     """
     if len(items) == 1:
         work(items[0])
@@ -349,6 +370,72 @@ def fan_out(work, items) -> None:
         work(items[0])
         for future in futures:
             future.result()
+
+
+def deal(costs, hands: int) -> list[list[int]]:
+    """The indices of `costs`, dealt into min(hands, len(costs)) hands (at
+    least one): largest cost first, ties in index order, each to the hand
+    with the least cost so far, the first such.  No two hands' totals then
+    differ by more than the largest cost."""
+    hands = max(1, min(hands, len(costs)))
+    dealt, loads = [[] for _ in range(hands)], [0] * hands
+    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
+        h = loads.index(min(loads))
+        dealt[h].append(i)
+        loads[h] += costs[i]
+    return dealt
+
+
+def _append(out, path) -> None:
+    """Append the file at `path` to the binary file `out`, copied by the
+    kernel where the platform can."""
+    with open(path, "rb") as part:
+        try:
+            while os.copy_file_range(part.fileno(), out.fileno(), 1 << 30):
+                pass
+        except (AttributeError, OSError):  # no copy_file_range, or not between these files
+            shutil.copyfileobj(part, out)
+            out.flush()
+
+
+def _write_tables(output_dir: str, summary: SummaryStats, traces, workers: int) -> None:
+    """Write each trace's CSV and summary.csv, dealt over `workers` processes.
+
+    A unit is one trace CSV or one algorithm's section of the summary,
+    costing its rows times the values in a row.  Each section goes to a part
+    file; the caller then writes the header and appends the parts in
+    algorithm order.  No part file outlives the call, whether it ends
+    normally or a unit fails."""
+    path = os.path.join(output_dir, "summary.csv")
+    parts = {alg: f"{path}.{alg}.part" for alg in summary.algorithms}
+
+    def write_section(alg) -> None:
+        with open(parts[alg], "w") as fh:
+            summary.write_section(fh, alg)
+
+    def write_trace(trace) -> None:
+        trace.write_csv(trial_trace_path(output_dir, trace.trial_id, trace.algorithm))
+
+    writes = [partial(write_trace, trace) for trace in traces]
+    writes += [partial(write_section, alg) for alg in summary.algorithms]
+    costs = [trace.horizon * (1 + len(METRIC_COLUMNS)) for trace in traces]
+    costs += [summary.horizon * (1 + len(summary.STATS) * len(METRIC_COLUMNS))] * len(parts)
+
+    def write(hand) -> None:
+        for i in hand:
+            writes[i]()
+
+    try:
+        fan_out(write, deal(costs, workers))
+        with open(path, "wb") as out:
+            out.write(summary.header().encode())
+            out.flush()
+            for alg in summary.algorithms:
+                _append(out, parts[alg])
+    finally:
+        for part in parts.values():
+            with suppress(FileNotFoundError):
+                os.remove(part)
 
 
 def _shared_table(config: ExperimentConfig, trials: int) -> np.ndarray:
@@ -379,7 +466,6 @@ def aggregate(table: np.ndarray, algorithms, trial_ids) -> SummaryStats:
 
 
 def _write_artifacts(config: ExperimentConfig, metas, summary: SummaryStats) -> None:
-    summary.write_csv(os.path.join(config.output_dir, "summary.csv"))
     manifest = {"config": config.to_dict(), "trials": metas}
     with open(os.path.join(config.output_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -404,16 +490,20 @@ def run_experiment(config: ExperimentConfig) -> SummaryStats:
         _price_block(config, prepared[block.start:block.stop], table[..., block.start:block.stop])
 
     fan_out(price, blocks)
-    summary = aggregate(table, config.algorithms, range(config.trials))
+    trial_ids = range(config.trials)
+    summary = aggregate(table, config.algorithms, trial_ids)
+    traces = table_traces(table, config.algorithms, trial_ids)
+    _write_tables(config.output_dir, summary, traces, config.workers)
     _write_artifacts(config, [meta for *_, meta in prepared], summary)
     return summary
 
 
 def report(output_dir: str) -> SummaryStats:
     """Re-aggregate the traces of the run that `manifest.json` records, in
-    ascending trial order whatever the manifest's order, read by as many
-    processes as that run priced them with, or as this machine can run if
-    fewer."""
+    ascending trial order whatever the manifest's order, parsed and written
+    by as many processes as that run priced them with, or as this machine
+    can run if fewer.  A manifest that lists no trial, or one trial twice, is
+    refused."""
     manifest_path = os.path.join(output_dir, "manifest.json")
     with open(manifest_path) as fh:
         manifest = json.load(fh)
@@ -421,28 +511,32 @@ def report(output_dir: str) -> SummaryStats:
     trial_ids = sorted(meta["trial_id"] for meta in manifest["trials"])
     if not trial_ids:
         raise TraceMismatchError(f"{manifest_path} lists no trials")
+    repeated = next((a for a, b in zip(trial_ids, trial_ids[1:]) if a == b), None)
+    if repeated is not None:
+        raise TraceMismatchError(f"{manifest_path} lists trial {repeated} more than once")
     table = _shared_table(config, len(trial_ids))
+    files = [(k, a) for k in range(len(trial_ids)) for a in range(len(config.algorithms))]
 
-    def parse(block) -> None:
-        for k in block:
-            for a, alg in enumerate(config.algorithms):
-                path = trial_trace_path(output_dir, trial_ids[k], alg)
-                if not os.path.exists(path):
-                    raise TraceMismatchError(f"missing trace {path}")
-                trace = read_trace_csv(path)
-                if (trace.trial_id, trace.algorithm) != (trial_ids[k], alg):
-                    raise TraceMismatchError(
-                        f"{path} holds trial {trace.trial_id} {trace.algorithm}, "
-                        f"the manifest trial {trial_ids[k]} {alg}"
-                    )
-                if trace.horizon != config.horizon:
-                    raise TraceMismatchError(
-                        f"{path} has {trace.horizon} rounds, the manifest {config.horizon}"
-                    )
-                table[:, :, a, k] = [*trace.metrics().values()]
+    def parse(hand) -> None:
+        for k, a in (files[i] for i in hand):
+            trial_id, alg = trial_ids[k], config.algorithms[a]
+            path = trial_trace_path(output_dir, trial_id, alg)
+            if not os.path.exists(path):
+                raise TraceMismatchError(f"missing trace {path}")
+            trace = read_trace_csv(path)
+            if (trace.trial_id, trace.algorithm) != (trial_id, alg):
+                raise TraceMismatchError(
+                    f"{path} holds trial {trace.trial_id} {trace.algorithm}, "
+                    f"the manifest trial {trial_id} {alg}"
+                )
+            if trace.horizon != config.horizon:
+                raise TraceMismatchError(
+                    f"{path} has {trace.horizon} rounds, the manifest {config.horizon}"
+                )
+            table[:, :, a, k] = [*trace.metrics().values()]
 
     workers = min(config.workers, available_workers())
-    fan_out(parse, trial_blocks(len(trial_ids), workers))
+    fan_out(parse, deal([1] * len(files), workers))
     summary = aggregate(table, config.algorithms, trial_ids)
-    summary.write_csv(os.path.join(output_dir, "summary.csv"))
+    _write_tables(output_dir, summary, (), workers)
     return summary

@@ -8,6 +8,7 @@ import json
 import math
 import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -347,10 +348,10 @@ def test_criterion_8_reproducibility(tmp_path, capsys):
         )
         run_experiment(config)
         out = config.output_dir
-        blobs = {"summary.csv": open(os.path.join(out, "summary.csv")).read()}
+        blobs = {"summary.csv": Path(out, "summary.csv").read_text()}
         trace_dir = os.path.join(out, "traces")
         for name in sorted(os.listdir(trace_dir)):
-            blobs[name] = open(os.path.join(trace_dir, name)).read()
+            blobs[name] = Path(trace_dir, name).read_text()
         return blobs
 
     first = run("serial", workers=1)

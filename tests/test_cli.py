@@ -10,7 +10,7 @@ import pytest
 from safedual.cli import _build_parser, main
 from safedual.harness import ALGORITHMS, ExperimentConfig, derive_trial_seed, trial_trace_path
 from safedual.problem import GeneratorConfig, load_problem
-from safedual.trace import CSV_HEADER
+from safedual.trace import CHUNK, CSV_HEADER
 
 
 def generate_args(path, seed=0):
@@ -215,7 +215,7 @@ class TestCompareAndReport:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert set(doc["final_mean_distance"]) == {"SDGM", "FDGM"}
-        manifest = json.load(open(out_dir / "manifest.json"))
+        manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["config"]["trials"] == 1
         assert manifest["config"]["master_seed"] == 2
         assert manifest["config"]["generator"]["seed"] == 2
@@ -285,24 +285,27 @@ def test_compare_refuses_bad_generator_setting_before_any_trial(tmp_path, capsys
 
 def test_compare_and_report_write_the_same_bytes_for_any_workers(tmp_path, capsys):
     """Every file and stdout of `compare` then `report` is the same whether the
-    caller prices the trials alone or with one or two forked workers; the
-    manifest differs only in its output directory and worker count."""
-    runs = []
-    for workers in (1, 2, 3):
-        out_dir = tmp_path / f"workers{workers}"
-        assert main(["compare", "--seed", "3", "--trials", "7", "--horizon", "40",
-                     "--workers", str(workers), "--out", str(out_dir)]) == 0
-        assert main(["report", "--out", str(out_dir)]) == 0
-        files = {
-            str(path.relative_to(out_dir)): path.read_bytes()
-            for path in out_dir.rglob("*") if path.is_file() and path.name != "manifest.json"
-        }
-        manifest = json.loads((out_dir / "manifest.json").read_text())
-        assert manifest["config"].pop("workers") == workers
-        assert manifest["config"].pop("output_dir") == str(out_dir)
-        runs.append((files, manifest, capsys.readouterr().out))
-    assert len(runs[0][0]) == 7 * len(ALGORITHMS) + 7 + 2  # traces, optima, two tables
-    assert runs[0] == runs[1] == runs[2]
+    caller prices and writes alone or with one or two forked workers; the
+    manifest differs only in its output directory and worker count.  One
+    trial prices as one block but writes on every worker, and a horizon of
+    CHUNK + 6 rounds ends each CSV on a partial chunk of rows."""
+    for trials, horizon in ((7, 40), (1, 40), (2, CHUNK + 6)):
+        runs = []
+        for workers in (1, 2, 3):
+            out_dir = tmp_path / f"trials{trials}_horizon{horizon}_workers{workers}"
+            assert main(["compare", "--seed", "3", "--trials", str(trials), "--horizon", str(horizon),
+                         "--workers", str(workers), "--out", str(out_dir)]) == 0
+            assert main(["report", "--out", str(out_dir)]) == 0
+            files = {
+                str(path.relative_to(out_dir)): path.read_bytes()
+                for path in out_dir.rglob("*") if path.is_file() and path.name != "manifest.json"
+            }
+            manifest = json.loads((out_dir / "manifest.json").read_text())
+            assert manifest["config"].pop("workers") == workers
+            assert manifest["config"].pop("output_dir") == str(out_dir)
+            runs.append((files, manifest, capsys.readouterr().out))
+        assert len(runs[0][0]) == trials * len(ALGORITHMS) + trials + 2  # traces, optima, two tables
+        assert runs[0] == runs[1] == runs[2]
 
 
 def test_cli_imports_no_heavy_dependency():

@@ -5,6 +5,7 @@ import os
 import re
 import shutil
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from safedual.harness import (
     TraceMismatchError,
     aggregate,
     available_workers,
+    deal,
     derive_trial_seed,
     report,
     run_algorithm,
@@ -58,7 +60,7 @@ def small_config(tmp_path, **overrides):
 def read_all(output_dir):
     trace_dir = os.path.join(output_dir, "traces")
     return {
-        name: open(os.path.join(trace_dir, name)).read()
+        name: Path(trace_dir, name).read_text()
         for name in sorted(os.listdir(trace_dir))
     }
 
@@ -264,6 +266,19 @@ class TestBatching:
         assert trial_blocks(2, 4) == [range(0, 1), range(1, 2)]
         assert trial_blocks(5, 1) == trial_blocks(5, 0) == [range(0, 5)]
 
+    def test_deal_hands_out_every_unit_once_and_balanced(self):
+        rng = np.random.default_rng(0)
+        for size, hands in ((1, 1), (3, 2), (12, 2), (16, 3), (400, 2), (37, 5)):
+            costs = rng.integers(1, 10_000, size).tolist()
+            dealt = deal(costs, hands)
+            assert dealt == deal(costs, hands)
+            assert len(dealt) == min(size, hands) and all(dealt)
+            assert sorted(i for hand in dealt for i in hand) == list(range(size))
+            loads = [sum(costs[i] for i in hand) for hand in dealt]
+            assert max(loads) - min(loads) <= max(costs)
+        assert deal([5, 5, 5, 5], 2) == [[0, 2], [1, 3]]
+        assert deal([], 3) == [[]]
+
 
 class TestRunExperiment:
     def test_full_small_run(self, tmp_path):
@@ -280,7 +295,7 @@ class TestRunExperiment:
         out = config.output_dir
         assert os.path.exists(os.path.join(out, "summary.csv"))
         assert os.path.exists(os.path.join(out, "sdgm_regret_scaled.csv"))
-        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        manifest = json.loads(Path(out, "manifest.json").read_text())
         assert manifest["config"]["master_seed"] == 5
         assert [m["trial_id"] for m in manifest["trials"]] == [0, 1, 2]
         assert len(os.listdir(os.path.join(out, "traces"))) == 3 * len(ALGORITHMS)
@@ -316,8 +331,8 @@ class TestRunExperiment:
         run_experiment(serial)
         run_experiment(parallel)
         assert read_all(serial.output_dir) == read_all(parallel.output_dir)
-        summary_a = open(os.path.join(serial.output_dir, "summary.csv")).read()
-        summary_b = open(os.path.join(parallel.output_dir, "summary.csv")).read()
+        summary_a = Path(serial.output_dir, "summary.csv").read_text()
+        summary_b = Path(parallel.output_dir, "summary.csv").read_text()
         assert summary_a == summary_b
 
     def test_repeat_run_rewrites_the_same_optima(self, tmp_path):
@@ -328,7 +343,7 @@ class TestRunExperiment:
 
         def optima():
             return {
-                name: open(os.path.join(cache_dir, name)).read() for name in os.listdir(cache_dir)
+                name: Path(cache_dir, name).read_text() for name in os.listdir(cache_dir)
             }
 
         run_experiment(config)
@@ -351,10 +366,10 @@ class TestRunExperiment:
         with open(path, "w") as fh:
             json.dump(solution.to_dict() | {"f_star": -12345.0}, fh)
         run_experiment(config)
-        manifest = json.load(open(os.path.join(config.output_dir, "manifest.json")))
+        manifest = json.loads(Path(config.output_dir, "manifest.json").read_text())
         assert manifest["trials"][0]["f_star"] == solution.f_star
         assert os.listdir(cache_dir) == [os.path.basename(path)]
-        assert json.load(open(path)) == solution.to_dict()
+        assert json.loads(Path(path).read_text()) == solution.to_dict()
 
 
 class TestAggregateAndReport:
@@ -395,32 +410,32 @@ class TestAggregateAndReport:
         config = small_config(tmp_path)
         run_experiment(config)
         summary_path = os.path.join(config.output_dir, "summary.csv")
-        original = open(summary_path).read()
+        original = Path(summary_path).read_text()
         os.remove(summary_path)
         summary = report(config.output_dir)
         assert summary.trials == config.trials
-        assert open(summary_path).read() == original
+        assert Path(summary_path).read_text() == original
 
     def test_report_sums_in_trial_order_whatever_the_manifest_order(self, tmp_path):
         config = small_config(tmp_path, trials=20)
         run_experiment(config)
         manifest_path = os.path.join(config.output_dir, "manifest.json")
         summary_path = os.path.join(config.output_dir, "summary.csv")
-        compared = open(summary_path).read()
-        manifest = json.load(open(manifest_path))
+        compared = Path(summary_path).read_text()
+        manifest = json.loads(Path(manifest_path).read_text())
         manifest["trials"].reverse()
         with open(manifest_path, "w") as fh:
             json.dump(manifest, fh)
         os.remove(summary_path)
         assert report(config.output_dir).trials == 20
-        assert open(summary_path).read() == compared
+        assert Path(summary_path).read_text() == compared
 
     def test_report_refuses_manifest_without_trials(self, tmp_path, monkeypatch):
         config = small_config(tmp_path, trials=2)
         run_experiment(config)
         manifest_path = os.path.join(config.output_dir, "manifest.json")
         summary_path = os.path.join(config.output_dir, "summary.csv")
-        manifest = json.load(open(manifest_path))
+        manifest = json.loads(Path(manifest_path).read_text())
         manifest["trials"] = []
         with open(manifest_path, "w") as fh:
             json.dump(manifest, fh)
@@ -434,24 +449,44 @@ class TestAggregateAndReport:
             report(config.output_dir)
         assert not os.path.exists(summary_path)
 
+    def test_report_refuses_manifest_with_repeated_trial(self, tmp_path, monkeypatch):
+        config = small_config(tmp_path, trials=3, workers=2)
+        run_experiment(config)
+        manifest_path = os.path.join(config.output_dir, "manifest.json")
+        summary_path = os.path.join(config.output_dir, "summary.csv")
+        manifest = json.loads(Path(manifest_path).read_text())
+        manifest["trials"].append(manifest["trials"][1])
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh)
+        os.remove(summary_path)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("report made a trace table or started a worker")
+
+        monkeypatch.setattr(harness, "_shared_table", refused)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", refused)
+        with pytest.raises(TraceMismatchError, match=rf"^{re.escape(manifest_path)} .*trial 1\b"):
+            report(config.output_dir)
+        assert not os.path.exists(summary_path)
+
     def test_report_summary_does_not_depend_on_recorded_workers(self, tmp_path):
         config = small_config(tmp_path, trials=5, workers=1)
         run_experiment(config)
         manifest_path = os.path.join(config.output_dir, "manifest.json")
         summary_path = os.path.join(config.output_dir, "summary.csv")
-        compared = open(summary_path).read()
-        manifest = json.load(open(manifest_path))
+        compared = Path(summary_path).read_text()
+        manifest = json.loads(Path(manifest_path).read_text())
         for workers in (1, 2):
             manifest["config"]["workers"] = workers
             with open(manifest_path, "w") as fh:
                 json.dump(manifest, fh)
             os.remove(summary_path)
             assert report(config.output_dir).trials == 5
-            assert open(summary_path).read() == compared
+            assert Path(summary_path).read_text() == compared
 
     def _record_workers(self, config, workers):
         manifest_path = os.path.join(config.output_dir, "manifest.json")
-        manifest = json.load(open(manifest_path))
+        manifest = json.loads(Path(manifest_path).read_text())
         manifest["config"]["workers"] = workers
         with open(manifest_path, "w") as fh:
             json.dump(manifest, fh)
@@ -460,7 +495,7 @@ class TestAggregateAndReport:
         config = small_config(tmp_path, trials=8, workers=1)
         run_experiment(config)
         summary_path = os.path.join(config.output_dir, "summary.csv")
-        compared = open(summary_path).read()
+        compared = Path(summary_path).read_text()
         self._record_workers(config, 8)
         pools = []
 
@@ -473,13 +508,15 @@ class TestAggregateAndReport:
         os.remove(summary_path)
         assert report(config.output_dir).trials == 8
         assert all(workers <= available_workers() - 1 for workers in pools)
-        assert open(summary_path).read() == compared
+        assert Path(summary_path).read_text() == compared
 
     def test_report_reads_in_process_without_fork(self, tmp_path, monkeypatch):
+        """As on a platform without fork or copy_file_range: one process, and
+        summary.csv joined from its part files by a plain copy."""
         config = small_config(tmp_path, workers=1)
         run_experiment(config)
         summary_path = os.path.join(config.output_dir, "summary.csv")
-        compared = open(summary_path).read()
+        compared = Path(summary_path).read_text()
         self._record_workers(config, 2)
 
         def no_pool(*args, **kwargs):
@@ -487,19 +524,48 @@ class TestAggregateAndReport:
 
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        monkeypatch.delattr(os, "copy_file_range")
         os.remove(summary_path)
         assert report(config.output_dir).trials == 3
-        assert open(summary_path).read() == compared
+        assert Path(summary_path).read_text() == compared
 
     def test_report_reads_only_the_recorded_run(self, tmp_path):
         run_experiment(small_config(tmp_path, trials=5))
         config = small_config(tmp_path, trials=3)
         run_experiment(config)
         summary_path = os.path.join(config.output_dir, "summary.csv")
-        compared = open(summary_path).read()
+        compared = Path(summary_path).read_text()
         summary = report(config.output_dir)
         assert summary.trials == 3
-        assert open(summary_path).read() == compared
+        assert Path(summary_path).read_text() == compared
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_summary_part_file_outlives_a_run(self, tmp_path, monkeypatch, workers):
+        """Neither compare nor report leaves a part file of summary.csv, whether
+        it ends normally or writing a section fails."""
+        config = small_config(tmp_path, workers=workers)
+
+        def parts():
+            return [name for name in os.listdir(config.output_dir) if name.startswith("summary.csv.")]
+
+        run_experiment(config)
+        assert parts() == []
+        report(config.output_dir)
+        assert parts() == []
+        summary_path = os.path.join(config.output_dir, "summary.csv")
+        written = Path(summary_path).read_text()
+
+        def full_disk(*args, **kwargs):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(harness, "write_rows", full_disk)
+        with pytest.raises(OSError, match="no space left"):
+            run_experiment(config)
+        assert parts() == []
+        with pytest.raises(OSError, match="no space left"):
+            report(config.output_dir)
+        assert parts() == []
+        assert Path(summary_path).read_text() == written
 
     def test_report_names_missing_trace(self, tmp_path):
         config = small_config(tmp_path, trials=2)
@@ -522,8 +588,8 @@ class TestAggregateAndReport:
         config = small_config(tmp_path, trials=2)
         run_experiment(config)
         path = trial_trace_path(config.output_dir, 0, "NDGM")
-        lines = open(path).readlines()
-        open(path, "w").writelines(lines[:-1])
+        lines = Path(path).read_text().splitlines(keepends=True)
+        Path(path).write_text("".join(lines[:-1]))
         with pytest.raises(TraceMismatchError, match=re.escape(path)):
             report(config.output_dir)
 
