@@ -14,9 +14,9 @@ reduces to the summary.  Writing deals the files over the workers again:
 each trace CSV and each algorithm's section of summary.csv is one unit,
 dealt by its cost; the sections go to part files that the caller joins
 behind the header.  `report` refills such a table from the trace CSVs,
-dealt file by file, then reduces and writes it the same way.  Everything is
-a pure function of the master seed, regardless of worker count and batch
-size.
+split evenly file by file, then reduces it and writes its sections the same
+way.  Everything is a pure function of the master seed, regardless of
+worker count and batch size.
 """
 from __future__ import annotations
 
@@ -49,7 +49,6 @@ from .trace import (
     TraceRecorder,
     TrialTrace,
     read_trace_csv,
-    table_traces,
     write_rows,
 )
 
@@ -386,26 +385,17 @@ def deal(costs, hands: int) -> list[list[int]]:
     return dealt
 
 
-def _append(out, path) -> None:
-    """Append the file at `path` to the binary file `out`, copied by the
-    kernel where the platform can."""
-    with open(path, "rb") as part:
-        try:
-            while os.copy_file_range(part.fileno(), out.fileno(), 1 << 30):
-                pass
-        except (AttributeError, OSError):  # no copy_file_range, or not between these files
-            shutil.copyfileobj(part, out)
-            out.flush()
-
-
-def _write_tables(output_dir: str, summary: SummaryStats, traces, workers: int) -> None:
-    """Write each trace's CSV and summary.csv, dealt over `workers` processes.
+def _write_tables(output_dir: str, summary: SummaryStats, workers: int, table=None) -> None:
+    """Write summary.csv and, given a compare run's (metric, round,
+    algorithm, trial) table, whose trial ids are its trial indices, one CSV
+    per trace in it, dealt over `workers` processes.
 
     A unit is one trace CSV or one algorithm's section of the summary,
-    costing its rows times the values in a row.  Each section goes to a part
-    file; the caller then writes the header and appends the parts in
-    algorithm order.  No part file outlives the call, whether it ends
-    normally or a unit fails."""
+    costing its rows times the values in a row; a trace is viewed from the
+    table only when its unit is written.  Each section goes to a part file;
+    the caller then writes the header and appends the parts in algorithm
+    order.  No part file outlives the call, whether it ends normally or a
+    unit fails."""
     path = os.path.join(output_dir, "summary.csv")
     parts = {alg: f"{path}.{alg}.part" for alg in summary.algorithms}
 
@@ -413,12 +403,13 @@ def _write_tables(output_dir: str, summary: SummaryStats, traces, workers: int) 
         with open(parts[alg], "w") as fh:
             summary.write_section(fh, alg)
 
-    def write_trace(trace) -> None:
-        trace.write_csv(trial_trace_path(output_dir, trace.trial_id, trace.algorithm))
+    def write_trace(a, trial_id) -> None:
+        trace = TrialTrace(trial_id, summary.algorithms[a], *table[:, :, a, trial_id])
+        trace.write_csv(trial_trace_path(output_dir, trial_id, trace.algorithm))
 
-    writes = [partial(write_trace, trace) for trace in traces]
+    writes = [] if table is None else [partial(write_trace, a, k) for a, k in np.ndindex(table.shape[2:])]
+    costs = [summary.horizon * (1 + len(METRIC_COLUMNS))] * len(writes)
     writes += [partial(write_section, alg) for alg in summary.algorithms]
-    costs = [trace.horizon * (1 + len(METRIC_COLUMNS)) for trace in traces]
     costs += [summary.horizon * (1 + len(summary.STATS) * len(METRIC_COLUMNS))] * len(parts)
 
     def write(hand) -> None:
@@ -427,11 +418,12 @@ def _write_tables(output_dir: str, summary: SummaryStats, traces, workers: int) 
 
     try:
         fan_out(write, deal(costs, workers))
-        with open(path, "wb") as out:
-            out.write(summary.header().encode())
-            out.flush()
+        with open(path, "w") as out:
+            out.write(summary.header())
+        with open(path, "ab") as out:
             for alg in summary.algorithms:
-                _append(out, parts[alg])
+                with open(parts[alg], "rb") as part:
+                    shutil.copyfileobj(part, out)
     finally:
         for part in parts.values():
             with suppress(FileNotFoundError):
@@ -490,10 +482,8 @@ def run_experiment(config: ExperimentConfig) -> SummaryStats:
         _price_block(config, prepared[block.start:block.stop], table[..., block.start:block.stop])
 
     fan_out(price, blocks)
-    trial_ids = range(config.trials)
-    summary = aggregate(table, config.algorithms, trial_ids)
-    traces = table_traces(table, config.algorithms, trial_ids)
-    _write_tables(config.output_dir, summary, traces, config.workers)
+    summary = aggregate(table, config.algorithms, range(config.trials))
+    _write_tables(config.output_dir, summary, config.workers, table)
     _write_artifacts(config, [meta for *_, meta in prepared], summary)
     return summary
 
@@ -536,7 +526,7 @@ def report(output_dir: str) -> SummaryStats:
             table[:, :, a, k] = [*trace.metrics().values()]
 
     workers = min(config.workers, available_workers())
-    fan_out(parse, deal([1] * len(files), workers))
+    fan_out(parse, trial_blocks(len(files), workers))
     summary = aggregate(table, config.algorithms, trial_ids)
-    _write_tables(output_dir, summary, (), workers)
+    _write_tables(output_dir, summary, workers)
     return summary

@@ -127,22 +127,17 @@ class TraceRecorder:
 
     def traces(self, algorithms, trial_ids, f_stars) -> list[TrialTrace]:
         """Fill the regret column, the running sum of each trial's f_star -
-        objective, and view the table as its traces (`table_traces`)."""
+        objective, and view the table as one trace per (algorithm, trial),
+        algorithm by algorithm; their columns are views of the table."""
         objective = self.table[METRIC_COLUMNS.index("objective")]
         regret = self.table[METRIC_COLUMNS.index("regret_cum")]
         np.subtract(np.asarray(f_stars, float), objective, out=regret)
         np.cumsum(regret, axis=0, out=regret)
-        return table_traces(self.table, algorithms, trial_ids)
-
-
-def table_traces(table: np.ndarray, algorithms, trial_ids) -> list[TrialTrace]:
-    """A filled (metric, round, algorithm, trial) table viewed as one trace per
-    (algorithm, trial), algorithm by algorithm; their columns are views of it."""
-    return [
-        TrialTrace(trial_id, algorithm, *table[:, :, a, k])
-        for a, algorithm in enumerate(algorithms)
-        for k, trial_id in enumerate(trial_ids)
-    ]
+        return [
+            TrialTrace(trial_id, algorithm, *self.table[:, :, a, k])
+            for a, algorithm in enumerate(algorithms)
+            for k, trial_id in enumerate(trial_ids)
+        ]
 
 
 def build_trace(

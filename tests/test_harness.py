@@ -511,8 +511,7 @@ class TestAggregateAndReport:
         assert Path(summary_path).read_text() == compared
 
     def test_report_reads_in_process_without_fork(self, tmp_path, monkeypatch):
-        """As on a platform without fork or copy_file_range: one process, and
-        summary.csv joined from its part files by a plain copy."""
+        """As on a platform without fork: one process."""
         config = small_config(tmp_path, workers=1)
         run_experiment(config)
         summary_path = os.path.join(config.output_dir, "summary.csv")
@@ -524,7 +523,6 @@ class TestAggregateAndReport:
 
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
-        monkeypatch.delattr(os, "copy_file_range")
         os.remove(summary_path)
         assert report(config.output_dir).trials == 3
         assert Path(summary_path).read_text() == compared
@@ -566,6 +564,23 @@ class TestAggregateAndReport:
             report(config.output_dir)
         assert parts() == []
         assert Path(summary_path).read_text() == written
+
+    def test_summary_header_and_sections_end_lines_alike(self, tmp_path, monkeypatch):
+        """As where text files end lines with \\r\\n: the header and the joined
+        sections of summary.csv all do."""
+        config = small_config(tmp_path, workers=2)
+        run_experiment(config)
+        path = Path(config.output_dir, "summary.csv")
+        written = path.read_bytes()
+
+        def crlf_open(file, mode="r", *args, **kwargs):
+            if "w" in mode and "b" not in mode:
+                kwargs["newline"] = "\r\n"
+            return open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "open", crlf_open, raising=False)
+        report(config.output_dir)
+        assert path.read_bytes() == written.replace(b"\n", b"\r\n")
 
     def test_report_names_missing_trace(self, tmp_path):
         config = small_config(tmp_path, trials=2)
