@@ -40,6 +40,6 @@ from .sdgm import (
     safety_margin,
     step_sizes,
 )
-from .trace import TrialTrace, build_trace, regret_series
+from .trace import TrialTrace, build_trace
 
 __version__ = "0.1.0"

@@ -6,7 +6,8 @@ reconstructions of the standard recipes, not line-by-line ports of any
 particular reference implementation.  Each method is a start function,
 which gives its start dual and its update over a batch for
 sdgm.run_pricing, and a runner, which prices one instance and returns its
-iterates, as sdgm.run_sdgm does.  harness.run_batch prices batches.
+iterates, as sdgm.run_sdgm does.  harness.run_batch prices batches.  Steps
+and starts follow from the constants; a variant is built on run_pricing.
 """
 from __future__ import annotations
 
@@ -31,29 +32,21 @@ def ascent_step(lam: np.ndarray, load: np.ndarray, problem: NumProblem, scale) -
     return np.maximum(0.0, lam + scale * (load - problem.capacities))
 
 
-def start_dgm(batch: ProblemBatch, constants, step=None, lam_init: np.ndarray | None = None):
-    """Start dual and update of plain dual subgradient, for run_pricing.
+def start_dgm(batch: ProblemBatch, constants):
+    """Start dual and update of plain dual subgradient with each trial's
+    constant step 1/L, for run_pricing.
 
-    The step defaults to each trial's 1/L.  Starts from the all-ones dual
-    vector, the usual cold start for pricing iterations; the early rounds
-    overshoot capacity before the duals climb.
+    Starts from the all-ones dual vector, the usual cold start for pricing
+    iterations; the early rounds overshoot capacity before the duals climb.
     """
-    if step is None:
-        step = batch.per_row([1.0 / c.dual_smoothness for c in constants])
-    lam = np.ones(batch.m) if lam_init is None else np.asarray(lam_init, float).copy()
-    return lam, lambda lam, x, load, t: ascent_step(lam, load, batch, step)
+    step = batch.per_row([1.0 / c.dual_smoothness for c in constants])
+    return np.ones(batch.m), lambda lam, x, load, t: ascent_step(lam, load, batch, step)
 
 
-def run_dgm(
-    problem: NumProblem,
-    constants: ProblemConstants,
-    horizon: int,
-    step=None,
-    lam_init: np.ndarray | None = None,
-):
-    """Plain dual subgradient with constant step (default 1/L); see start_dgm."""
+def run_dgm(problem: NumProblem, constants: ProblemConstants, horizon: int):
+    """Plain dual subgradient with constant step 1/L; see start_dgm."""
     batch = ProblemBatch([problem])
-    return run_pricing(batch, *start_dgm(batch, [constants], step, lam_init), horizon)
+    return run_pricing(batch, *start_dgm(batch, [constants]), horizon)
 
 
 def start_fdgm(batch: ProblemBatch, constants):

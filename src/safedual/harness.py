@@ -200,7 +200,7 @@ def _fuse(starts, m: int, n: int):
 
 def run_batch(
     algorithms: tuple[str, ...], batch: ProblemBatch, constants, horizon: int, gammas,
-    trial_ids, f_stars, x_star=None, table=None,
+    trial_ids, f_stars, x_star, table=None,
 ) -> list[TrialTrace]:
     """Run registered algorithms over a batch; one trace per (algorithm, trial),
     algorithm by algorithm.
@@ -210,23 +210,22 @@ def run_batch(
     own slice of the duals.  An UnboundedSubproblemError names a user of
     that fused batch.  `constants`, `gammas`, `trial_ids` and `f_stars` hold
     one entry per trial; `x_star` is the trials' reference optima,
-    concatenated, or None.  The traces are views of `table`, the
-    (metric, round, algorithm, trial) array they are recorded into; a fresh
-    one if None.
+    concatenated.  The traces are views of `table`, the (metric, round,
+    algorithm, trial) array they are recorded into; a fresh one if None.
     """
     starts = [STARTS[alg](batch, constants, gammas) for alg in algorithms]
     copies = len(algorithms)
     if table is None:
         table = np.empty((len(METRIC_COLUMNS), horizon, copies, batch.size))
     fused = ProblemBatch(batch.problems * copies)
-    record = TraceRecorder(fused, table, None if x_star is None else np.tile(x_star, copies))
+    record = TraceRecorder(fused, table, np.tile(x_star, copies))
     sdgm.run_pricing(fused, *_fuse(starts, batch.m, batch.n), horizon, record)
     return record.traces(algorithms, trial_ids, f_stars)
 
 
 def run_algorithm(
     algorithm: str, problem, constants, horizon: int, gamma=None,
-    trial_id: int = 0, f_star: float = np.nan, x_star=None,
+    trial_id: int = 0, *, f_star: float, x_star,
 ) -> TrialTrace:
     """Run one registered algorithm on one instance, as a batch of one."""
     return run_batch(

@@ -3,6 +3,8 @@
 The reference solver is a primal-dual interior-point method run to a tight
 tolerance; it certifies its result through the first-order optimality
 residual, so every regret and distance metric has a trustworthy anchor.
+It takes no options: its tolerance and its step cap are the module
+constants DEFAULT_TOLERANCE and MAX_ITERATIONS.
 """
 from __future__ import annotations
 
@@ -85,7 +87,7 @@ def kkt_residual(problem: NumProblem, x: np.ndarray, lam: np.ndarray) -> float:
     return max(primal, dual, stationarity, complementarity)
 
 
-def solve_optimal(problem: NumProblem, *, max_iterations: int = MAX_ITERATIONS) -> OptimalSolution:
+def solve_optimal(problem: NumProblem) -> OptimalSolution:
     """Primal-dual interior-point method, run to certification.
 
     Minimizes -sum theta log(x + shift) over G x <= h, where G stacks the
@@ -95,9 +97,9 @@ def solve_optimal(problem: NumProblem, *, max_iterations: int = MAX_ITERATIONS) 
     centering target sigma * mu solves one n x n system and goes 0.99 of the
     way to the boundary.  The capacity duals are certified through the
     users' own best responses only once the mean complementarity mu is below
-    CERTIFY_MU (1e-12), and at the last allowed step; the solver returns at
-    the first certified step whose optimality residual is below
-    DEFAULT_TOLERANCE.
+    CERTIFY_MU (1e-12), and at step MAX_ITERATIONS, the last allowed; the
+    solver returns at the first certified step whose optimality residual is
+    below DEFAULT_TOLERANCE, and raises OracleConvergenceError if none is.
     """
     finite = np.isfinite(problem.upper)
     eye = np.eye(problem.n)
@@ -109,7 +111,7 @@ def solve_optimal(problem: NumProblem, *, max_iterations: int = MAX_ITERATIONS) 
     best_residual = np.inf
     slack = h - g @ x
     mu = float(z @ slack) / len(h)
-    for k in range(1, max_iterations + 1):
+    for k in range(1, MAX_ITERATIONS + 1):
         shifted = x + problem.shift
         gradient = problem.theta / shifted
         hessian = np.diag(gradient / shifted) + g.T @ ((z / slack)[:, None] * g)
@@ -123,7 +125,7 @@ def solve_optimal(problem: NumProblem, *, max_iterations: int = MAX_ITERATIONS) 
         z = z + step * dz
         slack = h - g @ x
         mu = float(z @ slack) / len(h)
-        if mu > CERTIFY_MU and k < max_iterations:
+        if mu > CERTIFY_MU and k < MAX_ITERATIONS:
             continue
         lam = z[:problem.m]
         x_cand = best_response_profile(problem, lam)
@@ -137,4 +139,4 @@ def solve_optimal(problem: NumProblem, *, max_iterations: int = MAX_ITERATIONS) 
                 kkt_residual=residual,
                 iterations_used=k,
             )
-    raise OracleConvergenceError("reference solver did not converge", best_residual, max_iterations)
+    raise OracleConvergenceError("reference solver did not converge", best_residual, MAX_ITERATIONS)

@@ -20,10 +20,6 @@ SLATER_EPS = 1e-6
 RESAMPLE_CAP = 10_000
 
 
-class GenerationError(RuntimeError):
-    """Random generation could not produce a non-degenerate constraint matrix."""
-
-
 def is_integer(value) -> bool:
     """Whether a setting is an int proper: a bool or a float of integral value is not."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -46,9 +42,6 @@ class UtilitySpec:
     shift: float = 0.1
     lower: float = 0.0
     upper: float = math.inf
-
-    def derivative(self, x: float) -> float:
-        return self.theta / (x + self.shift)
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,7 +185,9 @@ def validate(problem: NumProblem) -> list[str]:
 def generate_random(config: GeneratorConfig) -> NumProblem:
     """Draw a random instance; deterministic given config.seed.
 
-    The whole matrix is resampled until it has no zero row or column.
+    The whole matrix is resampled until it has no zero row or column.  If
+    RESAMPLE_CAP draws all have one, the last is repaired: each zero row gets
+    a 1 at a drawn column, then each zero column a 1 at a drawn row.
     """
     config.check()
     rng = np.random.default_rng(config.seed)
@@ -203,9 +198,10 @@ def generate_random(config: GeneratorConfig) -> NumProblem:
         if (a.sum(axis=1) > 0).all() and (a.sum(axis=0) > 0).all():
             break
     else:
-        raise GenerationError(
-            f"no non-degenerate {m}x{n} matrix found in {RESAMPLE_CAP} attempts"
-        )
+        rows = np.flatnonzero(a.sum(axis=1) == 0)
+        a[rows, rng.integers(n, size=len(rows))] = 1
+        cols = np.flatnonzero(a.sum(axis=0) == 0)
+        a[rng.integers(m, size=len(cols)), cols] = 1
     theta = rng.uniform(config.theta_range[0], config.theta_range[1], size=n)
     utilities = tuple(UtilitySpec(theta=float(t)) for t in theta)
     capacities = np.full(m, float(config.capacity_value))

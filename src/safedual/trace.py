@@ -2,7 +2,8 @@
 
 A run records every trial's metrics into one (metric, round, algorithm,
 trial) table; a TrialTrace is one (algorithm, trial) column of it, viewed
-for its CSV file, and the run's summary reduces the table itself.
+for its CSV file, and the run's summary reduces the table itself.  Each
+trace is measured against its trial's optimum: ||x_t - x*|| and sum f* - f(x_t).
 """
 from __future__ import annotations
 
@@ -45,11 +46,6 @@ def write_rows(fh, prefix: str, index, columns) -> None:
         fh.write((full if length == CHUNK else row * length) % tuple(values))
 
 
-def regret_series(objectives: np.ndarray, f_star: float) -> np.ndarray:
-    """Cumulative sum of per-iteration suboptimality gaps."""
-    return np.cumsum(f_star - np.asarray(objectives, float))
-
-
 @dataclass
 class TrialTrace:
     """One algorithm's run on one instance, one row per iteration."""
@@ -82,22 +78,17 @@ class TrialTrace:
 
 
 def round_metrics(
-    batch: ProblemBatch, x: np.ndarray, lam: np.ndarray, load: np.ndarray, x_star=None
+    batch: ProblemBatch, x: np.ndarray, lam: np.ndarray, load: np.ndarray, x_star: np.ndarray
 ):
     """Each trial's objective, infeasibility, distance to x_star, max dual and
-    min slack in one round, from the demand x, its load A x and the duals;
-    the distance is NaN without x_star."""
+    min slack in one round, from the demand x, its load A x and the duals."""
     slack = batch.capacities - load
     excess = np.maximum(-slack, 0.0)
-    if x_star is None:
-        distance = np.full(batch.size, np.nan)
-    else:
-        gap = x - x_star
-        distance = np.sqrt(batch.user_sums(gap * gap))
+    gap = x - x_star
     return (
         batch.user_sums(batch.theta * np.log(x + batch.shift)),
         np.sqrt(batch.row_sums(excess * excess)),
-        distance,
+        np.sqrt(batch.user_sums(gap * gap)),
         batch.row_max(lam),
         batch.row_min(slack),
     )
@@ -109,15 +100,15 @@ class TraceRecorder:
     `table` is a (metric, round, algorithm, trial) array, or a slice of one,
     with one entry per METRIC_COLUMNS; the batch holds its trials once per
     algorithm, algorithm by algorithm.  Holds no iterates.  `x_star` is the
-    batch's reference optima, concatenated, or None.
+    batch's reference optima, concatenated.
     """
 
     COLUMNS = ("objective", "infeasibility", "distance_to_opt", "max_lambda", "min_slack")
 
-    def __init__(self, batch: ProblemBatch, table: np.ndarray, x_star=None):
+    def __init__(self, batch: ProblemBatch, table: np.ndarray, x_star: np.ndarray):
         self.batch = batch
         self.table = table
-        self.x_star = None if x_star is None else np.asarray(x_star, float)
+        self.x_star = np.asarray(x_star, float)
         self.columns = [table[METRIC_COLUMNS.index(name)] for name in self.COLUMNS]
 
     def __call__(self, t: int, x: np.ndarray, lam: np.ndarray, load: np.ndarray) -> None:
@@ -146,14 +137,12 @@ def build_trace(
     x_hist: np.ndarray,
     lam_hist: np.ndarray,
     trial_id: int = 0,
-    f_star: float = np.nan,
-    x_star: np.ndarray | None = None,
+    *,
+    f_star: float,
+    x_star: np.ndarray,
 ) -> TrialTrace:
     """Assemble the metric columns from raw iterates, replayed round by round
-    through a TraceRecorder.
-
-    Regret and distance columns are NaN when no reference optimum is given.
-    """
+    through a TraceRecorder, against the reference optimum f_star at x_star."""
     x_hist = np.asarray(x_hist, float)
     lam_hist = np.asarray(lam_hist, float)
     batch = ProblemBatch([problem])

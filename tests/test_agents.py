@@ -39,7 +39,7 @@ class TestBestResponse:
         util = UtilitySpec(3.0, shift=0.2)
         price = 1.7
         x = best_response(util, price)
-        assert util.derivative(x) == pytest.approx(price, rel=1e-12)
+        assert util.theta / (x + util.shift) == pytest.approx(price, rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(50))
     def test_matches_grid_maximum(self, seed):

@@ -2,9 +2,25 @@ import numpy as np
 import pytest
 
 from conftest import random_valid_problem
-from safedual import NumProblem, UtilitySpec, compute_constants, run_dgm, run_fdgm, run_ndgm
-from safedual.baselines import NDGM_EPSILON, ascent_step, diagonal_scaling
+from safedual import (
+    NumProblem,
+    ProblemBatch,
+    UtilitySpec,
+    compute_constants,
+    run_dgm,
+    run_fdgm,
+    run_ndgm,
+    run_pricing,
+)
+from safedual.baselines import NDGM_EPSILON, ascent_step, diagonal_scaling, start_dgm
 from safedual.oracle import dual_value
+
+
+def run_dgm_from_cap(problem, constants, horizon):
+    """DGM's update from the capped dual start the other baselines use."""
+    batch = ProblemBatch([problem])
+    cap = np.full(problem.m, constants.lambda_bar)
+    return run_pricing(batch, cap, start_dgm(batch, [constants])[1], horizon)
 
 
 class TestDgm:
@@ -32,11 +48,13 @@ class TestDgm:
     def test_averaged_iterate_infeasibility_shrinks_with_horizon(self):
         """With step 1/sqrt(T), the running-average violation decays in T."""
         problem = random_valid_problem(seed=7)
-        constants = compute_constants(problem)
+        batch = ProblemBatch([problem])
         norms = []
         for horizon in (100, 400, 1600):
-            x_hist, _ = run_dgm(
-                problem, constants, horizon, step=1.0 / np.sqrt(horizon)
+            step = 1.0 / np.sqrt(horizon)
+            x_hist, _ = run_pricing(
+                batch, np.ones(problem.m),
+                lambda lam, x, load, t: ascent_step(lam, load, batch, step), horizon,
             )
             x_bar = x_hist.mean(axis=0)
             excess = np.maximum(problem.a_matrix @ x_bar - problem.capacities, 0.0)
@@ -52,12 +70,7 @@ class TestFdgm:
     def test_converges_faster_than_dgm(self, tiny, tiny_constants, tiny_solution):
         horizon = 40
         x_f, lam_f = run_fdgm(tiny, tiny_constants, horizon)
-        x_d, lam_d = run_dgm(
-            tiny,
-            tiny_constants,
-            horizon,
-            lam_init=np.full(tiny.m, tiny_constants.lambda_bar),
-        )
+        x_d, lam_d = run_dgm_from_cap(tiny, tiny_constants, horizon)
         err_f = abs(lam_f[-1][0] - 5.0 / 3.0)
         err_d = abs(lam_d[-1][0] - 5.0 / 3.0)
         assert err_f < err_d
@@ -71,12 +84,7 @@ class TestFdgm:
         """
         horizon = 100
         _, lam_f = run_fdgm(tiny, tiny_constants, horizon)
-        _, lam_d = run_dgm(
-            tiny,
-            tiny_constants,
-            horizon,
-            lam_init=np.full(tiny.m, tiny_constants.lambda_bar),
-        )
+        _, lam_d = run_dgm_from_cap(tiny, tiny_constants, horizon)
         q_f_end = dual_value(tiny, lam_f[-1])
         assert q_f_end < dual_value(tiny, lam_f[4])
         assert q_f_end <= dual_value(tiny, lam_d[-1]) + 1e-9
@@ -124,12 +132,7 @@ class TestNdgm:
         lam_star = 5.0 / 3.0
         _, lam_n = run_ndgm(tiny, tiny_constants, horizon)
         # same capped start for a like-for-like iteration count
-        _, lam_d = run_dgm(
-            tiny,
-            tiny_constants,
-            horizon,
-            lam_init=np.full(tiny.m, tiny_constants.lambda_bar),
-        )
+        _, lam_d = run_dgm_from_cap(tiny, tiny_constants, horizon)
 
         def first_hit(lam_hist):
             close = np.abs(lam_hist[:, 0] - lam_star) <= 1e-4

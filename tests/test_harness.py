@@ -143,7 +143,7 @@ class TestRegistry:
             return start_dgm(batch, constants, *args, **kwargs)
 
         monkeypatch.setattr(baselines, "start_dgm", recording)
-        trace = run_algorithm("DGM", tiny, tiny_constants, 7)
+        trace = run_algorithm("DGM", tiny, tiny_constants, 7, f_star=0.0, x_star=np.zeros(tiny.n))
         assert calls == [1]
         assert trace.algorithm == "DGM" and trace.horizon == 7
 

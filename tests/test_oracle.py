@@ -115,10 +115,11 @@ class TestSolveOptimal:
         assert solution.kkt_residual <= 1e-8
         assert solution.iterations_used <= MAX_ITERATIONS
 
-    def test_iteration_cap_raises(self, tiny):
+    def test_iteration_cap_raises(self, tiny, monkeypatch):
         """The last allowed step is certified even though mu is still large."""
+        monkeypatch.setattr(oracle, "MAX_ITERATIONS", 2)
         with pytest.raises(OracleConvergenceError) as caught:
-            solve_optimal(tiny, max_iterations=2)
+            solve_optimal(tiny)
         assert math.isfinite(caught.value.residual)
         assert caught.value.iterations == 2
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from safedual import (
     problem_hash,
     validate,
 )
+from safedual.harness import derive_trial_seed
 from safedual.problem import (
     load_problem,
     problem_from_dict,
@@ -77,6 +79,28 @@ class TestGenerateRandom:
         assert (problem.lower == 0.0).all()
         assert np.isinf(problem.upper).all()
         assert validate(problem) == []
+
+    # seeds of 0-59 whose RESAMPLE_CAP draws at bernoulli_p=0.1 all hold a zero row or column
+    SPARSE_REPAIRED = (2, 3, 8, 12, 18, 20, 22, 25, 26, 29, 32, 33, 34, 36, 44, 53, 54)
+
+    def test_sparse_draws_are_repaired(self):
+        for seed in self.SPARSE_REPAIRED:
+            problem = generate_random(GeneratorConfig(bernoulli_p=0.1, seed=seed))
+            assert validate(problem) == [], seed
+
+    def test_repair_leaves_every_other_network_as_it_was(self):
+        """The hashes of the seed-0 gate networks and of the sparse seeds
+        drawn without repair, digested in that order, as they were before
+        the repair existed."""
+        gate = [GeneratorConfig(seed=derive_trial_seed(0, k)) for k in range(100)]
+        sparse = [
+            GeneratorConfig(bernoulli_p=0.1, seed=seed)
+            for seed in range(60) if seed not in self.SPARSE_REPAIRED
+        ]
+        digest = hashlib.sha256()
+        for config in gate + sparse:
+            digest.update(problem_hash(generate_random(config)).encode())
+        assert digest.hexdigest() == "cca81bf46e996b49848cad43573c5f97761e9ff0ff5829cf63f375f231dca7b6"
 
     def test_rejects_bad_config(self):
         with pytest.raises(ValueError):

@@ -192,7 +192,9 @@ class TestRunSdgm:
         gamma = default_gamma(tiny_constants, tiny)
         big_c = regret_constant(tiny_constants, tiny)
         f_star = 2.0 * math.log(0.6)
-        trace = run_algorithm("SDGM", tiny, tiny_constants, horizon=200, f_star=f_star)
+        trace = run_algorithm(
+            "SDGM", tiny, tiny_constants, horizon=200, f_star=f_star, x_star=np.array([0.5, 0.5])
+        )
         for t in (10, 100, 200):
             bound = regret_bound(t, gamma, 10.0, 1.0, big_c)
             assert trace.regret_cum[t - 1] <= bound * (1 + 1e-9)

@@ -5,30 +5,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from safedual import TrialTrace, build_trace, regret_series
+from safedual import TrialTrace, build_trace
 from safedual.trace import CHUNK, CSV_HEADER, read_trace_csv, write_rows
 
 SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 0.1, 1e300, -2.5, 1.0 / 3.0]
-
-
-class TestRegretSeries:
-    def test_frozen_example(self):
-        f_star = 2.0 * math.log(0.6)
-        regret = regret_series(np.array([-1.2, -1.1]), f_star)
-        assert regret == pytest.approx([0.17834875246801856, 0.25669750493603713])
-
-    def test_constant_at_optimum(self):
-        regret = regret_series(np.full(5, 3.0), 3.0)
-        assert np.array_equal(regret, np.zeros(5))
+# the optimum of the `tiny` network: both users at 0.5 on the unit link
+TINY_OPTIMUM = dict(f_star=2.0 * math.log(0.6), x_star=np.array([0.5, 0.5]))
 
 
 class TestBuildTrace:
     def test_columns_consistent_with_iterates(self, tiny):
         x_hist = np.array([[0.2, 0.3], [0.8, 0.8]])
         lam_hist = np.array([[4.0], [1.0]])
-        f_star = 2.0 * math.log(0.6)
-        trace = build_trace(tiny, "DGM", x_hist, lam_hist, trial_id=3,
-                            f_star=f_star, x_star=np.array([0.5, 0.5]))
+        f_star = TINY_OPTIMUM["f_star"]
+        trace = build_trace(tiny, "DGM", x_hist, lam_hist, trial_id=3, **TINY_OPTIMUM)
         assert trace.objective[0] == pytest.approx(math.log(0.3) + math.log(0.4))
         assert trace.infeasibility == pytest.approx([0.0, 0.6])
         assert trace.min_slack == pytest.approx([0.5, -0.6])
@@ -39,25 +29,19 @@ class TestBuildTrace:
         )
 
     def test_infeasibility_zero_when_feasible(self, tiny):
-        trace = build_trace(tiny, "DGM", np.array([[0.4, 0.4]]), np.array([[1.0]]))
+        trace = build_trace(tiny, "DGM", np.array([[0.4, 0.4]]), np.array([[1.0]]), **TINY_OPTIMUM)
         assert trace.infeasibility[0] == 0.0
 
     def test_infeasibility_positive_part_only(self, tiny):
-        trace = build_trace(tiny, "DGM", np.array([[1.0, 0.5]]), np.array([[1.0]]))
+        trace = build_trace(tiny, "DGM", np.array([[1.0, 0.5]]), np.array([[1.0]]), **TINY_OPTIMUM)
         assert trace.infeasibility[0] == pytest.approx(0.5)
-
-    def test_nan_without_reference(self, tiny):
-        trace = build_trace(tiny, "DGM", np.array([[0.2, 0.2]]), np.array([[1.0]]))
-        assert np.isnan(trace.regret_cum).all()
-        assert np.isnan(trace.distance_to_opt).all()
 
 
 class TestCsvRoundTrip:
     def _sample(self, tiny):
         x_hist = np.array([[0.2, 0.3], [0.45, 0.55], [0.5, 0.5]])
         lam_hist = np.array([[4.0], [2.0], [5.0 / 3.0]])
-        return build_trace(tiny, "SDGM", x_hist, lam_hist, trial_id=11,
-                           f_star=2.0 * math.log(0.6), x_star=np.array([0.5, 0.5]))
+        return build_trace(tiny, "SDGM", x_hist, lam_hist, trial_id=11, **TINY_OPTIMUM)
 
     def test_file_round_trip_is_exact(self, tiny, tmp_path):
         trace = self._sample(tiny)
