@@ -3,7 +3,9 @@
 Subcommands: generate (emit a problem document), solve (reference optimum),
 run (one algorithm on one problem), compare (full ensemble experiment),
 report (re-aggregate existing traces).  Failures exit nonzero with a
-machine-readable JSON error on stderr.
+machine-readable JSON error on stderr.  Only run, compare and report import
+the experiment harness; generate and solve load the problem, agent and
+oracle layers alone.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ import json
 import sys
 from dataclasses import fields, replace
 
-from . import harness, oracle
+from . import oracle
 from .problem import (
     GeneratorConfig,
     compute_constants,
@@ -49,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="one algorithm on one problem")
     run.set_defaults(handler=_cmd_run)
     run.add_argument("--problem", required=True)
-    run.add_argument("--algorithm", default="SDGM", choices=harness.ALGORITHMS)
+    run.add_argument("--algorithm", default="SDGM")
     run.add_argument("--horizon", type=int)
     run.add_argument("--gamma", type=float, help="base step override (safe method)")
     run.add_argument("--out", help="trace CSV path (stdout if omitted)")
@@ -74,14 +76,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _settings(args, cls) -> dict:
-    """The flags given on the command line that are named after a field of `cls`."""
+    """The flags given on the command line that are named after a field of `cls`;
+    the pairs that `nargs=2` reads as lists become tuples."""
     names = {f.name for f in fields(cls)}
-    return {k: v for k, v in vars(args).items() if k in names and v is not None}
+    return {
+        k: tuple(v) if isinstance(v, list) else v
+        for k, v in vars(args).items() if k in names and v is not None
+    }
 
 
 def _cmd_generate(args) -> None:
-    config = harness._from_fields(GeneratorConfig, _settings(args, GeneratorConfig))
-    problem = _valid(generate_random(config))
+    problem = _valid(generate_random(GeneratorConfig(**_settings(args, GeneratorConfig))))
     if args.out:
         save_problem(problem, args.out)
     else:
@@ -103,6 +108,8 @@ def _cmd_solve(args) -> None:
 def _cmd_run(args) -> None:
     """One algorithm on one problem; its horizon and gamma default and are
     refused as compare's are, before the oracle runs."""
+    from . import harness
+
     settings = _settings(args, harness.ExperimentConfig)
     config = harness.ExperimentConfig(algorithms=(args.algorithm,), **settings)
     config.check()
@@ -117,6 +124,8 @@ def _cmd_run(args) -> None:
 
 
 def _cmd_compare(args) -> None:
+    from . import harness
+
     config = harness.ExperimentConfig()
     if args.config:
         with open(args.config) as fh:
@@ -133,6 +142,8 @@ def _cmd_compare(args) -> None:
 
 
 def _cmd_report(args) -> None:
+    from . import harness
+
     summary = harness.report(args.out)
     print(json.dumps({"algorithms": list(summary.algorithms), "trials": summary.trials}))
 

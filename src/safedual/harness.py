@@ -66,7 +66,8 @@ ALGORITHMS = tuple(STARTS)
 
 
 class ConfigError(ValueError):
-    """An experiment config document names a field the config does not have."""
+    """An experiment config document is not a JSON object, or names a field the
+    config does not have."""
 
 
 class TraceMismatchError(ValueError):
@@ -75,6 +76,8 @@ class TraceMismatchError(ValueError):
 
 def _from_fields(cls, doc: dict):
     """Build dataclass `cls` from a JSON document; JSON lists become tuples."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"a {cls.__name__} must be a JSON object, got {doc!r}")
     unknown = set(doc) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(f"unknown {cls.__name__} fields: {sorted(unknown)}")
@@ -134,9 +137,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        doc = dict(doc)
-        doc["generator"] = _from_fields(GeneratorConfig, doc.get("generator", {}))
-        return _from_fields(cls, doc)
+        config = _from_fields(cls, doc)
+        return replace(config, generator=_from_fields(GeneratorConfig, doc.get("generator", {})))
 
 
 @dataclass

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -105,11 +106,18 @@ class GeneratorConfig:
     def check(self):
         if self.seed is not None and not (is_integer(self.seed) and self.seed >= 0):
             raise ValueError(f"seed must be None or a non-negative integer, got {self.seed!r}")
+        for name in ("n_range", "m_range", "theta_range"):
+            value = getattr(self, name)
+            if not (isinstance(value, (tuple, list)) and len(value) == 2):
+                raise ValueError(f"{name} must be a pair, got {value!r}")
         reals = {"theta_range": self.theta_range, "bernoulli_p": [self.bernoulli_p],
                  "capacity_value": [self.capacity_value]}
         for name, values in reals.items():
             if not all(map(is_real, values)):
                 raise ValueError(f"{name} must hold real numbers, got {getattr(self, name)!r}")
+            # finite as a float: no inf, no NaN, and no int too large to convert
+            if not all(abs(v) <= sys.float_info.max for v in values):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         for name in ("n_range", "m_range"):
             low, high = getattr(self, name)
             if not (is_integer(low) and is_integer(high)) or low < 1:
@@ -167,6 +175,10 @@ def validate(problem: NumProblem) -> list[str]:
         violations.append("zero column")
     if (problem.capacities <= 0).any():
         violations.append("non-positive capacity")
+    if not np.isfinite(problem.capacities).all():
+        violations.append("non-finite capacity")
+    if not (np.isfinite(problem.theta).all() and np.isfinite(problem.shift).all()):
+        violations.append("non-finite utility parameter")
     for u in problem.utilities:
         if u.theta <= 0 or u.shift <= 0:
             violations.append("non-positive utility parameter")

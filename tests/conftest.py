@@ -4,7 +4,8 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from safedual import NumProblem, UtilitySpec, compute_constants, solve_optimal
+from safedual.oracle import solve_optimal
+from safedual.problem import NumProblem, UtilitySpec, compute_constants
 
 
 @pytest.fixture(autouse=True)
@@ -111,15 +112,15 @@ def sdgm_shut_off_through(problem, constants, horizon):
 
 def gate_problem(trial_id):
     """Instance `trial_id` of the acceptance gate's ensemble (master seed 0)."""
-    from safedual import GeneratorConfig, generate_random
     from safedual.harness import derive_trial_seed
+    from safedual.problem import GeneratorConfig, generate_random
 
     return generate_random(GeneratorConfig(seed=derive_trial_seed(0, trial_id)))
 
 
 def random_valid_problem(seed, n_range=(3, 12), m_range=(2, 8)):
     """Small random instance with the generator's default utility family."""
-    from safedual import GeneratorConfig, generate_random
+    from safedual.problem import GeneratorConfig, generate_random
 
     return generate_random(
         GeneratorConfig(n_range=n_range, m_range=m_range, seed=seed)

@@ -14,26 +14,26 @@ import numpy as np
 import pytest
 
 from conftest import grid_search_optimum, random_valid_problem, sdgm_shut_off_through
-from safedual import (
-    DualState,
-    ExperimentConfig,
+from safedual.agents import best_response, best_response_profile
+from safedual.harness import ExperimentConfig, run_experiment, trial_trace_path
+from safedual.oracle import dual_value, solve_optimal
+from safedual.problem import (
     GeneratorConfig,
     ProblemBatch,
-    SdgmParams,
     UtilitySpec,
-    best_response,
-    best_response_profile,
     compute_constants,
+    generate_random,
+)
+from safedual.sdgm import (
+    DualState,
+    SdgmParams,
     default_gamma,
     dual_step,
-    dual_value,
-    generate_random,
-    run_experiment,
+    regret_bound,
     run_sdgm,
-    solve_optimal,
+    safety_margin,
+    step_sizes,
 )
-from safedual.harness import trial_trace_path
-from safedual.sdgm import regret_bound, safety_margin, step_sizes
 from safedual.trace import read_trace_csv
 
 TRIALS = 100

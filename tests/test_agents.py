@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from safedual import (
+from safedual.agents import (
     UnboundedSubproblemError,
-    UtilitySpec,
     best_response,
     best_response_profile,
     demand_at_prices,
     prices_from_duals,
 )
+from safedual.problem import UtilitySpec
 
 
 class TestBestResponse:

@@ -2,18 +2,18 @@ import numpy as np
 import pytest
 
 from conftest import random_valid_problem
-from safedual import (
-    NumProblem,
-    ProblemBatch,
-    UtilitySpec,
-    compute_constants,
+from safedual.baselines import (
+    NDGM_EPSILON,
+    ascent_step,
+    diagonal_scaling,
     run_dgm,
     run_fdgm,
     run_ndgm,
-    run_pricing,
+    start_dgm,
 )
-from safedual.baselines import NDGM_EPSILON, ascent_step, diagonal_scaling, start_dgm
 from safedual.oracle import dual_value
+from safedual.problem import NumProblem, ProblemBatch, UtilitySpec, compute_constants
+from safedual.sdgm import run_pricing
 
 
 def run_dgm_from_cap(problem, constants, horizon):

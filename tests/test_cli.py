@@ -80,7 +80,12 @@ class TestSolve:
     @pytest.mark.parametrize("change, violation", [
         ({"A": [[0, 1], [0, 1]]}, "zero column"),
         ({"lower": [0.0, 2.0], "upper": ["inf", 1.0]}, "invalid domain bounds"),
-    ], ids=["zero-column", "lower-above-upper"])
+        ({"c": [math.inf, 1.0]}, "non-finite capacity"),
+        ({"theta": [math.nan, 2.0]}, "non-finite utility parameter"),
+        ({"theta": [1.0, math.inf]}, "non-finite utility parameter"),
+        ({"shift": math.nan}, "non-finite utility parameter"),
+    ], ids=["zero-column", "lower-above-upper", "inf-capacity", "nan-theta", "inf-theta",
+            "nan-shift"])
     def test_refuses_invalid_problem(self, tmp_path, capsys, change, violation):
         doc = {"n": 2, "m": 2, "A": [[1, 1], [1, 0]], "c": [1.0, 1.0], "theta": [1.0, 2.0],
                "shift": 0.1, "lower": [0.0, 0.0], "upper": ["inf", "inf"]} | change
@@ -131,8 +136,9 @@ class TestRun:
         (["--horizon", "-5"], "2"),
         (["--gamma", "5", "--algorithm", "DGM"], "2"),
         (["--gamma", "nan", "--algorithm", "NDGM"], "2"),
+        (["--algorithm", "BOGUS"], "2"),
     ], ids=["gamma-nan", "gamma-inf-one-row", "horizon-0", "horizon-negative",
-            "gamma-for-baseline", "gamma-nan-for-baseline"])
+            "gamma-for-baseline", "gamma-nan-for-baseline", "unknown-algorithm"])
     def test_refuses_bad_setting(self, tmp_path, capsys, flags, m):
         problem_path = tmp_path / "problem.json"
         main(["generate", "--n-range", "3", "5", "--m-range", m, m, "--out", str(problem_path)])
@@ -268,9 +274,19 @@ def test_compare_refuses_bad_setting_before_any_trial(tmp_path, capsys, flags, s
     ("theta_range", [10, True]),
     ("seed", 1.5),
     ("seed", -1),
+    ("capacity_value", math.inf),
+    ("capacity_value", math.nan),
+    ("theta_range", [10, math.inf]),
+    ("theta_range", [10, math.nan]),
+    ("theta_range", [10, 10**400]),
+    ("n_range", 5),
+    ("m_range", [2, 3, 4]),
+    ("theta_range", [10]),
 ], ids=["bernoulli_p", "n_range", "m_range", "theta_range", "float-n_range", "float-m_range",
         "str-bernoulli_p", "str-capacity_value", "str-theta_range", "bool-theta_range",
-        "float-seed", "negative-seed"])
+        "float-seed", "negative-seed", "inf-capacity_value", "nan-capacity_value",
+        "inf-theta_range", "nan-theta_range", "huge-theta_range", "scalar-n_range",
+        "triple-m_range", "single-theta_range"])
 def test_compare_refuses_bad_generator_setting_before_any_trial(tmp_path, capsys, field, value):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"generator": {field: value}}))
@@ -280,6 +296,18 @@ def test_compare_refuses_bad_generator_setting_before_any_trial(tmp_path, capsys
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValueError"
     assert field in err["message"]
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("doc", [5, [1, 2], {"generator": 5}, {"generator": [10, 40]}],
+                         ids=["number", "list", "number-generator", "list-generator"])
+def test_compare_refuses_config_that_is_not_an_object(tmp_path, capsys, doc):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(doc))
+    out_dir = tmp_path / "exp"
+    assert main(["compare", "--config", str(config_path), "--out", str(out_dir)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and "JSON object" in err["message"]
     assert not out_dir.exists()
 
 
@@ -308,15 +336,24 @@ def test_compare_and_report_write_the_same_bytes_for_any_workers(tmp_path, capsy
         assert runs[0] == runs[1] == runs[2]
 
 
-def test_cli_imports_no_heavy_dependency():
-    """Every command starts by importing the CLI; scipy or pandas would slow that down."""
+def test_cli_imports_no_heavy_dependency(tmp_path):
+    """Every command starts by importing the CLI; scipy or pandas would slow that
+    down.  `generate` and `solve` handle one network, so they load neither the
+    ensemble harness nor the pricing loops, the traces or the worker pool."""
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
-        "import safedual.cli, sys; "
-        "print(sorted({'scipy', 'pandas'} & {name.split('.')[0] for name in sys.modules}))"
+        "import sys\n"
+        "from safedual import cli\n"
+        "heavy = {'safedual.harness', 'safedual.sdgm', 'safedual.baselines', 'safedual.trace',\n"
+        "         'multiprocessing', 'concurrent.futures'}\n"
+        "for argv in (['generate', '--out', sys.argv[1]], ['solve', sys.argv[1]]):\n"
+        "    assert cli.main(argv) == 0\n"
+        "print(sorted(name for name in sys.modules\n"
+        "             if name in heavy or name.split('.')[0] in {'scipy', 'pandas'}))\n"
     )
     result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code, str(tmp_path / "problem.json")],
+        env=env, capture_output=True, text=True, check=True,
     )
-    assert result.stdout.strip() == "[]"
+    assert result.stdout.splitlines()[-1] == "[]"

@@ -11,22 +11,12 @@ import numpy as np
 import pytest
 
 from conftest import gate_problem
-from safedual import (
-    ExperimentConfig,
-    GeneratorConfig,
-    ProblemBatch,
-    baselines,
-    compute_constants,
-    generate_random,
-    harness,
-    problem_hash,
-    run_experiment,
-    solve_optimal,
-)
+from safedual import baselines, harness
 from safedual.harness import (
     ALGORITHMS,
     STARTS,
     ConfigError,
+    ExperimentConfig,
     TraceMismatchError,
     aggregate,
     available_workers,
@@ -35,10 +25,19 @@ from safedual.harness import (
     report,
     run_algorithm,
     run_batch,
+    run_experiment,
     run_trial,
     run_trials,
     trial_blocks,
     trial_trace_path,
+)
+from safedual.oracle import solve_optimal
+from safedual.problem import (
+    GeneratorConfig,
+    ProblemBatch,
+    compute_constants,
+    generate_random,
+    problem_hash,
 )
 from safedual.trace import METRIC_COLUMNS, read_trace_csv
 

@@ -4,18 +4,16 @@ import numpy as np
 import pytest
 
 from conftest import grid_search_optimum, random_valid_problem
-from safedual import (
-    GeneratorConfig,
-    NumProblem,
-    UtilitySpec,
+from safedual import oracle
+from safedual.harness import derive_trial_seed
+from safedual.oracle import (
+    MAX_ITERATIONS,
+    OracleConvergenceError,
     dual_value,
-    generate_random,
     kkt_residual,
     solve_optimal,
 )
-from safedual import oracle
-from safedual.harness import derive_trial_seed
-from safedual.oracle import MAX_ITERATIONS, OracleConvergenceError
+from safedual.problem import GeneratorConfig, NumProblem, UtilitySpec, generate_random
 
 
 def grid_case(case):

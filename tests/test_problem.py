@@ -5,22 +5,20 @@ import numpy as np
 import pytest
 
 from conftest import charpoly_eigen_max, random_valid_problem
-from safedual import (
+from safedual.harness import derive_trial_seed
+from safedual.problem import (
     GeneratorConfig,
     NumProblem,
     ProblemBatch,
     UtilitySpec,
     compute_constants,
     generate_random,
-    problem_hash,
-    validate,
-)
-from safedual.harness import derive_trial_seed
-from safedual.problem import (
     load_problem,
     problem_from_dict,
+    problem_hash,
     problem_to_dict,
     save_problem,
+    validate,
 )
 
 

@@ -9,13 +9,12 @@ from conftest import (
     sdgm_dual_floor,
     sdgm_shut_off_through,
 )
-from safedual import (
+from safedual.agents import best_response_profile
+from safedual.harness import run_algorithm
+from safedual.problem import NumProblem, UtilitySpec, compute_constants
+from safedual.sdgm import (
     DualState,
-    NumProblem,
     SdgmParams,
-    UtilitySpec,
-    best_response_profile,
-    compute_constants,
     default_gamma,
     dual_step,
     regret_bound,
@@ -24,7 +23,6 @@ from safedual import (
     safety_margin,
     step_sizes,
 )
-from safedual.harness import run_algorithm
 
 
 def flat_params(gamma, lambda_bar, m):

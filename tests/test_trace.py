@@ -5,8 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from safedual import TrialTrace, build_trace
-from safedual.trace import CHUNK, CSV_HEADER, read_trace_csv, write_rows
+from safedual.trace import CHUNK, CSV_HEADER, TrialTrace, build_trace, read_trace_csv, write_rows
 
 SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 0.1, 1e300, -2.5, 1.0 / 3.0]
 # the optimum of the `tiny` network: both users at 0.5 on the unit link
