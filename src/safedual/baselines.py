@@ -53,9 +53,10 @@ def start_fdgm(batch: ProblemBatch, constants):
     """Start dual and update of accelerated projected gradient on the dual
     with step 1/L, for run_pricing.
 
-    Demand is evaluated at the extrapolation point, which is clamped to the
-    non-negative orthant so prices stay valid.  The update keeps the last
-    iterate, so each start serves one run.
+    Demand is evaluated at the extrapolation point, which is floored at half
+    the last posted dual, as NDGM's step is: a clamp at zero alone can zero
+    every price a user sees.  The update keeps the last iterate, so each
+    start serves one run.
     """
     inv_l = batch.per_row([1.0 / c.dual_smoothness for c in constants])
     lam = batch.per_row([c.lambda_bar for c in constants])
@@ -63,7 +64,7 @@ def start_fdgm(batch: ProblemBatch, constants):
     def extrapolate(y, x, load, t):
         nonlocal lam
         lam_next = ascent_step(y, load, batch, inv_l)
-        y = np.maximum(0.0, lam_next + (t - 1) / (t + 2) * (lam_next - lam))
+        y = np.maximum(0.5 * y, lam_next + (t - 1) / (t + 2) * (lam_next - lam))
         lam = lam_next
         return y
 

@@ -125,7 +125,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown algorithms: {sorted(unknown)}")
         if len(set(self.algorithms)) != len(self.algorithms):
             raise ValueError(f"repeated algorithms: {list(self.algorithms)}")
-        if self.gamma is not None and not (is_real(self.gamma) and 0 < self.gamma < math.inf):
+        if self.gamma is not None and not (is_real(self.gamma) and self.gamma > 0):
             raise ValueError(f"gamma must be positive and finite, got {self.gamma!r}")
         if self.gamma is not None and "SDGM" not in self.algorithms:
             raise ValueError(
@@ -220,9 +220,9 @@ def run_batch(
     if table is None:
         table = np.empty((len(METRIC_COLUMNS), horizon, copies, batch.size))
     fused = ProblemBatch(batch.problems * copies)
-    record = TraceRecorder(fused, table, np.tile(x_star, copies))
+    record = TraceRecorder(fused, table, np.tile(x_star, copies), np.tile(f_stars, copies))
     sdgm.run_pricing(fused, *_fuse(starts, batch.m, batch.n), horizon, record)
-    return record.traces(algorithms, trial_ids, f_stars)
+    return record.traces(algorithms, trial_ids)
 
 
 def run_algorithm(
@@ -250,15 +250,17 @@ def _prepare_trial(config: ExperimentConfig, trial_id: int):
     """Generate one trial, derive its constants, solve its reference optimum
     and store that in oracle_cache/, which no run reads back.  The file is
     written whole under a temporary name: a run cut short leaves none half
-    written."""
+    written.  The manifest entry holds the optimum too, x* and lambda* as
+    the file does."""
     seed = derive_trial_seed(config.master_seed, trial_id)
     problem = generate_random(replace(config.generator, seed=seed))
     constants = compute_constants(problem)
     solution = oracle.solve_optimal(problem)
+    optimum = solution.to_dict()
     path = os.path.join(config.output_dir, "oracle_cache", f"{problem_hash(problem)}.json")
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w") as fh:
-        json.dump(solution.to_dict(), fh)
+        json.dump(optimum, fh)
     os.replace(tmp, path)
     gamma = config.gamma if config.gamma is not None else sdgm.default_gamma(constants, problem)
     meta = {
@@ -273,6 +275,8 @@ def _prepare_trial(config: ExperimentConfig, trial_id: int):
         "c_l1": constants.c_l1,
         "regret_constant": sdgm.regret_constant(constants, problem),
         "f_star": solution.f_star,
+        "x_star": optimum["x_star"],
+        "lambda_star": optimum["lambda_star"],
         "kkt_residual": solution.kkt_residual,
         "oracle_iterations": solution.iterations_used,
     }

@@ -27,8 +27,10 @@ def is_integer(value) -> bool:
 
 
 def is_real(value) -> bool:
-    """Whether a setting is a real number: an int or a float, not a bool or a string."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """Whether a setting is a finite real number: an int or a float, not a bool
+    or a string, and no inf, no NaN and no int too large for a float."""
+    real = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return real and abs(value) <= sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -114,14 +116,12 @@ class GeneratorConfig:
                  "capacity_value": [self.capacity_value]}
         for name, values in reals.items():
             if not all(map(is_real, values)):
-                raise ValueError(f"{name} must hold real numbers, got {getattr(self, name)!r}")
-            # finite as a float: no inf, no NaN, and no int too large to convert
-            if not all(abs(v) <= sys.float_info.max for v in values):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+                raise ValueError(f"{name} must hold finite reals, got {getattr(self, name)!r}")
         for name in ("n_range", "m_range"):
             low, high = getattr(self, name)
-            if not (is_integer(low) and is_integer(high)) or low < 1:
-                raise ValueError(f"{name} must hold integers from 1 up, not {low!r}..{high!r}")
+            # rng.integers draws the sizes as int64
+            if not (is_integer(low) and is_integer(high)) or low < 1 or high >= 2**63:
+                raise ValueError(f"{name} must hold int64s from 1 up, not {low!r}..{high!r}")
             if low > high:
                 raise ValueError(f"{name} {low}..{high} is empty")
         if not self.theta_range[0] > 0:

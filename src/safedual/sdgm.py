@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .agents import best_response_profile
-from .problem import NumProblem, ProblemBatch, ProblemConstants
+from .problem import NumProblem, ProblemBatch, ProblemConstants, is_real
 from .trace import build_trace  # unused here; kept as a wrap point of bench/tracer.py
 
 
@@ -32,7 +32,7 @@ class SdgmParams:
 
     @classmethod
     def from_constants(cls, constants: ProblemConstants, gamma: float) -> "SdgmParams":
-        if not 0 < gamma < math.inf:
+        if not (is_real(gamma) and gamma > 0):
             raise ValueError(f"gamma must be positive and finite, got {gamma}")
         return cls(
             gamma=float(gamma),

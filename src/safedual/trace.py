@@ -8,25 +8,12 @@ trace is measured against its trial's optimum: ||x_t - x*|| and sum f* - f(x_t).
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .problem import NumProblem, ProblemBatch
 
-CSV_COLUMNS = (
-    "trial_id",
-    "algorithm",
-    "t",
-    "objective",
-    "regret_cum",
-    "infeasibility",
-    "distance_to_opt",
-    "max_lambda",
-    "min_slack",
-)
-CSV_HEADER = ",".join(CSV_COLUMNS)
-METRIC_COLUMNS = CSV_COLUMNS[3:]
 # Rows that write_rows formats at a time, so the values and text it holds at
 # once stay this size whatever the file's length.
 CHUNK = 1024
@@ -77,21 +64,8 @@ class TrialTrace:
             write_rows(fh, prefix, self.iterations(), self.metrics().values())
 
 
-def round_metrics(
-    batch: ProblemBatch, x: np.ndarray, lam: np.ndarray, load: np.ndarray, x_star: np.ndarray
-):
-    """Each trial's objective, infeasibility, distance to x_star, max dual and
-    min slack in one round, from the demand x, its load A x and the duals."""
-    slack = batch.capacities - load
-    excess = np.maximum(-slack, 0.0)
-    gap = x - x_star
-    return (
-        batch.user_sums(batch.theta * np.log(x + batch.shift)),
-        np.sqrt(batch.row_sums(excess * excess)),
-        np.sqrt(batch.user_sums(gap * gap)),
-        batch.row_max(lam),
-        batch.row_min(slack),
-    )
+METRIC_COLUMNS = tuple(f.name for f in fields(TrialTrace))[2:]
+CSV_HEADER = ",".join(("trial_id", "algorithm", "t", *METRIC_COLUMNS))
 
 
 class TraceRecorder:
@@ -100,30 +74,43 @@ class TraceRecorder:
     `table` is a (metric, round, algorithm, trial) array, or a slice of one,
     with one entry per METRIC_COLUMNS; the batch holds its trials once per
     algorithm, algorithm by algorithm.  Holds no iterates.  `x_star` is the
-    batch's reference optima, concatenated.
+    batch's reference optima, concatenated, and `f_star` their values, one
+    per trial of the batch.  Every column of a round is final once that
+    round is recorded.
     """
 
-    COLUMNS = ("objective", "infeasibility", "distance_to_opt", "max_lambda", "min_slack")
-
-    def __init__(self, batch: ProblemBatch, table: np.ndarray, x_star: np.ndarray):
+    def __init__(self, batch: ProblemBatch, table: np.ndarray, x_star: np.ndarray, f_star):
         self.batch = batch
         self.table = table
         self.x_star = np.asarray(x_star, float)
-        self.columns = [table[METRIC_COLUMNS.index(name)] for name in self.COLUMNS]
+        self.f_star = np.asarray(f_star, float)
+        self.regret = table[METRIC_COLUMNS.index("regret_cum")]
 
     def __call__(self, t: int, x: np.ndarray, lam: np.ndarray, load: np.ndarray) -> None:
-        metrics = round_metrics(self.batch, x, lam, load, self.x_star)
-        for column, values in zip(self.columns, metrics):
-            column[t - 1] = values.reshape(column.shape[1:])
+        """Record round t, every metric in METRIC_COLUMNS order, from the
+        demand x, its load A x and the duals; the regret is the previous
+        round's plus this round's f_star - objective."""
+        batch = self.batch
+        slack = batch.capacities - load
+        excess = np.maximum(-slack, 0.0)
+        gap = x - self.x_star
+        objective = batch.user_sums(batch.theta * np.log(x + batch.shift))
+        regret = self.f_star - objective
+        if t > 1:
+            regret += self.regret[t - 2].ravel()
+        row = self.table[:, t - 1]
+        row[...] = np.reshape([
+            objective,
+            regret,
+            np.sqrt(batch.row_sums(excess * excess)),
+            np.sqrt(batch.user_sums(gap * gap)),
+            batch.row_max(lam),
+            batch.row_min(slack),
+        ], row.shape)
 
-    def traces(self, algorithms, trial_ids, f_stars) -> list[TrialTrace]:
-        """Fill the regret column, the running sum of each trial's f_star -
-        objective, and view the table as one trace per (algorithm, trial),
-        algorithm by algorithm; their columns are views of the table."""
-        objective = self.table[METRIC_COLUMNS.index("objective")]
-        regret = self.table[METRIC_COLUMNS.index("regret_cum")]
-        np.subtract(np.asarray(f_stars, float), objective, out=regret)
-        np.cumsum(regret, axis=0, out=regret)
+    def traces(self, algorithms, trial_ids) -> list[TrialTrace]:
+        """The table as one trace per (algorithm, trial), algorithm by
+        algorithm; their columns are views of the table."""
         return [
             TrialTrace(trial_id, algorithm, *self.table[:, :, a, k])
             for a, algorithm in enumerate(algorithms)
@@ -146,10 +133,11 @@ def build_trace(
     x_hist = np.asarray(x_hist, float)
     lam_hist = np.asarray(lam_hist, float)
     batch = ProblemBatch([problem])
-    record = TraceRecorder(batch, np.empty((len(METRIC_COLUMNS), len(x_hist), 1, 1)), x_star)
+    table = np.empty((len(METRIC_COLUMNS), len(x_hist), 1, 1))
+    record = TraceRecorder(batch, table, x_star, [f_star])
     for t, (x, lam) in enumerate(zip(x_hist, lam_hist), start=1):
         record(t, x, lam, batch.a_matrix @ x)
-    return record.traces([algorithm], [trial_id], [f_star])[0]
+    return record.traces([algorithm], [trial_id])[0]
 
 
 def read_trace_csv(path) -> TrialTrace:
@@ -163,7 +151,8 @@ def read_trace_csv(path) -> TrialTrace:
             raise ValueError(f"empty trace file {path}")
         fh.seek(0)
         data = np.loadtxt(
-            fh, delimiter=",", skiprows=1, usecols=range(3, 9), comments=None, ndmin=2
+            fh, delimiter=",", skiprows=1, usecols=range(3, 3 + len(METRIC_COLUMNS)),
+            comments=None, ndmin=2,
         )
     return TrialTrace(
         trial_id=int(first[0]),

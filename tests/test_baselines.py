@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,16 @@ from safedual.baselines import (
     run_ndgm,
     start_dgm,
 )
+from safedual.harness import derive_trial_seed
 from safedual.oracle import dual_value
-from safedual.problem import NumProblem, ProblemBatch, UtilitySpec, compute_constants
+from safedual.problem import (
+    GeneratorConfig,
+    NumProblem,
+    ProblemBatch,
+    UtilitySpec,
+    compute_constants,
+    generate_random,
+)
 from safedual.sdgm import run_pricing
 
 
@@ -102,6 +112,21 @@ class TestFdgm:
         gap_d = dual_value(problem, lam_d[-1])
         # both are near-converged; allow a small relative slack on the tail
         assert gap_f <= gap_d + 1e-6 + 1e-7 * abs(gap_d)
+
+    @pytest.mark.parametrize("generator, master_seed, trial", [
+        (GeneratorConfig(), 1, 31),
+        (GeneratorConfig(), 1, 32),
+        (GeneratorConfig(), 1, 33),
+        (GeneratorConfig(n_range=(5, 10), m_range=(2, 5)), 0, 84),
+    ], ids=["seed1-trial31", "seed1-trial32", "seed1-trial33", "small-seed0-trial84"])
+    def test_prices_stay_positive_through_the_horizon(self, generator, master_seed, trial):
+        """The ensemble trials where a clamp at zero zeroed every price a user
+        saw run to the end: no posted dual falls below half the one before."""
+        problem = generate_random(replace(generator, seed=derive_trial_seed(master_seed, trial)))
+        x_hist, lam_hist = run_fdgm(problem, compute_constants(problem), 1000)
+        assert np.isfinite(x_hist).all()
+        assert (lam_hist[1:] >= 0.5 * lam_hist[:-1]).all()
+        assert (lam_hist @ problem.a_matrix > 0).all()
 
 
 class TestNdgm:

@@ -244,9 +244,11 @@ class TestCompareAndReport:
     ([], {"gamma": "0.5"}, "gamma"),
     ([], {"gamma": True}, "gamma"),
     ([], {"algorithms": "SDGM"}, "algorithms"),
+    ([], {"gamma": 10**400}, "gamma"),
 ], ids=["gamma-nan", "gamma-inf", "gamma-negative", "repeated-algorithm", "gamma-without-sdgm",
         "negative-seed", "float-trials", "bool-trials", "float-horizon", "float-workers",
-        "zero-workers", "float-master-seed", "str-gamma", "bool-gamma", "str-algorithms"])
+        "zero-workers", "float-master-seed", "str-gamma", "bool-gamma", "str-algorithms",
+        "huge-gamma"])
 def test_compare_refuses_bad_setting_before_any_trial(tmp_path, capsys, flags, settings, field):
     """A setting given as a flag or in the --config document is refused, naming
     its field, before the output directory is made."""
@@ -282,11 +284,12 @@ def test_compare_refuses_bad_setting_before_any_trial(tmp_path, capsys, flags, s
     ("n_range", 5),
     ("m_range", [2, 3, 4]),
     ("theta_range", [10]),
+    ("n_range", [1, 10**30]),
 ], ids=["bernoulli_p", "n_range", "m_range", "theta_range", "float-n_range", "float-m_range",
         "str-bernoulli_p", "str-capacity_value", "str-theta_range", "bool-theta_range",
         "float-seed", "negative-seed", "inf-capacity_value", "nan-capacity_value",
         "inf-theta_range", "nan-theta_range", "huge-theta_range", "scalar-n_range",
-        "triple-m_range", "single-theta_range"])
+        "triple-m_range", "single-theta_range", "huge-n_range"])
 def test_compare_refuses_bad_generator_setting_before_any_trial(tmp_path, capsys, field, value):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"generator": {field: value}}))

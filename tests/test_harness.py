@@ -31,7 +31,7 @@ from safedual.harness import (
     trial_blocks,
     trial_trace_path,
 )
-from safedual.oracle import solve_optimal
+from safedual.oracle import kkt_residual, solve_optimal
 from safedual.problem import (
     GeneratorConfig,
     ProblemBatch,
@@ -232,7 +232,27 @@ class TestBatching:
         ]
         assert texts == {name: full_texts[name] for name in texts}
 
-    def test_failing_trial_is_named_inside_a_batch(self, tmp_path):
+    @pytest.fixture
+    def zeroing_fdgm(self, monkeypatch):
+        """FDGM whose update zeroes the duals of the trial seeded
+        derive_trial_seed(1, 32), so from round 2 its user 0 faces price 0."""
+        doomed = derive_trial_seed(1, 32)
+        start_fdgm = baselines.start_fdgm
+
+        def zeroing(batch, constants):
+            lam, update = start_fdgm(batch, constants)
+            rows = np.array([problem.seed == doomed for problem in batch.problems])[batch.row_trial]
+
+            def step(lam, x, load, t):
+                lam_next = update(lam, x, load, t)
+                lam_next[rows] = 0.0
+                return lam_next
+
+            return lam, step
+
+        monkeypatch.setattr(baselines, "start_fdgm", zeroing)
+
+    def test_failing_trial_is_named_inside_a_batch(self, tmp_path, zeroing_fdgm):
         config = ExperimentConfig(
             master_seed=1, algorithms=("FDGM",), output_dir=str(tmp_path)
         )
@@ -242,7 +262,7 @@ class TestBatching:
         with pytest.raises(RuntimeError, match=expected):
             run_trials(config, range(31, 34))
 
-    def test_failing_trial_is_named_inside_a_fused_batch(self, tmp_path):
+    def test_failing_trial_is_named_inside_a_fused_batch(self, tmp_path, zeroing_fdgm):
         config = ExperimentConfig(master_seed=1, output_dir=str(tmp_path))
         os.makedirs(tmp_path / "traces")
         os.makedirs(tmp_path / "oracle_cache")
@@ -250,7 +270,7 @@ class TestBatching:
         with pytest.raises(RuntimeError, match=expected):
             run_trials(config, range(31, 34))
 
-    def test_failing_trial_is_named_inside_a_forked_block(self, tmp_path):
+    def test_failing_trial_is_named_inside_a_forked_block(self, tmp_path, zeroing_fdgm):
         """Trial 32 fails in the second of two blocks, which a forked worker prices."""
         config = ExperimentConfig(
             master_seed=1, algorithms=("FDGM",), trials=34, workers=2, output_dir=str(tmp_path)
@@ -333,6 +353,23 @@ class TestRunExperiment:
         summary_a = Path(serial.output_dir, "summary.csv").read_text()
         summary_b = Path(parallel.output_dir, "summary.csv").read_text()
         assert summary_a == summary_b
+
+    def test_manifest_records_each_certified_optimum(self, tmp_path):
+        """Each manifest entry holds the optimum its cache file holds, and that
+        x* and lambda* certify on the network regenerated from its seed."""
+        config = small_config(tmp_path)
+        run_experiment(config)
+        manifest = json.loads(Path(config.output_dir, "manifest.json").read_text())
+        for meta in manifest["trials"]:
+            problem = generate_random(replace(config.generator, seed=meta["seed"]))
+            x_star, lambda_star = np.array(meta["x_star"]), np.array(meta["lambda_star"])
+            assert kkt_residual(problem, x_star, lambda_star) <= 1e-8
+            cached = json.loads(Path(
+                config.output_dir, "oracle_cache", f"{problem_hash(problem)}.json"
+            ).read_text())
+            assert (meta["x_star"], meta["lambda_star"]) == (
+                cached["x_star"], cached["lambda_star"]
+            )
 
     def test_repeat_run_rewrites_the_same_optima(self, tmp_path):
         """A rerun into the same directory solves every optimum again and

@@ -49,7 +49,8 @@ class TestStepSizes:
         with pytest.raises(ValueError):
             SdgmParams.from_constants(tiny_constants, gamma=0.0)
 
-    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf, 10**400],
+                             ids=["nan", "inf", "-inf", "huge-int"])
     def test_rejects_non_finite_gamma(self, tiny_constants, gamma):
         with pytest.raises(ValueError):
             SdgmParams.from_constants(tiny_constants, gamma=gamma)
