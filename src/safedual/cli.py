@@ -66,8 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--algorithms", type=lambda names: tuple(names.split(",")),
                       help="comma-separated subset, e.g. SDGM,DGM")
     cmp_.add_argument("--out", dest="output_dir", help="output directory")
-    cmp_.add_argument("--workers", type=int,
-                      help="processes, the caller included (default: the usable CPUs)")
 
     rep = sub.add_parser("report", help="re-aggregate existing traces")
     rep.set_defaults(handler=_cmd_report)

@@ -15,8 +15,10 @@ each trace CSV and each algorithm's section of summary.csv is one unit,
 dealt by its cost; the sections go to part files that the caller joins
 behind the header.  `report` refills such a table from the trace CSVs,
 split evenly file by file, then reduces it and writes its sections the same
-way.  Everything is a pure function of the master seed, regardless of
-worker count and batch size.
+way.  A run and `report` each work out their worker count once, the
+caller included: the CPUs in the process's affinity mask (limit it with
+`taskset -c`), or 1 where processes cannot fork.  Everything is a pure function of the master seed,
+regardless of worker count and batch size.
 """
 from __future__ import annotations
 
@@ -84,13 +86,9 @@ def _from_fields(cls, doc: dict):
     return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()})
 
 
-def _can_fork() -> bool:
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
 def available_workers() -> int:
     """The CPUs this process may run on, or 1 where it cannot fork workers."""
-    if not hasattr(os, "sched_getaffinity") or not _can_fork():
+    if not hasattr(os, "sched_getaffinity") or "fork" not in multiprocessing.get_all_start_methods():
         return 1
     return len(os.sched_getaffinity(0))
 
@@ -104,16 +102,13 @@ class ExperimentConfig:
     master_seed: int = 0
     output_dir: str = "results"
     gamma: float | None = None  # overrides the tuned base step of the safe method
-    workers: int = field(default_factory=available_workers)  # the caller is one of them
 
     def check(self):
-        for name, least in (("trials", 1), ("horizon", 1), ("workers", 1), ("master_seed", 0)):
+        for name, least in (("trials", 1), ("horizon", 1), ("master_seed", 0)):
             value = getattr(self, name)
             if not is_integer(value) or value < least:
                 raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
         self.generator.check()  # after master_seed, which --seed also sets as its seed
-        if self.workers > 1 and not _can_fork():
-            raise ValueError(f"workers must be 1 where processes cannot fork, got {self.workers}")
         if not isinstance(self.algorithms, (list, tuple)) or not all(
             isinstance(name, str) for name in self.algorithms
         ):
@@ -312,25 +307,14 @@ def _price_block(config: ExperimentConfig, prepared, table) -> list[TrialTrace]:
     return traces
 
 
-def run_trials(config: ExperimentConfig, trial_ids) -> tuple[list[dict], list[TrialTrace]]:
-    """Run a block of trials as one batch, in this process.
-
-    Prepares each trial, runs the selected algorithms together over the
-    batch, then writes one CSV per (trial, algorithm) under the output
-    directory.
-    Returns the trials' manifest entries and their traces.
-    """
-    prepared = _prepare_trials(config, trial_ids)
+def run_trial(config: ExperimentConfig, trial_id: int) -> tuple[dict, list[TrialTrace]]:
+    """One trial as a batch of one, in this process: its manifest entry and
+    its traces, each also written as its CSV under the output directory."""
+    prepared = _prepare_trials(config, [trial_id])
     traces = _price_block(config, prepared, None)
     for trace in traces:
         trace.write_csv(trial_trace_path(config.output_dir, trace.trial_id, trace.algorithm))
-    return [meta for *_, meta in prepared], traces
-
-
-def run_trial(config: ExperimentConfig, trial_id: int) -> tuple[dict, list[TrialTrace]]:
-    """One trial as a batch of one: its manifest entry and its traces."""
-    metas, traces = run_trials(config, [trial_id])
-    return metas[0], traces
+    return prepared[0][-1], traces
 
 
 def trial_blocks(trials: int, workers: int) -> list[range]:
@@ -481,14 +465,14 @@ def run_experiment(config: ExperimentConfig) -> SummaryStats:
     os.makedirs(os.path.join(config.output_dir, "oracle_cache"), exist_ok=True)
     prepared = _prepare_trials(config, range(config.trials))
     table = _shared_table(config, config.trials)
-    blocks = trial_blocks(config.trials, config.workers)
+    workers = available_workers()
 
     def price(block) -> None:
         _price_block(config, prepared[block.start:block.stop], table[..., block.start:block.stop])
 
-    fan_out(price, blocks)
+    fan_out(price, trial_blocks(config.trials, workers))
     summary = aggregate(table, config.algorithms, range(config.trials))
-    _write_tables(config.output_dir, summary, config.workers, table)
+    _write_tables(config.output_dir, summary, workers, table)
     _write_artifacts(config, [meta for *_, meta in prepared], summary)
     return summary
 
@@ -496,14 +480,22 @@ def run_experiment(config: ExperimentConfig) -> SummaryStats:
 def report(output_dir: str) -> SummaryStats:
     """Re-aggregate the traces of the run that `manifest.json` records, in
     ascending trial order whatever the manifest's order, parsed and written
-    by as many processes as that run priced them with, or as this machine
-    can run if fewer.  A manifest that lists no trial, or one trial twice, is
-    refused."""
+    by as many processes as this machine can run.  A manifest whose config
+    `compare` would refuse, or that lists no trial, one trial twice or a
+    trial id that is not a non-negative integer, is refused before any
+    trace is read."""
     manifest_path = os.path.join(output_dir, "manifest.json")
     with open(manifest_path) as fh:
         manifest = json.load(fh)
     config = ExperimentConfig.from_dict(manifest["config"])
-    trial_ids = sorted(meta["trial_id"] for meta in manifest["trials"])
+    config.check()
+    trial_ids = [meta["trial_id"] for meta in manifest["trials"]]
+    for trial_id in trial_ids:
+        if not (is_integer(trial_id) and trial_id >= 0):
+            raise TraceMismatchError(
+                f"{manifest_path} lists trial id {trial_id!r}, not a non-negative integer"
+            )
+    trial_ids.sort()
     if not trial_ids:
         raise TraceMismatchError(f"{manifest_path} lists no trials")
     repeated = next((a for a, b in zip(trial_ids, trial_ids[1:]) if a == b), None)
@@ -530,7 +522,7 @@ def report(output_dir: str) -> SummaryStats:
                 )
             table[:, :, a, k] = [*trace.metrics().values()]
 
-    workers = min(config.workers, available_workers())
+    workers = available_workers()
     fan_out(parse, trial_blocks(len(files), workers))
     summary = aggregate(table, config.algorithms, trial_ids)
     _write_tables(output_dir, summary, workers)

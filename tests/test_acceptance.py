@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import grid_search_optimum, random_valid_problem, sdgm_shut_off_through
+from safedual import harness
 from safedual.agents import best_response, best_response_profile
 from safedual.harness import ExperimentConfig, run_experiment, trial_trace_path
 from safedual.oracle import dual_value, solve_optimal
@@ -60,7 +61,6 @@ def ensemble(tmp_path_factory):
         horizon=HORIZON,
         master_seed=MASTER_SEED,
         output_dir=out,
-        workers=min(4, os.cpu_count() or 1),
     )
     summary = run_experiment(config)
     with open(os.path.join(out, "manifest.json")) as fh:
@@ -334,17 +334,17 @@ def test_criterion_7_analytical_properties(ensemble, capsys):
     verdict(capsys, 7, all(checks.values()), detail)
 
 
-def test_criterion_8_reproducibility(tmp_path, capsys):
+def test_criterion_8_reproducibility(tmp_path, capsys, monkeypatch):
     """Identical seeds give byte-identical artifacts across worker counts."""
 
     def run(subdir, workers):
+        monkeypatch.setattr(harness, "available_workers", lambda: workers)
         config = ExperimentConfig(
             generator=GeneratorConfig(n_range=(4, 10), m_range=(2, 5)),
             trials=4,
             horizon=50,
             master_seed=123,
             output_dir=str(tmp_path / subdir),
-            workers=workers,
         )
         run_experiment(config)
         out = config.output_dir

@@ -7,6 +7,7 @@ from dataclasses import fields
 
 import pytest
 
+from safedual import harness
 from safedual.cli import _build_parser, main
 from safedual.harness import ALGORITHMS, ExperimentConfig, derive_trial_seed, trial_trace_path
 from safedual.problem import GeneratorConfig, load_problem
@@ -238,17 +239,14 @@ class TestCompareAndReport:
     ([], {"trials": 2.5}, "trials"),
     ([], {"trials": True}, "trials"),
     ([], {"horizon": 10.5, "trials": 1}, "horizon"),
-    ([], {"workers": 1.5}, "workers"),
-    ([], {"workers": 0}, "workers"),
     ([], {"master_seed": 1.5}, "master_seed"),
     ([], {"gamma": "0.5"}, "gamma"),
     ([], {"gamma": True}, "gamma"),
     ([], {"algorithms": "SDGM"}, "algorithms"),
     ([], {"gamma": 10**400}, "gamma"),
 ], ids=["gamma-nan", "gamma-inf", "gamma-negative", "repeated-algorithm", "gamma-without-sdgm",
-        "negative-seed", "float-trials", "bool-trials", "float-horizon", "float-workers",
-        "zero-workers", "float-master-seed", "str-gamma", "bool-gamma", "str-algorithms",
-        "huge-gamma"])
+        "negative-seed", "float-trials", "bool-trials", "float-horizon",
+        "float-master-seed", "str-gamma", "bool-gamma", "str-algorithms", "huge-gamma"])
 def test_compare_refuses_bad_setting_before_any_trial(tmp_path, capsys, flags, settings, field):
     """A setting given as a flag or in the --config document is refused, naming
     its field, before the output directory is made."""
@@ -314,29 +312,61 @@ def test_compare_refuses_config_that_is_not_an_object(tmp_path, capsys, doc):
     assert not out_dir.exists()
 
 
-def test_compare_and_report_write_the_same_bytes_for_any_workers(tmp_path, capsys):
+def compare_and_report(out_dir, capsys, trials=2, horizon=20):
+    """Every file but the manifest that `compare` then `report` leave, the
+    manifest without its output directory, and their stdout."""
+    assert main(["compare", "--seed", "3", "--trials", str(trials), "--horizon", str(horizon),
+                 "--out", str(out_dir)]) == 0
+    assert main(["report", "--out", str(out_dir)]) == 0
+    files = {
+        str(path.relative_to(out_dir)): path.read_bytes()
+        for path in out_dir.rglob("*") if path.is_file() and path.name != "manifest.json"
+    }
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["config"].pop("output_dir") == str(out_dir)
+    return files, manifest, capsys.readouterr().out
+
+
+def test_compare_and_report_write_the_same_bytes_for_any_workers(tmp_path, capsys, monkeypatch):
     """Every file and stdout of `compare` then `report` is the same whether the
     caller prices and writes alone or with one or two forked workers; the
-    manifest differs only in its output directory and worker count.  One
-    trial prices as one block but writes on every worker, and a horizon of
-    CHUNK + 6 rounds ends each CSV on a partial chunk of rows."""
+    manifest differs only in its output directory.  One trial prices as one
+    block but writes on every worker, and a horizon of CHUNK + 6 rounds ends
+    each CSV on a partial chunk of rows."""
     for trials, horizon in ((7, 40), (1, 40), (2, CHUNK + 6)):
         runs = []
         for workers in (1, 2, 3):
+            monkeypatch.setattr(harness, "available_workers", lambda: workers)
             out_dir = tmp_path / f"trials{trials}_horizon{horizon}_workers{workers}"
-            assert main(["compare", "--seed", "3", "--trials", str(trials), "--horizon", str(horizon),
-                         "--workers", str(workers), "--out", str(out_dir)]) == 0
-            assert main(["report", "--out", str(out_dir)]) == 0
-            files = {
-                str(path.relative_to(out_dir)): path.read_bytes()
-                for path in out_dir.rglob("*") if path.is_file() and path.name != "manifest.json"
-            }
-            manifest = json.loads((out_dir / "manifest.json").read_text())
-            assert manifest["config"].pop("workers") == workers
-            assert manifest["config"].pop("output_dir") == str(out_dir)
-            runs.append((files, manifest, capsys.readouterr().out))
+            runs.append(compare_and_report(out_dir, capsys, trials, horizon))
         assert len(runs[0][0]) == trials * len(ALGORITHMS) + trials + 2  # traces, optima, two tables
+        assert "workers" not in runs[0][1]["config"]
         assert runs[0] == runs[1] == runs[2]
+
+
+def test_compare_and_report_on_one_cpu_run_in_one_process(tmp_path, capsys, monkeypatch):
+    """With one CPU in the affinity mask, as under `taskset -c 0`, `compare`
+    and `report` start no worker and write the bytes of a default run."""
+    default = compare_and_report(tmp_path / "default", capsys)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("started a worker process")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    assert compare_and_report(tmp_path / "one_cpu", capsys) == default
+
+
+def test_compare_refuses_config_that_sets_workers(tmp_path, capsys):
+    """The worker count is worked out from the machine, never set: a config
+    document that holds one is refused, naming it."""
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"trials": 2, "horizon": 10, "workers": 1}))
+    out_dir = tmp_path / "exp"
+    assert main(["compare", "--config", str(config_path), "--out", str(out_dir)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and "workers" in err["message"]
+    assert not out_dir.exists()
 
 
 def test_cli_imports_no_heavy_dependency(tmp_path):

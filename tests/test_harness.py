@@ -27,7 +27,6 @@ from safedual.harness import (
     run_batch,
     run_experiment,
     run_trial,
-    run_trials,
     trial_blocks,
     trial_trace_path,
 )
@@ -75,7 +74,7 @@ class TestSeeds:
 
 class TestConfig:
     def test_round_trip(self, tmp_path):
-        config = small_config(tmp_path, gamma=0.7, workers=2)
+        config = small_config(tmp_path, gamma=0.7)
         doc = json.loads(json.dumps(config.to_dict()))  # tuples come back as lists
         assert ExperimentConfig.from_dict(doc) == config
 
@@ -99,15 +98,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(tmp_path, trials=0).check()
 
-    def test_workers_default_to_the_usable_cpus(self):
-        assert ExperimentConfig().workers == len(os.sched_getaffinity(0))
-
-    def test_check_refuses_workers_without_fork(self, tmp_path, monkeypatch):
+    def test_available_workers_are_the_usable_cpus_or_one_without_fork(self, monkeypatch):
+        assert available_workers() == len(os.sched_getaffinity(0))
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        assert ExperimentConfig().workers == 1
-        small_config(tmp_path, workers=1).check()
-        with pytest.raises(ValueError, match="workers"):
-            small_config(tmp_path, workers=2).check()
+        assert available_workers() == 1
 
 
 class TestRunTrial:
@@ -252,30 +246,31 @@ class TestBatching:
 
         monkeypatch.setattr(baselines, "start_fdgm", zeroing)
 
-    def test_failing_trial_is_named_inside_a_batch(self, tmp_path, zeroing_fdgm):
+    def test_failing_trial_is_named_inside_a_batch(self, tmp_path, zeroing_fdgm, monkeypatch):
+        """Trial 32 fails inside the one block of 34 trials, which the caller prices."""
+        monkeypatch.setattr(harness, "available_workers", lambda: 1)
         config = ExperimentConfig(
-            master_seed=1, algorithms=("FDGM",), output_dir=str(tmp_path)
+            master_seed=1, algorithms=("FDGM",), trials=34, output_dir=str(tmp_path)
         )
-        os.makedirs(tmp_path / "traces")
-        os.makedirs(tmp_path / "oracle_cache")
         expected = r"^trial 32 \(seed 5418039791164437117\) failed: user 0 faces price 0.0 "
         with pytest.raises(RuntimeError, match=expected):
-            run_trials(config, range(31, 34))
+            run_experiment(config)
 
-    def test_failing_trial_is_named_inside_a_fused_batch(self, tmp_path, zeroing_fdgm):
-        config = ExperimentConfig(master_seed=1, output_dir=str(tmp_path))
-        os.makedirs(tmp_path / "traces")
-        os.makedirs(tmp_path / "oracle_cache")
+    def test_failing_trial_is_named_inside_a_fused_batch(self, tmp_path, zeroing_fdgm, monkeypatch):
+        """As above, with every algorithm priced in one fused batch."""
+        monkeypatch.setattr(harness, "available_workers", lambda: 1)
+        config = ExperimentConfig(master_seed=1, trials=34, output_dir=str(tmp_path))
         expected = r"^trial 32 \(seed 5418039791164437117\) failed: user 0 faces price 0.0 "
         with pytest.raises(RuntimeError, match=expected):
-            run_trials(config, range(31, 34))
+            run_experiment(config)
 
-    def test_failing_trial_is_named_inside_a_forked_block(self, tmp_path, zeroing_fdgm):
+    def test_failing_trial_is_named_inside_a_forked_block(self, tmp_path, zeroing_fdgm, monkeypatch):
         """Trial 32 fails in the second of two blocks, which a forked worker prices."""
+        monkeypatch.setattr(harness, "available_workers", lambda: 2)
         config = ExperimentConfig(
-            master_seed=1, algorithms=("FDGM",), trials=34, workers=2, output_dir=str(tmp_path)
+            master_seed=1, algorithms=("FDGM",), trials=34, output_dir=str(tmp_path)
         )
-        assert 32 in trial_blocks(config.trials, config.workers)[1]
+        assert 32 in trial_blocks(config.trials, 2)[1]
         expected = r"^trial 32 \(seed 5418039791164437117\) failed: user 0 faces price 0.0 "
         with pytest.raises(RuntimeError, match=expected):
             run_experiment(config)
@@ -319,9 +314,10 @@ class TestRunExperiment:
         assert [m["trial_id"] for m in manifest["trials"]] == [0, 1, 2]
         assert len(os.listdir(os.path.join(out, "traces"))) == 3 * len(ALGORITHMS)
 
-    def test_regret_scaled_rows(self, tmp_path):
+    def test_regret_scaled_rows(self, tmp_path, monkeypatch):
         """One row per trial, in trial order: SDGM's R(T)/sqrt(T) from its trace."""
-        config = small_config(tmp_path, workers=2)
+        monkeypatch.setattr(harness, "available_workers", lambda: 2)
+        config = small_config(tmp_path)
         run_experiment(config)
         expected = ["trial_id,regret_final_over_sqrt_horizon"]
         for trial_id in range(config.trials):
@@ -344,10 +340,12 @@ class TestRunExperiment:
         assert summary.algorithms == ("SDGM", "DGM")
         assert len(os.listdir(os.path.join(config.output_dir, "traces"))) == 4
 
-    def test_serial_and_parallel_runs_are_byte_identical(self, tmp_path):
+    def test_serial_and_parallel_runs_are_byte_identical(self, tmp_path, monkeypatch):
         serial = small_config(tmp_path / "a")
-        parallel = small_config(tmp_path / "b", workers=2)
+        parallel = small_config(tmp_path / "b")
+        monkeypatch.setattr(harness, "available_workers", lambda: 1)
         run_experiment(serial)
+        monkeypatch.setattr(harness, "available_workers", lambda: 2)
         run_experiment(parallel)
         assert read_all(serial.output_dir) == read_all(parallel.output_dir)
         summary_a = Path(serial.output_dir, "summary.csv").read_text()
@@ -466,32 +464,17 @@ class TestAggregateAndReport:
         assert report(config.output_dir).trials == 20
         assert Path(summary_path).read_text() == compared
 
-    def test_report_refuses_manifest_without_trials(self, tmp_path, monkeypatch):
-        config = small_config(tmp_path, trials=2)
+    def _refusal(self, tmp_path, monkeypatch, edit, trials=2):
+        """What `report` raises on the manifest that `edit` leaves of a run of
+        `trials` trials, and the manifest's path.  It must raise before it
+        makes a trace table or starts a worker, and write no summary.csv."""
+        monkeypatch.setattr(harness, "available_workers", lambda: 2)
+        config = small_config(tmp_path, trials=trials)
         run_experiment(config)
         manifest_path = os.path.join(config.output_dir, "manifest.json")
         summary_path = os.path.join(config.output_dir, "summary.csv")
         manifest = json.loads(Path(manifest_path).read_text())
-        manifest["trials"] = []
-        with open(manifest_path, "w") as fh:
-            json.dump(manifest, fh)
-        os.remove(summary_path)
-
-        def no_table(*args, **kwargs):
-            raise AssertionError("report made a trace table")
-
-        monkeypatch.setattr(harness, "_shared_table", no_table)
-        with pytest.raises(TraceMismatchError, match=re.escape(manifest_path)):
-            report(config.output_dir)
-        assert not os.path.exists(summary_path)
-
-    def test_report_refuses_manifest_with_repeated_trial(self, tmp_path, monkeypatch):
-        config = small_config(tmp_path, trials=3, workers=2)
-        run_experiment(config)
-        manifest_path = os.path.join(config.output_dir, "manifest.json")
-        summary_path = os.path.join(config.output_dir, "summary.csv")
-        manifest = json.loads(Path(manifest_path).read_text())
-        manifest["trials"].append(manifest["trials"][1])
+        edit(manifest)
         with open(manifest_path, "w") as fh:
             json.dump(manifest, fh)
         os.remove(summary_path)
@@ -501,38 +484,53 @@ class TestAggregateAndReport:
 
         monkeypatch.setattr(harness, "_shared_table", refused)
         monkeypatch.setattr(harness, "ProcessPoolExecutor", refused)
-        with pytest.raises(TraceMismatchError, match=rf"^{re.escape(manifest_path)} .*trial 1\b"):
+        with pytest.raises(Exception) as raised:
             report(config.output_dir)
         assert not os.path.exists(summary_path)
+        return raised.value, manifest_path
 
-    def test_report_summary_does_not_depend_on_recorded_workers(self, tmp_path):
-        config = small_config(tmp_path, trials=5, workers=1)
-        run_experiment(config)
-        manifest_path = os.path.join(config.output_dir, "manifest.json")
-        summary_path = os.path.join(config.output_dir, "summary.csv")
-        compared = Path(summary_path).read_text()
-        manifest = json.loads(Path(manifest_path).read_text())
-        for workers in (1, 2):
-            manifest["config"]["workers"] = workers
-            with open(manifest_path, "w") as fh:
-                json.dump(manifest, fh)
-            os.remove(summary_path)
-            assert report(config.output_dir).trials == 5
-            assert Path(summary_path).read_text() == compared
+    def test_report_refuses_manifest_without_trials(self, tmp_path, monkeypatch):
+        error, manifest_path = self._refusal(tmp_path, monkeypatch, lambda m: m["trials"].clear())
+        assert type(error) is TraceMismatchError
+        assert re.search(re.escape(manifest_path), str(error))
 
-    def _record_workers(self, config, workers):
-        manifest_path = os.path.join(config.output_dir, "manifest.json")
-        manifest = json.loads(Path(manifest_path).read_text())
-        manifest["config"]["workers"] = workers
-        with open(manifest_path, "w") as fh:
-            json.dump(manifest, fh)
+    def test_report_refuses_manifest_with_repeated_trial(self, tmp_path, monkeypatch):
+        def repeat(manifest):
+            manifest["trials"].append(manifest["trials"][1])
+
+        error, manifest_path = self._refusal(tmp_path, monkeypatch, repeat, trials=3)
+        assert type(error) is TraceMismatchError
+        assert re.match(rf"^{re.escape(manifest_path)} .*trial 1\b", str(error))
+
+    @pytest.mark.parametrize("settings, error_type, message", [
+        ({"algorithms": []}, ValueError, "no algorithms"),
+        ({"algorithms": ["SDGM", "SDGM"]}, ValueError, "repeated algorithms"),
+        ({"horizon": "30"}, ValueError, "horizon"),
+        ({"workers": 2}, ConfigError, "workers"),
+    ], ids=["no-algorithms", "repeated-algorithm", "str-horizon", "recorded-workers"])
+    def test_report_refuses_manifest_with_bad_setting(
+        self, tmp_path, monkeypatch, settings, error_type, message
+    ):
+        """A config that `compare` refuses, or one that names a field the
+        config does not have, such as the worker count older manifests record."""
+        error, _ = self._refusal(tmp_path, monkeypatch, lambda m: m["config"].update(settings))
+        assert type(error) is error_type and message in str(error)
+
+    @pytest.mark.parametrize("trial_id", [0.0, "0", -1, True, None],
+                             ids=["float", "str", "negative", "bool", "null"])
+    def test_report_refuses_manifest_with_bad_trial_id(self, tmp_path, monkeypatch, trial_id):
+        def replace_first(manifest):
+            manifest["trials"][0]["trial_id"] = trial_id
+
+        error, manifest_path = self._refusal(tmp_path, monkeypatch, replace_first)
+        assert type(error) is TraceMismatchError
+        assert str(error).startswith(f"{manifest_path} lists trial id {trial_id!r}")
 
     def test_report_forks_no_more_workers_than_this_machine_runs(self, tmp_path, monkeypatch):
-        config = small_config(tmp_path, trials=8, workers=1)
+        config = small_config(tmp_path, trials=8)
         run_experiment(config)
         summary_path = os.path.join(config.output_dir, "summary.csv")
         compared = Path(summary_path).read_text()
-        self._record_workers(config, 8)
         pools = []
 
         class RecordingPool(harness.ProcessPoolExecutor):
@@ -548,11 +546,10 @@ class TestAggregateAndReport:
 
     def test_report_reads_in_process_without_fork(self, tmp_path, monkeypatch):
         """As on a platform without fork: one process."""
-        config = small_config(tmp_path, workers=1)
+        config = small_config(tmp_path)
         run_experiment(config)
         summary_path = os.path.join(config.output_dir, "summary.csv")
         compared = Path(summary_path).read_text()
-        self._record_workers(config, 2)
 
         def no_pool(*args, **kwargs):
             raise AssertionError("report started a worker process")
@@ -577,7 +574,8 @@ class TestAggregateAndReport:
     def test_no_summary_part_file_outlives_a_run(self, tmp_path, monkeypatch, workers):
         """Neither compare nor report leaves a part file of summary.csv, whether
         it ends normally or writing a section fails."""
-        config = small_config(tmp_path, workers=workers)
+        monkeypatch.setattr(harness, "available_workers", lambda: workers)
+        config = small_config(tmp_path)
 
         def parts():
             return [name for name in os.listdir(config.output_dir) if name.startswith("summary.csv.")]
@@ -604,7 +602,8 @@ class TestAggregateAndReport:
     def test_summary_header_and_sections_end_lines_alike(self, tmp_path, monkeypatch):
         """As where text files end lines with \\r\\n: the header and the joined
         sections of summary.csv all do."""
-        config = small_config(tmp_path, workers=2)
+        monkeypatch.setattr(harness, "available_workers", lambda: 2)
+        config = small_config(tmp_path)
         run_experiment(config)
         path = Path(config.output_dir, "summary.csv")
         written = path.read_bytes()

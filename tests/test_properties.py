@@ -10,10 +10,12 @@ byte for byte.
 import os
 import re
 import tempfile
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from safedual import harness
 from safedual.agents import UnboundedSubproblemError
 from safedual.harness import ExperimentConfig, report, run_experiment, trial_trace_path
 from safedual.oracle import OracleConvergenceError
@@ -50,10 +52,12 @@ def generators(draw):
     horizon=st.integers(1, 50),
 )
 def test_compare_finishes_safe_or_names_a_typed_failure(generator, master_seed, trials, horizon):
-    with tempfile.TemporaryDirectory() as out:
+    with tempfile.TemporaryDirectory() as out, mock.patch.object(
+        harness, "available_workers", return_value=1
+    ):
         config = ExperimentConfig(
             generator=generator, horizon=horizon, trials=trials, master_seed=master_seed,
-            output_dir=out, workers=1,
+            output_dir=out,
         )
         try:
             run_experiment(config)
