@@ -98,10 +98,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(tmp_path, trials=0).check()
 
-    def test_available_workers_are_the_usable_cpus_or_one_without_fork(self, monkeypatch):
+    def test_workers_default_to_the_usable_cpus(self):
         assert available_workers() == len(os.sched_getaffinity(0))
+
+    def test_check_refuses_workers_without_fork(self, tmp_path, monkeypatch):
+        # Without fork the count falls to one process; a good config still passes check(),
+        # and a document that tries to set a worker count is refused by name.
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         assert available_workers() == 1
+        config = small_config(tmp_path)
+        config.check()
+        with pytest.raises(ConfigError, match="workers"):
+            ExperimentConfig.from_dict({**config.to_dict(), "workers": 2})
 
 
 class TestRunTrial:
