@@ -32,6 +32,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
+from itertools import zip_longest
 
 import numpy as np
 
@@ -187,10 +188,7 @@ def _fuse(starts, m: int, n: int):
     ]
 
     def update(lam, x, load, t):
-        lam_next = np.empty_like(lam)
-        for step, rows, users in parts:
-            lam_next[rows] = step(lam[rows], x[users], load[rows], t)
-        return lam_next
+        return np.concatenate([step(lam[rows], x[users], load[rows], t) for step, rows, users in parts])
 
     return np.concatenate([lam for lam, _ in starts]), update
 
@@ -481,9 +479,10 @@ def report(output_dir: str) -> SummaryStats:
     """Re-aggregate the traces of the run that `manifest.json` records, in
     ascending trial order whatever the manifest's order, parsed and written
     by as many processes as this machine can run.  A manifest whose config
-    `compare` would refuse, or that lists no trial, one trial twice or a
-    trial id that is not a non-negative integer, is refused before any
-    trace is read."""
+    `compare` would refuse, that lists a trial id that is not a
+    non-negative integer, or whose ids are not each of 0 to config.trials -
+    1 once, as `compare` writes them, is refused before any trace is
+    read."""
     manifest_path = os.path.join(output_dir, "manifest.json")
     with open(manifest_path) as fh:
         manifest = json.load(fh)
@@ -496,11 +495,15 @@ def report(output_dir: str) -> SummaryStats:
                 f"{manifest_path} lists trial id {trial_id!r}, not a non-negative integer"
             )
     trial_ids.sort()
-    if not trial_ids:
-        raise TraceMismatchError(f"{manifest_path} lists no trials")
-    repeated = next((a for a, b in zip(trial_ids, trial_ids[1:]) if a == b), None)
-    if repeated is not None:
-        raise TraceMismatchError(f"{manifest_path} lists trial {repeated} more than once")
+    for k, (listed, expected) in enumerate(zip_longest(trial_ids, range(config.trials))):
+        if listed is not None and listed < k:
+            raise TraceMismatchError(f"{manifest_path} lists trial {listed} more than once")
+        if expected is None:
+            raise TraceMismatchError(
+                f"{manifest_path} lists trial {listed}, beyond its {config.trials} trials"
+            )
+        if listed != expected:
+            raise TraceMismatchError(f"{manifest_path} lacks trial {expected}")
     table = _shared_table(config, len(trial_ids))
     files = [(k, a) for k in range(len(trial_ids)) for a in range(len(config.algorithms))]
 

@@ -308,17 +308,29 @@ class ProblemBatch:
         """One value per trial, repeated over that trial's constraint rows."""
         return np.repeat(np.asarray(values, dtype=float), self.m_sizes)
 
+    # The per-trial reductions below reduce the last axis of `values`, one
+    # entry per user or per constraint row; any leading axis is kept.  The
+    # sums are bincounts, which add each trial's entries in input order, so a
+    # trial's sum is the same whatever the leading axes.
+
     def user_sums(self, values: np.ndarray) -> np.ndarray:
-        return np.bincount(self.user_trial, weights=values, minlength=self.size)
+        return self._trial_sums(self.user_trial, values)
 
     def row_sums(self, values: np.ndarray) -> np.ndarray:
-        return np.bincount(self.row_trial, weights=values, minlength=self.size)
+        return self._trial_sums(self.row_trial, values)
 
     def row_max(self, values: np.ndarray) -> np.ndarray:
-        return np.maximum.reduceat(values, self.row_start[:-1])
+        return np.maximum.reduceat(values, self.row_start[:-1], axis=-1)
 
     def row_min(self, values: np.ndarray) -> np.ndarray:
-        return np.minimum.reduceat(values, self.row_start[:-1])
+        return np.minimum.reduceat(values, self.row_start[:-1], axis=-1)
+
+    def _trial_sums(self, owner: np.ndarray, values: np.ndarray) -> np.ndarray:
+        lead = values.shape[:-1]
+        cells = math.prod(lead)
+        bins = (np.arange(cells)[:, None] * self.size + owner).ravel()
+        sums = np.bincount(bins, weights=values.ravel(), minlength=cells * self.size)
+        return sums.reshape(*lead, self.size)
 
     def locate_user(self, user: int) -> tuple[int, int]:
         """(trial position, user index within that trial) of a flat user index."""

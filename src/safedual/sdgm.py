@@ -78,7 +78,8 @@ def safe_step(
     `problem` may be a ProblemBatch with params from SdgmParams.stack.
     """
     gamma_minus, gamma_plus = step_sizes(params, t, problem.row_m)
-    shifted = load + safety_margin(params, t) - problem.capacities
+    # safety_margin(params, t), from the step already at hand
+    shifted = load + params.margin_scale * gamma_minus - problem.capacities
     down = np.maximum(0.0, lam - gamma_minus)
     up = np.minimum(params.lambda_bar, lam + gamma_plus)
     return np.where(shifted < 0, down, up)
@@ -121,9 +122,11 @@ def run_pricing(batch: ProblemBatch, lam: np.ndarray, update, horizon: int, reco
     Every trial of the batch moves in the same round.  Round t (1-based)
     posts the dual `lam`, hands it, the demand x it realizes and that
     demand's load A x to `record(t, x, lam, load)`, then moves to
-    `update(lam, x, load, t)`.  Without a `record`, the batch must hold one
-    instance, and the loop keeps its raw iterates and returns them as
-    (x_hist, lam_hist).
+    `update(lam, x, load, t)`.  A TraceRecorder as `record` reduces a chunk
+    of rounds at a time: a round's columns are final once its chunk
+    flushes, at the latest at its table's last round.  Without a `record`,
+    the batch must hold one instance, and the loop keeps its raw iterates
+    and returns them as (x_hist, lam_hist).
     """
     history = None
     if record is None:

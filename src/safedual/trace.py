@@ -2,8 +2,11 @@
 
 A run records every trial's metrics into one (metric, round, algorithm,
 trial) table; a TrialTrace is one (algorithm, trial) column of it, viewed
-for its CSV file, and the run's summary reduces the table itself.  Each
-trace is measured against its trial's optimum: ||x_t - x*|| and sum f* - f(x_t).
+for its CSV file, and the run's summary reduces the table itself.  The
+recorder fills the table a chunk of rounds at a time, so a round's columns
+are final once its chunk flushes, at the latest at the table's last round.
+Each trace is measured against its trial's optimum: ||x_t - x*|| and
+sum f* - f(x_t).
 """
 from __future__ import annotations
 
@@ -68,15 +71,27 @@ METRIC_COLUMNS = tuple(f.name for f in fields(TrialTrace))[2:]
 CSV_HEADER = ",".join(("trial_id", "algorithm", "t", *METRIC_COLUMNS))
 
 
+# TraceRecorder buffers as many rounds as fit in this many values at the
+# batch's width (its users or its rows, whichever are more), and at least one.
+# So unless one round is wider, no buffer or temporary of a flush passes
+# 128 KiB (16 Ki float64), glibc's default threshold from which malloc maps
+# each allocation afresh.
+BUFFER_VALUES = 1 << 14
+
+
 class TraceRecorder:
-    """The trace columns of a batch, filled in place one round at a time.
+    """The trace columns of a batch, filled in place a chunk of rounds at a time.
 
     `table` is a (metric, round, algorithm, trial) array, or a slice of one,
     with one entry per METRIC_COLUMNS; the batch holds its trials once per
-    algorithm, algorithm by algorithm.  Holds no iterates.  `x_star` is the
-    batch's reference optima, concatenated, and `f_star` their values, one
-    per trial of the batch.  Every column of a round is final once that
-    round is recorded.
+    algorithm, algorithm by algorithm.  `x_star` is the batch's reference
+    optima, concatenated, and `f_star` their values, one per trial of the
+    batch.  The recorder holds the iterates of the rounds it has not yet
+    flushed, as many as BUFFER_VALUES allows at the batch's width, and
+    reduces them in one pass when its buffers are full or at the table's
+    last round.  So a round's columns are final once its chunk flushes, at
+    the latest once the table's last round is recorded; the values do not
+    depend on the chunk size.
     """
 
     def __init__(self, batch: ProblemBatch, table: np.ndarray, x_star: np.ndarray, f_star):
@@ -85,28 +100,42 @@ class TraceRecorder:
         self.x_star = np.asarray(x_star, float)
         self.f_star = np.asarray(f_star, float)
         self.regret = table[METRIC_COLUMNS.index("regret_cum")]
+        rounds = max(1, min(table.shape[1], BUFFER_VALUES // max(batch.n, batch.m)))
+        self.x = np.empty((rounds, batch.n))
+        self.lam = np.empty((rounds, batch.m))
+        self.load = np.empty((rounds, batch.m))
 
     def __call__(self, t: int, x: np.ndarray, lam: np.ndarray, load: np.ndarray) -> None:
-        """Record round t, every metric in METRIC_COLUMNS order, from the
-        demand x, its load A x and the duals; the regret is the previous
-        round's plus this round's f_star - objective."""
+        """Take round t's demand x, its load A x and the duals; rounds come
+        in order from t = 1."""
+        i = (t - 1) % len(self.x)
+        self.x[i], self.lam[i], self.load[i] = x, lam, load
+        if i + 1 == len(self.x) or t == self.table.shape[1]:
+            self._flush(t - i, i + 1)
+
+    def _flush(self, first: int, count: int) -> None:
+        """Record the `count` buffered rounds from round `first` on, every
+        metric in METRIC_COLUMNS order; a round's regret is the previous
+        round's plus its own f_star - objective."""
         batch = self.batch
+        x, lam, load = self.x[:count], self.lam[:count], self.load[:count]
         slack = batch.capacities - load
         excess = np.maximum(-slack, 0.0)
         gap = x - self.x_star
         objective = batch.user_sums(batch.theta * np.log(x + batch.shift))
         regret = self.f_star - objective
-        if t > 1:
-            regret += self.regret[t - 2].ravel()
-        row = self.table[:, t - 1]
-        row[...] = np.reshape([
+        if first > 1:
+            regret[0] += self.regret[first - 2].ravel()
+        np.add.accumulate(regret, out=regret)
+        rows = self.table[:, first - 1:first - 1 + count]
+        rows[...] = np.reshape([
             objective,
             regret,
             np.sqrt(batch.row_sums(excess * excess)),
             np.sqrt(batch.user_sums(gap * gap)),
             batch.row_max(lam),
             batch.row_min(slack),
-        ], row.shape)
+        ], rows.shape)
 
     def traces(self, algorithms, trial_ids) -> list[TrialTrace]:
         """The table as one trace per (algorithm, trial), algorithm by

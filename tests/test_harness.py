@@ -510,6 +510,20 @@ class TestAggregateAndReport:
         assert type(error) is TraceMismatchError
         assert re.match(rf"^{re.escape(manifest_path)} .*trial 1\b", str(error))
 
+    @pytest.mark.parametrize("edit, named", [
+        (lambda m: m["trials"].pop(1), 1),
+        (lambda m: m["trials"].pop(), 2),
+        (lambda m: m["trials"].append({**m["trials"][0], "trial_id": 3}), 3),
+    ], ids=["lost-middle", "lost-last", "extra"])
+    def test_report_refuses_manifest_whose_trials_are_not_its_config_trials(
+        self, tmp_path, monkeypatch, edit, named
+    ):
+        """A manifest must list trials 0 to trials - 1, as `compare` writes
+        them; the error names the first trial missing or extra."""
+        error, manifest_path = self._refusal(tmp_path, monkeypatch, edit, trials=3)
+        assert type(error) is TraceMismatchError
+        assert re.match(rf"^{re.escape(manifest_path)} .*trial {named}\b", str(error))
+
     @pytest.mark.parametrize("settings, error_type, message", [
         ({"algorithms": []}, ValueError, "no algorithms"),
         ({"algorithms": ["SDGM", "SDGM"]}, ValueError, "repeated algorithms"),

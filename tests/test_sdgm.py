@@ -11,7 +11,7 @@ from conftest import (
 )
 from safedual.agents import best_response_profile
 from safedual.harness import run_algorithm
-from safedual.problem import NumProblem, UtilitySpec, compute_constants
+from safedual.problem import NumProblem, ProblemBatch, UtilitySpec, compute_constants
 from safedual.sdgm import (
     DualState,
     SdgmParams,
@@ -20,6 +20,7 @@ from safedual.sdgm import (
     regret_bound,
     regret_constant,
     run_sdgm,
+    safe_step,
     safety_margin,
     step_sizes,
 )
@@ -90,6 +91,32 @@ class TestDualStep:
         nxt = dual_step(state, np.array([0.5, 0.5]), problem, params)
         assert nxt.lam[0] == 10.0  # capped at lambda_bar
         assert nxt.lam[1] == 0.0  # floored at zero
+
+    def test_batch_step_is_step_sizes_and_safety_margin_composed(self):
+        """safe_step takes its margin from the downward step it already has;
+        over a batch, on loads at, below and above the margin's tie, it gives
+        the bits of step_sizes and safety_margin composed."""
+        problems = [random_valid_problem(seed) for seed in range(3)]
+        batch = ProblemBatch(problems)
+        trial_params = []
+        for problem in problems:
+            constants = compute_constants(problem)
+            trial_params.append(SdgmParams.from_constants(constants, default_gamma(constants, problem)))
+        params = SdgmParams.stack(batch, trial_params)
+        rng = np.random.default_rng(4)
+        ties = 0
+        for t in (1, 2, 3, 10, 57, 1000, 9999):
+            margin = safety_margin(params, t)
+            load = batch.capacities - margin * rng.choice([0.5, 1.0, 2.0], batch.m)
+            lam = rng.random(batch.m) * params.lambda_bar
+            down, up = step_sizes(params, t, batch.row_m)
+            shifted = load + margin - batch.capacities
+            expected = np.where(
+                shifted < 0, np.maximum(0.0, lam - down), np.minimum(params.lambda_bar, lam + up)
+            )
+            assert np.array_equal(safe_step(lam, load, t, batch, params), expected)
+            ties += int(np.count_nonzero(shifted == 0))
+        assert ties > 0
 
     def test_step_shrinks_with_t(self, tiny):
         params = flat_params(gamma=1.0, lambda_bar=10.0, m=1)

@@ -5,7 +5,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from safedual.trace import CHUNK, CSV_HEADER, TrialTrace, build_trace, read_trace_csv, write_rows
+from conftest import random_valid_problem
+from safedual import trace
+from safedual.problem import ProblemBatch
+from safedual.trace import (
+    CHUNK,
+    CSV_HEADER,
+    METRIC_COLUMNS,
+    TraceRecorder,
+    TrialTrace,
+    build_trace,
+    read_trace_csv,
+    write_rows,
+)
 
 SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 0.1, 1e300, -2.5, 1.0 / 3.0]
 # the optimum of the `tiny` network: both users at 0.5 on the unit link
@@ -34,6 +46,54 @@ class TestBuildTrace:
     def test_infeasibility_positive_part_only(self, tiny):
         trace = build_trace(tiny, "DGM", np.array([[1.0, 0.5]]), np.array([[1.0]]), **TINY_OPTIMUM)
         assert trace.infeasibility[0] == pytest.approx(0.5)
+
+
+class TestTraceRecorder:
+    HORIZON = 23  # not a multiple of 7
+
+    def test_chunk_size_changes_no_bit(self, monkeypatch):
+        """The same iterates of 2 trials x 2 algorithms, recorded a round, 7
+        rounds or the whole horizon at a time, fill the table with the bits
+        of a round-by-round reference; a round is in the table once its
+        chunk flushes, and the last round flushes whatever is buffered."""
+        fused = ProblemBatch([random_valid_problem(seed) for seed in (1, 2)] * 2)
+        rng = np.random.default_rng(9)
+        xs = fused.lower + rng.random((self.HORIZON, fused.n))
+        lams = rng.random((self.HORIZON, fused.m))
+        x_star = fused.lower + rng.random(fused.n)
+        f_star = rng.normal(size=fused.size)
+        shape = (len(METRIC_COLUMNS), self.HORIZON, 2, 2)
+
+        reference = np.empty(shape)
+        for t, (x, lam) in enumerate(zip(xs, lams), start=1):
+            slack = fused.capacities - fused.a_matrix @ x
+            excess = np.maximum(-slack, 0.0)
+            gap = x - x_star
+            objective = np.bincount(
+                fused.user_trial, weights=fused.theta * np.log(x + fused.shift), minlength=fused.size
+            )
+            regret = f_star - objective
+            if t > 1:
+                regret += reference[METRIC_COLUMNS.index("regret_cum"), t - 2].ravel()
+            reference[:, t - 1] = np.reshape([
+                objective,
+                regret,
+                np.sqrt(np.bincount(fused.row_trial, weights=excess * excess, minlength=fused.size)),
+                np.sqrt(np.bincount(fused.user_trial, weights=gap * gap, minlength=fused.size)),
+                np.maximum.reduceat(lam, fused.row_start[:-1]),
+                np.minimum.reduceat(slack, fused.row_start[:-1]),
+            ], (len(METRIC_COLUMNS), 2, 2))
+
+        for rounds in (1, 7, self.HORIZON):
+            monkeypatch.setattr(trace, "BUFFER_VALUES", rounds * max(fused.n, fused.m))
+            table = np.full(shape, np.nan)
+            record = TraceRecorder(fused, table, x_star, f_star)
+            for t, (x, lam) in enumerate(zip(xs, lams), start=1):
+                record(t, x, lam, fused.a_matrix @ x)
+                flushed = t if t == self.HORIZON else t - t % rounds
+                assert not np.isnan(table[:, :flushed]).any(), (rounds, t)
+                assert np.isnan(table[:, flushed:]).all(), (rounds, t)
+            assert table.tobytes() == reference.tobytes(), rounds
 
 
 class TestCsvRoundTrip:
