@@ -17,8 +17,8 @@ behind the header.  `report` refills such a table from the trace CSVs,
 split evenly file by file, then reduces it and writes its sections the same
 way.  A run and `report` each work out their worker count once, the
 caller included: the CPUs in the process's affinity mask (limit it with
-`taskset -c`), or 1 where processes cannot fork.  Everything is a pure function of the master seed,
-regardless of worker count and batch size.
+`taskset -c`), or 1 where processes cannot fork.  Everything is a pure
+function of the master seed, regardless of worker count and batch size.
 """
 from __future__ import annotations
 
@@ -139,14 +139,14 @@ class ExperimentConfig:
 
 @dataclass
 class SummaryStats:
-    """Across-trial mean and standard deviation of every metric at every t."""
+    """Across-trial mean and standard deviation of every metric at every t,
+    over `trials` trials."""
 
     algorithms: tuple[str, ...]
     horizon: int
     trials: int
     mean: dict  # (algorithm, metric) -> array over t
     std: dict
-    regret_scaled_final: dict  # trial_id -> R(T)/sqrt(T), safe method only
 
     STATS = ("mean", "std")
 
@@ -424,9 +424,9 @@ def _shared_table(config: ExperimentConfig, trials: int) -> np.ndarray:
     return np.ndarray(shape, buffer=mmap.mmap(-1, 8 * max(1, math.prod(shape))))
 
 
-def aggregate(table: np.ndarray, algorithms, trial_ids) -> SummaryStats:
-    """Across-trial statistics of a (metric, round, algorithm, trial) table
-    whose trial axis holds `trial_ids`, summed in that order.
+def aggregate(table: np.ndarray, algorithms) -> SummaryStats:
+    """Across-trial statistics of a (metric, round, algorithm, trial) table,
+    summed in the order of its trial axis.
 
     Each (metric, algorithm) block is copied to a contiguous (trial, round)
     array before it is reduced, so its sums run in one order, and give the
@@ -439,21 +439,19 @@ def aggregate(table: np.ndarray, algorithms, trial_ids) -> SummaryStats:
             block = np.ascontiguousarray(table[i, :, a].T)
             mean[(alg, metric)] = block.mean(axis=0)
             std[(alg, metric)] = block.std(axis=0)
-    final = dict(zip(algorithms, table[METRIC_COLUMNS.index("regret_cum"), -1] / np.sqrt(horizon)))
-    regret_scaled = {k: float(r) for k, r in zip(trial_ids, final.get("SDGM", ()))}
-    return SummaryStats(tuple(algorithms), horizon, len(trial_ids), mean, std, regret_scaled)
+    return SummaryStats(tuple(algorithms), horizon, table.shape[-1], mean, std)
 
 
-def _write_artifacts(config: ExperimentConfig, metas, summary: SummaryStats) -> None:
+def _write_artifacts(config: ExperimentConfig, metas, table: np.ndarray) -> None:
     manifest = {"config": config.to_dict(), "trials": metas}
     with open(os.path.join(config.output_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    if summary.regret_scaled_final:
-        trial_ids = sorted(summary.regret_scaled_final)
+    if "SDGM" in config.algorithms:
+        regret = table[METRIC_COLUMNS.index("regret_cum"), -1, config.algorithms.index("SDGM")]
         with open(os.path.join(config.output_dir, "sdgm_regret_scaled.csv"), "w") as fh:
             fh.write("trial_id,regret_final_over_sqrt_horizon\n")
-            write_rows(fh, "", trial_ids, [[summary.regret_scaled_final[k] for k in trial_ids]])
+            write_rows(fh, "", range(config.trials), [regret / np.sqrt(config.horizon)])
 
 
 def run_experiment(config: ExperimentConfig) -> SummaryStats:
@@ -469,9 +467,9 @@ def run_experiment(config: ExperimentConfig) -> SummaryStats:
         _price_block(config, prepared[block.start:block.stop], table[..., block.start:block.stop])
 
     fan_out(price, trial_blocks(config.trials, workers))
-    summary = aggregate(table, config.algorithms, range(config.trials))
+    summary = aggregate(table, config.algorithms)
     _write_tables(config.output_dir, summary, workers, table)
-    _write_artifacts(config, [meta for *_, meta in prepared], summary)
+    _write_artifacts(config, [meta for *_, meta in prepared], table)
     return summary
 
 
@@ -504,12 +502,12 @@ def report(output_dir: str) -> SummaryStats:
             )
         if listed != expected:
             raise TraceMismatchError(f"{manifest_path} lacks trial {expected}")
-    table = _shared_table(config, len(trial_ids))
-    files = [(k, a) for k in range(len(trial_ids)) for a in range(len(config.algorithms))]
+    table = _shared_table(config, config.trials)
+    files = list(np.ndindex(config.trials, len(config.algorithms)))
 
     def parse(hand) -> None:
-        for k, a in (files[i] for i in hand):
-            trial_id, alg = trial_ids[k], config.algorithms[a]
+        for trial_id, a in (files[i] for i in hand):
+            alg = config.algorithms[a]
             path = trial_trace_path(output_dir, trial_id, alg)
             if not os.path.exists(path):
                 raise TraceMismatchError(f"missing trace {path}")
@@ -523,10 +521,10 @@ def report(output_dir: str) -> SummaryStats:
                 raise TraceMismatchError(
                     f"{path} has {trace.horizon} rounds, the manifest {config.horizon}"
                 )
-            table[:, :, a, k] = [*trace.metrics().values()]
+            table[:, :, a, trial_id] = [*trace.metrics().values()]
 
     workers = available_workers()
     fan_out(parse, trial_blocks(len(files), workers))
-    summary = aggregate(table, config.algorithms, trial_ids)
+    summary = aggregate(table, config.algorithms)
     _write_tables(output_dir, summary, workers)
     return summary

@@ -35,7 +35,8 @@ def is_real(value) -> bool:
 
 @dataclass(frozen=True)
 class UtilitySpec:
-    """Shifted-log utility theta * log(x + shift) on the box [lower, upper].
+    """One user's shifted-log utility theta * log(x + shift) on the box
+    [lower, upper], as agents.best_response takes it.
 
     Strictly increasing, and strongly concave on any bounded interval of its
     domain.  The shift keeps the utility finite at x = 0.
@@ -49,17 +50,32 @@ class UtilitySpec:
 
 @dataclass(frozen=True, eq=False)
 class NumProblem:
-    """A utility-maximization instance: max sum_i f_i(x_i) s.t. A x <= c."""
+    """A utility-maximization instance: max sum_i f_i(x_i) s.t. A x <= c.
+
+    User i's utility is theta[i] * log(x_i + shift[i]) on [lower[i], upper[i]]:
+    four float arrays of n entries each.  A single number given for shift,
+    lower or upper is every user's; the defaults are UtilitySpec's.  A matrix
+    of binary entries is held as int64; any other keeps its values, as
+    floats, for `validate` to refuse.
+    """
 
     a_matrix: np.ndarray
     capacities: np.ndarray
-    utilities: tuple[UtilitySpec, ...]
+    theta: np.ndarray
+    shift: np.ndarray = UtilitySpec.shift
+    lower: np.ndarray = UtilitySpec.lower
+    upper: np.ndarray = UtilitySpec.upper
     seed: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "a_matrix", np.asarray(self.a_matrix, dtype=np.int64))
+        a = np.asarray(self.a_matrix, dtype=float)
+        object.__setattr__(self, "a_matrix", a.astype(np.int64) if np.isin(a, (0, 1)).all() else a)
         object.__setattr__(self, "capacities", np.asarray(self.capacities, dtype=float))
-        object.__setattr__(self, "utilities", tuple(self.utilities))
+        theta = np.asarray(self.theta, dtype=float)
+        object.__setattr__(self, "theta", theta)
+        for name in ("shift", "lower", "upper"):
+            values = np.asarray(getattr(self, name), dtype=float)
+            object.__setattr__(self, name, values if values.ndim else np.full(theta.shape, values))
 
     @property
     def m(self) -> int:
@@ -73,22 +89,6 @@ class NumProblem:
     def row_m(self) -> int:
         """The m of the network each constraint row belongs to (per row in a batch)."""
         return self.m
-
-    @cached_property
-    def theta(self) -> np.ndarray:
-        return np.array([u.theta for u in self.utilities])
-
-    @cached_property
-    def shift(self) -> np.ndarray:
-        return np.array([u.shift for u in self.utilities])
-
-    @cached_property
-    def lower(self) -> np.ndarray:
-        return np.array([u.lower for u in self.utilities])
-
-    @cached_property
-    def upper(self) -> np.ndarray:
-        return np.array([u.upper for u in self.utilities])
 
     def objective(self, x: np.ndarray) -> float:
         return float(np.sum(self.theta * np.log(np.asarray(x, float) + self.shift)))
@@ -164,7 +164,8 @@ def validate(problem: NumProblem) -> list[str]:
     if problem.capacities.shape != (problem.m,):
         violations.append("capacity dimension mismatch")
         return violations
-    if len(problem.utilities) != problem.n:
+    users = (problem.theta, problem.shift, problem.lower, problem.upper)
+    if any(values.shape != (problem.n,) for values in users):
         violations.append("utility dimension mismatch")
         return violations
     if not np.isin(a, (0, 1)).all():
@@ -179,14 +180,10 @@ def validate(problem: NumProblem) -> list[str]:
         violations.append("non-finite capacity")
     if not (np.isfinite(problem.theta).all() and np.isfinite(problem.shift).all()):
         violations.append("non-finite utility parameter")
-    for u in problem.utilities:
-        if u.theta <= 0 or u.shift <= 0:
-            violations.append("non-positive utility parameter")
-            break
-    for u in problem.utilities:
-        if u.lower < 0 or not u.lower < u.upper:
-            violations.append("invalid domain bounds")
-            break
+    if (problem.theta <= 0).any() or (problem.shift <= 0).any():
+        violations.append("non-positive utility parameter")
+    if (problem.lower < 0).any() or not (problem.lower < problem.upper).all():
+        violations.append("invalid domain bounds")
     if not violations:
         interior = problem.lower + SLATER_EPS
         if (interior >= problem.upper).any() or not (a @ interior < problem.capacities).all():
@@ -215,9 +212,8 @@ def generate_random(config: GeneratorConfig) -> NumProblem:
         cols = np.flatnonzero(a.sum(axis=0) == 0)
         a[rng.integers(m, size=len(cols)), cols] = 1
     theta = rng.uniform(config.theta_range[0], config.theta_range[1], size=n)
-    utilities = tuple(UtilitySpec(theta=float(t)) for t in theta)
     capacities = np.full(m, float(config.capacity_value))
-    return NumProblem(a, capacities, utilities, seed=config.seed)
+    return NumProblem(a, capacities, theta, seed=config.seed)
 
 
 def compute_constants(problem: NumProblem) -> ProblemConstants:
@@ -357,18 +353,12 @@ def problem_to_dict(problem: NumProblem) -> dict:
 
 
 def problem_from_dict(doc: dict) -> NumProblem:
-    n = int(doc["n"])
-    shift = doc["shift"]
-    shifts = [float(shift)] * n if np.isscalar(shift) else [float(s) for s in shift]
-    upper = [math.inf if u == "inf" else float(u) for u in doc["upper"]]
-    utilities = tuple(
-        UtilitySpec(theta=float(t), shift=s, lower=float(lo), upper=up)
-        for t, s, lo, up in zip(doc["theta"], shifts, doc["lower"], upper)
-    )
+    """The problem a document holds, as written: `validate` refuses a
+    per-user list that does not hold n entries, or a matrix entry other than
+    0 or 1.  A single number stands for every user's value, and the string
+    "inf" reads as infinity."""
     return NumProblem(
-        np.asarray(doc["A"], dtype=np.int64),
-        np.asarray(doc["c"], dtype=float),
-        utilities,
+        doc["A"], doc["c"], doc["theta"], doc["shift"], doc["lower"], doc["upper"],
         seed=doc.get("seed"),
     )
 

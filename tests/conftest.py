@@ -18,7 +18,15 @@ def no_worker_outlives_its_test():
 @pytest.fixture(scope="session")
 def tiny():
     """Two users sharing one unit-capacity link, unit utility scale."""
-    return NumProblem([[1, 1]], [1.0], (UtilitySpec(1.0), UtilitySpec(1.0)))
+    return NumProblem([[1, 1]], [1.0], [1.0, 1.0])
+
+
+def user_specs(problem):
+    """Each user's utility, one UtilitySpec per user, in user order."""
+    return tuple(
+        UtilitySpec(*values)
+        for values in zip(problem.theta, problem.shift, problem.lower, problem.upper)
+    )
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import user_specs
 from safedual.agents import (
     UnboundedSubproblemError,
     best_response,
@@ -73,7 +74,7 @@ class TestPricesFromDuals:
 class TestDemandAtPrices:
     def test_matches_scalar_responses(self, tiny):
         prices = np.array([2.0, 5.0])
-        expected = [best_response(u, p) for u, p in zip(tiny.utilities, prices)]
+        expected = [best_response(u, p) for u, p in zip(user_specs(tiny), prices)]
         assert demand_at_prices(tiny, prices) == pytest.approx(expected, rel=1e-15)
 
     def test_zero_price_unbounded_raises(self, tiny):
@@ -86,7 +87,7 @@ class TestDemandAtPrices:
         problem = random_valid_problem(seed=3)
         rng = np.random.default_rng(3)
         prices = rng.uniform(0.5, 20.0, size=problem.n)
-        expected = [best_response(u, p) for u, p in zip(problem.utilities, prices)]
+        expected = [best_response(u, p) for u, p in zip(user_specs(problem), prices)]
         assert demand_at_prices(problem, prices) == pytest.approx(expected, rel=1e-14)
 
 

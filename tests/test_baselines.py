@@ -19,7 +19,6 @@ from safedual.problem import (
     GeneratorConfig,
     NumProblem,
     ProblemBatch,
-    UtilitySpec,
     compute_constants,
     generate_random,
 )
@@ -137,7 +136,7 @@ class TestNdgm:
         assert diagonal_scaling(tiny, x) == pytest.approx([1.0 / expected_h])
 
     def test_scaling_regularizer_caps_blowup(self):
-        steep = NumProblem([[1]], [1.0], (UtilitySpec(1e6),))
+        steep = NumProblem([[1]], [1.0], [1e6])
         scale = diagonal_scaling(steep, np.array([0.0]))
         assert scale[0] == 1.0 / NDGM_EPSILON  # h = 0.1**2 / 1e6 = 1e-8 would give 1e8
 

@@ -14,6 +14,10 @@ from safedual.problem import GeneratorConfig, load_problem
 from safedual.trace import CHUNK, CSV_HEADER
 
 
+TWO_USERS = {"n": 2, "m": 2, "A": [[1, 1], [1, 0]], "c": [1.0, 1.0], "theta": [1.0, 2.0],
+             "shift": 0.1, "lower": [0.0, 0.0], "upper": ["inf", "inf"]}
+
+
 def generate_args(path, seed=0):
     return [
         "generate",
@@ -88,10 +92,8 @@ class TestSolve:
     ], ids=["zero-column", "lower-above-upper", "inf-capacity", "nan-theta", "inf-theta",
             "nan-shift"])
     def test_refuses_invalid_problem(self, tmp_path, capsys, change, violation):
-        doc = {"n": 2, "m": 2, "A": [[1, 1], [1, 0]], "c": [1.0, 1.0], "theta": [1.0, 2.0],
-               "shift": 0.1, "lower": [0.0, 0.0], "upper": ["inf", "inf"]} | change
         path = tmp_path / "problem.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(TWO_USERS | change))
         assert main(["solve", str(path)]) == 1
         err = json.loads(capsys.readouterr().err)
         assert violation in err["message"]
@@ -159,6 +161,25 @@ class TestRun:
         out = capsys.readouterr().out.splitlines()
         assert out[0] == CSV_HEADER
         assert len(out) == 11
+
+
+@pytest.mark.parametrize("change, violation", [
+    ({"A": [[1.5, 1], [1, 0]]}, "non-binary entry"),
+    ({"A": [[1, 1], [1, 0.5]]}, "non-binary entry"),
+    ({"lower": [0.0, 0.0, 0.0], "shift": [0.1, 0.1, -3.0]}, "utility dimension mismatch"),
+    ({"theta": [1.0, 2.0, 3.0]}, "utility dimension mismatch"),
+    ({"upper": ["inf", "inf", 1.0]}, "utility dimension mismatch"),
+], ids=["entry-1.5", "entry-0.5", "long-lower-and-shift", "long-theta", "long-upper"])
+@pytest.mark.parametrize("command", [["solve"], ["run", "--horizon", "3", "--problem"]],
+                         ids=["solve", "run"])
+def test_refuses_what_loading_once_truncated(tmp_path, capsys, command, change, violation):
+    """A fractional matrix entry, or a per-user list past n entries, reaches
+    validate as written; each once loaded as a valid network."""
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(TWO_USERS | change))
+    assert main([*command, str(path)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "RuntimeError" and violation in err["message"]
 
 
 @pytest.fixture(scope="module")

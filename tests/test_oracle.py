@@ -13,7 +13,7 @@ from safedual.oracle import (
     kkt_residual,
     solve_optimal,
 )
-from safedual.problem import GeneratorConfig, NumProblem, UtilitySpec, generate_random
+from safedual.problem import GeneratorConfig, NumProblem, generate_random
 
 
 def grid_case(case):
@@ -26,12 +26,10 @@ def grid_case(case):
     base = random_valid_problem(seed, n_range=(2, 3), m_range=(1, 2))
     rng = np.random.default_rng(seed)
     if kind == "box":
-        bounds = [dict(upper=float(hi)) for hi in rng.uniform(0.15, 0.6, base.n)]
+        bounds = dict(upper=rng.uniform(0.15, 0.6, base.n))
     else:
-        bounds = [dict(lower=float(lo), shift=float(s))
-                  for lo, s in zip(rng.uniform(0.05, 0.25, base.n), rng.uniform(0.01, 1.0, base.n))]
-    utilities = [UtilitySpec(u.theta, **b) for u, b in zip(base.utilities, bounds)]
-    return NumProblem(base.a_matrix, base.capacities, utilities)
+        bounds = dict(lower=rng.uniform(0.05, 0.25, base.n), shift=rng.uniform(0.01, 1.0, base.n))
+    return NumProblem(base.a_matrix, base.capacities, base.theta, **bounds)
 
 
 class TestTinySolution:

@@ -4,13 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import charpoly_eigen_max, random_valid_problem
+from conftest import charpoly_eigen_max, random_valid_problem, user_specs
 from safedual.harness import derive_trial_seed
 from safedual.problem import (
     GeneratorConfig,
     NumProblem,
     ProblemBatch,
-    UtilitySpec,
     compute_constants,
     generate_random,
     load_problem,
@@ -23,8 +22,7 @@ from safedual.problem import (
 
 
 def make(a, c, thetas, **util_kwargs):
-    utilities = tuple(UtilitySpec(theta=t, **util_kwargs) for t in thetas)
-    return NumProblem(a, c, utilities)
+    return NumProblem(a, c, thetas, **util_kwargs)
 
 
 class TestValidate:
@@ -56,6 +54,35 @@ class TestValidate:
         problem = make([[1]], [1.0], (1.0,), lower=2.0, upper=1.0)
         assert "invalid domain bounds" in validate(problem)
 
+    @pytest.mark.parametrize("a", [[[1.5, 1], [1, 0]], [[1, 1], [1, 0.5]]], ids=["1.5", "0.5"])
+    def test_fractional_entry_is_refused_not_truncated(self, a):
+        """0.5 sits in a row and a column that each still hold a 1, so only
+        the entry itself is at fault."""
+        problem = make(a, [1.0, 1.0], (1.0, 1.0))
+        assert validate(problem) == ["non-binary entry"]
+        assert np.array_equal(problem.a_matrix, a)
+
+    def test_binary_matrix_of_any_type_is_held_as_int64(self):
+        for a in ([[1, 0], [1, 1]], [[1.0, 0.0], [1.0, 1.0]], [[True, False], [True, True]]):
+            problem = make(a, [1.0, 1.0], (1.0, 1.0))
+            assert problem.a_matrix.dtype == np.int64
+            assert problem.a_matrix.tolist() == [[1, 0], [1, 1]]
+            assert validate(problem) == []
+
+    @pytest.mark.parametrize("field", ["theta", "shift", "lower", "upper"])
+    def test_list_longer_than_the_users_is_refused(self, field):
+        values = dict(theta=[1.0, 2.0], shift=[0.1, 0.1], lower=[0.0, 0.0], upper=[9.0, 9.0])
+        values[field] = values[field] + [-3.0]
+        problem = NumProblem([[1, 1]], [1.0], **values)
+        assert validate(problem) == ["utility dimension mismatch"]
+
+    def test_single_number_is_every_users_value(self):
+        problem = NumProblem([[1, 1, 1]], [1.0], [1.0, 2.0, 3.0], shift=0.3, upper=5.0)
+        assert problem.shift.tolist() == [0.3] * 3
+        assert problem.lower.tolist() == [0.0] * 3
+        assert problem.upper.tolist() == [5.0] * 3
+        assert validate(problem) == []
+
 
 class TestGenerateRandom:
     def test_deterministic_replay(self):
@@ -63,7 +90,7 @@ class TestGenerateRandom:
         a, b = generate_random(config), generate_random(config)
         assert np.array_equal(a.a_matrix, b.a_matrix)
         assert np.array_equal(a.capacities, b.capacities)
-        assert a.utilities == b.utilities
+        assert user_specs(a) == user_specs(b)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_default_ranges_and_validity(self, seed):
@@ -176,16 +203,15 @@ class TestSerialization:
         back = problem_from_dict(doc)
         assert np.array_equal(back.a_matrix, tiny.a_matrix)
         assert np.array_equal(back.capacities, tiny.capacities)
-        assert back.utilities == tiny.utilities
+        assert user_specs(back) == user_specs(tiny)
 
     def test_round_trip_mixed_bounds(self):
-        utilities = (
-            UtilitySpec(2.0, shift=0.3, lower=0.5, upper=4.0),
-            UtilitySpec(1.0, shift=0.1, lower=0.0, upper=math.inf),
+        problem = NumProblem(
+            [[1, 1]], [2.0], [2.0, 1.0], shift=[0.3, 0.1], lower=[0.5, 0.0], upper=[4.0, math.inf],
+            seed=9,
         )
-        problem = NumProblem([[1, 1]], [2.0], utilities, seed=9)
         back = problem_from_dict(problem_to_dict(problem))
-        assert back.utilities == problem.utilities
+        assert user_specs(back) == user_specs(problem)
         assert back.seed == 9
 
     def test_file_round_trip(self, tmp_path, tiny):
@@ -193,14 +219,14 @@ class TestSerialization:
         save_problem(tiny, path)
         back = load_problem(path)
         assert np.array_equal(back.a_matrix, tiny.a_matrix)
-        assert back.utilities == tiny.utilities
+        assert user_specs(back) == user_specs(tiny)
 
     def test_hash_ignores_seed(self, tiny):
-        other = NumProblem(tiny.a_matrix, tiny.capacities, tiny.utilities, seed=77)
+        other = NumProblem(tiny.a_matrix, tiny.capacities, tiny.theta, seed=77)
         assert problem_hash(other) == problem_hash(tiny)
 
     def test_hash_sensitive_to_content(self, tiny):
-        other = NumProblem(tiny.a_matrix, [2.0], tiny.utilities)
+        other = NumProblem(tiny.a_matrix, [2.0], tiny.theta)
         assert problem_hash(other) != problem_hash(tiny)
 
 

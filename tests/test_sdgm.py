@@ -11,7 +11,7 @@ from conftest import (
 )
 from safedual.agents import best_response_profile
 from safedual.harness import run_algorithm
-from safedual.problem import NumProblem, ProblemBatch, UtilitySpec, compute_constants
+from safedual.problem import NumProblem, ProblemBatch, compute_constants
 from safedual.sdgm import (
     DualState,
     SdgmParams,
@@ -72,9 +72,7 @@ class TestSafetyMargin:
 
 class TestDualStep:
     def test_sign_branches_and_tie(self):
-        problem = NumProblem(
-            [[1, 1], [1, 0]], [1.0, 1.0], (UtilitySpec(1.0), UtilitySpec(1.0))
-        )
+        problem = NumProblem([[1, 1], [1, 0]], [1.0, 1.0], [1.0, 1.0])
         params = flat_params(gamma=1.0, lambda_bar=10.0, m=2)
         state = DualState(lam=np.array([5.0, 5.0]), t=1)
         # first row is exactly tight (tie -> upward), second strictly slack
@@ -83,9 +81,7 @@ class TestDualStep:
         assert nxt.t == 2
 
     def test_projection_onto_box(self):
-        problem = NumProblem(
-            [[1, 1], [1, 0]], [1.0, 1.0], (UtilitySpec(1.0), UtilitySpec(1.0))
-        )
+        problem = NumProblem([[1, 1], [1, 0]], [1.0, 1.0], [1.0, 1.0])
         params = flat_params(gamma=1.0, lambda_bar=10.0, m=2)
         state = DualState(lam=np.array([10.0, 0.5]), t=1)
         nxt = dual_step(state, np.array([0.5, 0.5]), problem, params)
