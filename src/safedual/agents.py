@@ -54,7 +54,7 @@ def demand_at_prices(problem: NumProblem | UtilitySpec, prices: np.ndarray) -> n
     A UtilitySpec stands for users that all share its utility.
     """
     prices = np.asarray(prices, dtype=float)
-    unbounded = (prices <= 0) & np.isinf(problem.upper)
+    unbounded = (prices <= 0) & problem.unbounded_above
     if unbounded.any():
         idx = int(np.argmax(unbounded))
         raise UnboundedSubproblemError.at(idx, prices[idx])

@@ -1,24 +1,24 @@
 """End-to-end experiment runner: ensembles, metrics, CSV artifacts.
 
 A run generates an ensemble of random networks, solves each to optimality,
-runs the selected algorithms for a fixed horizon, and writes one trace CSV
-per (trial, algorithm) plus an aggregate summary.  The calling process
-prepares every trial, solving each reference optimum afresh and storing it
-under oracle_cache/.  A run then works in two phases, price then write.
-Pricing splits the trials into contiguous blocks: the caller prices the
-first block itself while forked workers price the others, each running
-every selected algorithm over its block in one loop, over a ProblemBatch
-that holds the block once per algorithm.  Every block records its traces
-into one shared (metric, round, algorithm, trial) table, which the caller
-reduces to the summary.  Writing deals the files over the workers again:
-each trace CSV and each algorithm's section of summary.csv is one unit,
-dealt by its cost; the sections go to part files that the caller joins
-behind the header.  `report` refills such a table from the trace CSVs,
-split evenly file by file, then reduces it and writes its sections the same
-way.  A run and `report` each work out their worker count once, the
-caller included: the CPUs in the process's affinity mask (limit it with
-`taskset -c`), or 1 where processes cannot fork.  Everything is a pure
-function of the master seed, regardless of worker count and batch size.
+runs the selected algorithms for a fixed horizon, and writes its trace
+table, one trace CSV per (trial, algorithm) and an aggregate summary.  The
+calling process prepares every trial, solving each reference optimum afresh
+and storing it under oracle_cache/.  A run then works in two phases, price
+then write.  Pricing splits the trials into contiguous blocks: the caller
+prices the first block itself while forked workers price the others, each
+running every selected algorithm over its block in one loop, over a
+ProblemBatch that holds the block once per algorithm.  Every block records
+its traces into one shared (metric, round, algorithm, trial) table, which
+the caller saves as traces.npy and reduces to the summary.  Writing deals
+the files over the workers again: each trace CSV and each algorithm's
+section of summary.csv is one unit, dealt by its cost; the sections go to
+part files that the caller joins behind the header.  `report` loads
+traces.npy, not the CSVs, then reduces it and writes its sections the same
+way.  A run and `report` each work out their worker count once, the caller
+included: the CPUs in the process's affinity mask (limit it with `taskset
+-c`), or 1 where processes cannot fork.  Everything is a pure function of
+the master seed, regardless of worker count and batch size.
 """
 from __future__ import annotations
 
@@ -51,7 +51,7 @@ from .trace import (
     METRIC_COLUMNS,
     TraceRecorder,
     TrialTrace,
-    read_trace_csv,
+    read_trace_csv,  # unused here; kept as a wrap point of bench/tracer.py
     write_rows,
 )
 
@@ -74,7 +74,7 @@ class ConfigError(ValueError):
 
 
 class TraceMismatchError(ValueError):
-    """A trace the manifest lists is missing or does not match the manifest."""
+    """A run's trace table or trial list is missing or does not match its manifest."""
 
 
 def _from_fields(cls, doc: dict):
@@ -239,22 +239,32 @@ def _naming_trial(config: ExperimentConfig, trial_id: int):
         raise RuntimeError(f"trial {trial_id} (seed {seed}) failed: {exc}") from exc
 
 
+def _write_whole(path: str, mode: str, write) -> None:
+    """write(file) into `path`, opened in `mode`, under a temporary name that
+    then replaces it: a run cut short or a failed write leaves none half
+    written."""
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, mode) as fh:
+            write(fh)
+        os.replace(tmp, path)
+    finally:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+
+
 def _prepare_trial(config: ExperimentConfig, trial_id: int):
     """Generate one trial, derive its constants, solve its reference optimum
-    and store that in oracle_cache/, which no run reads back.  The file is
-    written whole under a temporary name: a run cut short leaves none half
-    written.  The manifest entry holds the optimum too, x* and lambda* as
-    the file does."""
+    and store that in oracle_cache/, which no run reads back; the file is
+    written whole.  The manifest entry holds the optimum too, x* and lambda*
+    as the file does."""
     seed = derive_trial_seed(config.master_seed, trial_id)
     problem = generate_random(replace(config.generator, seed=seed))
     constants = compute_constants(problem)
     solution = oracle.solve_optimal(problem)
     optimum = solution.to_dict()
     path = os.path.join(config.output_dir, "oracle_cache", f"{problem_hash(problem)}.json")
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        json.dump(optimum, fh)
-    os.replace(tmp, path)
+    _write_whole(path, "w", partial(json.dump, optimum))
     gamma = config.gamma if config.gamma is not None else sdgm.default_gamma(constants, problem)
     meta = {
         "trial_id": trial_id,
@@ -339,7 +349,7 @@ def fan_out(work, items) -> None:
     len(items) - 1 forked workers run the others.
 
     A run calls it twice: once to price its trial blocks, once to write the
-    files those blocks recorded (`report`: to parse, then to write).  `work`
+    files those blocks recorded (`report`: once, to write).  `work`
     reaches the workers through fork, not pickle, so it may close over
     memory that they share with the caller, such as the trace table and the
     summary; only the items are pickled, and whatever work returns is
@@ -417,10 +427,10 @@ def _write_tables(output_dir: str, summary: SummaryStats, workers: int, table=No
                 os.remove(part)
 
 
-def _shared_table(config: ExperimentConfig, trials: int) -> np.ndarray:
+def _shared_table(config: ExperimentConfig) -> np.ndarray:
     """An unfilled (metric, round, algorithm, trial) trace table in anonymous
     shared memory: what forked workers write into it, the caller reads."""
-    shape = (len(METRIC_COLUMNS), config.horizon, len(config.algorithms), trials)
+    shape = (len(METRIC_COLUMNS), config.horizon, len(config.algorithms), config.trials)
     return np.ndarray(shape, buffer=mmap.mmap(-1, 8 * max(1, math.prod(shape))))
 
 
@@ -455,18 +465,19 @@ def _write_artifacts(config: ExperimentConfig, metas, table: np.ndarray) -> None
 
 
 def run_experiment(config: ExperimentConfig) -> SummaryStats:
-    """Run the full ensemble and write traces, summary, and manifest."""
+    """Run the full ensemble and write its trace table, traces, summary, and manifest."""
     config.check()
     os.makedirs(os.path.join(config.output_dir, "traces"), exist_ok=True)
     os.makedirs(os.path.join(config.output_dir, "oracle_cache"), exist_ok=True)
     prepared = _prepare_trials(config, range(config.trials))
-    table = _shared_table(config, config.trials)
+    table = _shared_table(config)
     workers = available_workers()
 
     def price(block) -> None:
         _price_block(config, prepared[block.start:block.stop], table[..., block.start:block.stop])
 
     fan_out(price, trial_blocks(config.trials, workers))
+    _write_whole(os.path.join(config.output_dir, "traces.npy"), "wb", partial(np.save, arr=table))
     summary = aggregate(table, config.algorithms)
     _write_tables(config.output_dir, summary, workers, table)
     _write_artifacts(config, [meta for *_, meta in prepared], table)
@@ -474,13 +485,13 @@ def run_experiment(config: ExperimentConfig) -> SummaryStats:
 
 
 def report(output_dir: str) -> SummaryStats:
-    """Re-aggregate the traces of the run that `manifest.json` records, in
-    ascending trial order whatever the manifest's order, parsed and written
-    by as many processes as this machine can run.  A manifest whose config
-    `compare` would refuse, that lists a trial id that is not a
+    """Re-aggregate the trace table of the run that `manifest.json` records,
+    read from traces.npy alone, and write summary.csv with as many processes
+    as this machine can run.  Refused before the table is read: a manifest
+    whose config `compare` would refuse, that lists a trial id that is not a
     non-negative integer, or whose ids are not each of 0 to config.trials -
-    1 once, as `compare` writes them, is refused before any trace is
-    read."""
+    1 once.  Refused after: a missing table, or one not of native float64
+    in the config's (metric, round, algorithm, trial) shape."""
     manifest_path = os.path.join(output_dir, "manifest.json")
     with open(manifest_path) as fh:
         manifest = json.load(fh)
@@ -502,29 +513,16 @@ def report(output_dir: str) -> SummaryStats:
             )
         if listed != expected:
             raise TraceMismatchError(f"{manifest_path} lacks trial {expected}")
-    table = _shared_table(config, config.trials)
-    files = list(np.ndindex(config.trials, len(config.algorithms)))
-
-    def parse(hand) -> None:
-        for trial_id, a in (files[i] for i in hand):
-            alg = config.algorithms[a]
-            path = trial_trace_path(output_dir, trial_id, alg)
-            if not os.path.exists(path):
-                raise TraceMismatchError(f"missing trace {path}")
-            trace = read_trace_csv(path)
-            if (trace.trial_id, trace.algorithm) != (trial_id, alg):
-                raise TraceMismatchError(
-                    f"{path} holds trial {trace.trial_id} {trace.algorithm}, "
-                    f"the manifest trial {trial_id} {alg}"
-                )
-            if trace.horizon != config.horizon:
-                raise TraceMismatchError(
-                    f"{path} has {trace.horizon} rounds, the manifest {config.horizon}"
-                )
-            table[:, :, a, trial_id] = [*trace.metrics().values()]
-
-    workers = available_workers()
-    fan_out(parse, trial_blocks(len(files), workers))
+    path = os.path.join(output_dir, "traces.npy")
+    try:
+        table = np.load(path, allow_pickle=False)
+    except FileNotFoundError:
+        raise TraceMismatchError(f"missing trace table {path}, which compare writes") from None
+    shape = (len(METRIC_COLUMNS), config.horizon, len(config.algorithms), config.trials)
+    if table.shape != shape:
+        raise TraceMismatchError(f"{path} holds a {table.shape} table, the manifest {shape}")
+    if table.dtype != np.float64:
+        raise TraceMismatchError(f"{path} holds {table.dtype.str} values, not native float64")
     summary = aggregate(table, config.algorithms)
-    _write_tables(output_dir, summary, workers)
+    _write_tables(output_dir, summary, available_workers())
     return summary

@@ -47,6 +47,10 @@ class UtilitySpec:
     lower: float = 0.0
     upper: float = math.inf
 
+    @property
+    def unbounded_above(self) -> bool:
+        return math.isinf(self.upper)
+
 
 @dataclass(frozen=True, eq=False)
 class NumProblem:
@@ -56,7 +60,8 @@ class NumProblem:
     four float arrays of n entries each.  A single number given for shift,
     lower or upper is every user's; the defaults are UtilitySpec's.  A matrix
     of binary entries is held as int64; any other keeps its values, as
-    floats, for `validate` to refuse.
+    floats, for `validate` to refuse.  `unbounded_above` marks the users
+    whose upper is infinite.
     """
 
     a_matrix: np.ndarray
@@ -76,6 +81,7 @@ class NumProblem:
         for name in ("shift", "lower", "upper"):
             values = np.asarray(getattr(self, name), dtype=float)
             object.__setattr__(self, name, values if values.ndim else np.full(theta.shape, values))
+        object.__setattr__(self, "unbounded_above", np.isinf(self.upper))
 
     @property
     def m(self) -> int:
@@ -86,9 +92,9 @@ class NumProblem:
         return self.a_matrix.shape[1]
 
     @property
-    def row_m(self) -> int:
-        """The m of the network each constraint row belongs to (per row in a batch)."""
-        return self.m
+    def row_peers(self) -> int:
+        """m - 1, the other rows of each row's network (per row in a batch)."""
+        return self.m - 1
 
     def objective(self, x: np.ndarray) -> float:
         return float(np.sum(self.theta * np.log(np.asarray(x, float) + self.shift)))
@@ -276,6 +282,7 @@ class ProblemBatch:
         self.user_trial = np.repeat(trials, n_sizes)
         self.row_trial = np.repeat(trials, self.m_sizes)
         self.row_m = np.repeat(self.m_sizes, self.m_sizes)
+        self.row_peers = self.row_m - 1.0
         nonzeros = [np.nonzero(p.a_matrix) for p in self.problems]
         self.a_matrix = BlockRows(
             np.concatenate([rows + r0 for (rows, _), r0 in zip(nonzeros, self.row_start)]),
@@ -287,6 +294,7 @@ class ProblemBatch:
         self.shift = np.concatenate([p.shift for p in self.problems])
         self.lower = np.concatenate([p.lower for p in self.problems])
         self.upper = np.concatenate([p.upper for p in self.problems])
+        self.unbounded_above = np.isinf(self.upper)
 
     @property
     def size(self) -> int:
@@ -356,11 +364,16 @@ def problem_from_dict(doc: dict) -> NumProblem:
     """The problem a document holds, as written: `validate` refuses a
     per-user list that does not hold n entries, or a matrix entry other than
     0 or 1.  A single number stands for every user's value, and the string
-    "inf" reads as infinity."""
-    return NumProblem(
+    "inf" reads as infinity.  An `n` or `m` the document gives must be its
+    matrix's column or row count."""
+    problem = NumProblem(
         doc["A"], doc["c"], doc["theta"], doc["shift"], doc["lower"], doc["upper"],
         seed=doc.get("seed"),
     )
+    for key, count in zip("mn", problem.a_matrix.shape):
+        if key in doc and not (is_integer(doc[key]) and doc[key] == count):
+            raise ValueError(f"the document gives {key} = {doc[key]!r}, its matrix {count}")
+    return problem
 
 
 def save_problem(problem: NumProblem, path) -> None:

@@ -77,7 +77,8 @@ def safe_step(
     Only the sign of load + margin - c enters; a tie takes the upward branch.
     `problem` may be a ProblemBatch with params from SdgmParams.stack.
     """
-    gamma_minus, gamma_plus = step_sizes(params, t, problem.row_m)
+    gamma_minus = params.gamma / math.sqrt(t)
+    gamma_plus = problem.row_peers * gamma_minus  # step_sizes(params, t, m)
     # safety_margin(params, t), from the step already at hand
     shifted = load + params.margin_scale * gamma_minus - problem.capacities
     down = np.maximum(0.0, lam - gamma_minus)

@@ -1,17 +1,19 @@
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from safedual import harness
 from safedual.cli import _build_parser, main
 from safedual.harness import ALGORITHMS, ExperimentConfig, derive_trial_seed, trial_trace_path
 from safedual.problem import GeneratorConfig, load_problem
-from safedual.trace import CHUNK, CSV_HEADER
+from safedual.trace import CHUNK, CSV_HEADER, METRIC_COLUMNS, read_trace_csv
 
 
 TWO_USERS = {"n": 2, "m": 2, "A": [[1, 1], [1, 0]], "c": [1.0, 1.0], "theta": [1.0, 2.0],
@@ -182,6 +184,26 @@ def test_refuses_what_loading_once_truncated(tmp_path, capsys, command, change, 
     assert err["error"] == "RuntimeError" and violation in err["message"]
 
 
+@pytest.mark.parametrize("key, value", [("n", 5), ("m", 9)])
+@pytest.mark.parametrize("command", [["solve"], ["run", "--horizon", "3", "--problem"]],
+                         ids=["solve", "run"])
+def test_refuses_counts_other_than_the_matrix(tmp_path, capsys, command, key, value):
+    """A document's n and m, where it gives them, must be its matrix's
+    column and row counts; the error names the key."""
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(TWO_USERS | {key: value}))
+    assert main([*command, str(path)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and f"{key} = {value}" in err["message"]
+
+
+def test_document_without_counts_loads(tmp_path):
+    doc = {key: value for key, value in TWO_USERS.items() if key not in ("n", "m")}
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", str(path)]) == 0
+
+
 @pytest.fixture(scope="module")
 def compared(tmp_path_factory):
     """`compare` on one network of master seed 3, and that network as a file."""
@@ -333,6 +355,37 @@ def test_compare_refuses_config_that_is_not_an_object(tmp_path, capsys, doc):
     assert not out_dir.exists()
 
 
+@pytest.fixture(scope="module")
+def compared_long(tmp_path_factory):
+    """`compare` on 2 trials of CHUNK + 6 rounds, whose CSVs end on a partial chunk."""
+    out_dir = tmp_path_factory.mktemp("long") / "exp"
+    assert main(["compare", "--seed", "3", "--trials", "2", "--horizon", str(CHUNK + 6),
+                 "--out", str(out_dir)]) == 0
+    return out_dir
+
+
+def test_trace_csvs_hold_the_table_bits(compared_long):
+    """Every metric column of every trace CSV reads back to the bits of its
+    column of traces.npy, the (metric, round, algorithm, trial) table."""
+    table = np.load(compared_long / "traces.npy")
+    assert table.shape == (len(METRIC_COLUMNS), CHUNK + 6, len(ALGORITHMS), 2)
+    for a, algorithm in enumerate(ALGORITHMS):
+        for trial_id in range(2):
+            trace = read_trace_csv(trial_trace_path(str(compared_long), trial_id, algorithm))
+            for i, column in enumerate(trace.metrics().values()):
+                assert column.tobytes() == table[i, :, a, trial_id].tobytes()
+
+
+def test_report_reads_the_table_not_the_csvs(compared_long, tmp_path, capsys):
+    """With traces/ gone, `report` still rewrites compare's summary.csv byte for byte."""
+    out_dir = tmp_path / "exp"
+    shutil.copytree(compared_long, out_dir)
+    shutil.rmtree(out_dir / "traces")
+    (out_dir / "summary.csv").unlink()
+    assert main(["report", "--out", str(out_dir)]) == 0
+    assert (out_dir / "summary.csv").read_bytes() == (compared_long / "summary.csv").read_bytes()
+
+
 def compare_and_report(out_dir, capsys, trials=2, horizon=20):
     """Every file but the manifest that `compare` then `report` leave, the
     manifest without its output directory, and their stdout."""
@@ -360,7 +413,8 @@ def test_compare_and_report_write_the_same_bytes_for_any_workers(tmp_path, capsy
             monkeypatch.setattr(harness, "available_workers", lambda: workers)
             out_dir = tmp_path / f"trials{trials}_horizon{horizon}_workers{workers}"
             runs.append(compare_and_report(out_dir, capsys, trials, horizon))
-        assert len(runs[0][0]) == trials * len(ALGORITHMS) + trials + 2  # traces, optima, two tables
+        # trace CSVs, optima, traces.npy, summary.csv and sdgm_regret_scaled.csv
+        assert len(runs[0][0]) == trials * len(ALGORITHMS) + trials + 3
         assert "workers" not in runs[0][1]["config"]
         assert runs[0] == runs[1] == runs[2]
 

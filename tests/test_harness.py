@@ -3,7 +3,6 @@ import json
 import multiprocessing
 import os
 import re
-import shutil
 from dataclasses import replace
 from pathlib import Path
 
@@ -359,6 +358,20 @@ class TestRunExperiment:
         summary_b = Path(parallel.output_dir, "summary.csv").read_text()
         assert summary_a == summary_b
 
+    def test_failed_table_save_leaves_no_table_file(self, tmp_path, monkeypatch):
+        """A save of traces.npy that fails part way is raised, and leaves
+        neither the table nor its temporary file."""
+        config = small_config(tmp_path)
+
+        def full_disk(fh, arr):
+            fh.write(b"\x93NUMPY")
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(np, "save", full_disk)
+        with pytest.raises(OSError, match="no space left"):
+            run_experiment(config)
+        assert [name for name in os.listdir(config.output_dir) if name.startswith("traces.npy")] == []
+
     def test_manifest_records_each_certified_optimum(self, tmp_path):
         """Each manifest entry holds the optimum its cache file holds, and that
         x* and lambda* certify on the network regenerated from its seed."""
@@ -468,7 +481,7 @@ class TestAggregateAndReport:
     def _refusal(self, tmp_path, monkeypatch, edit, trials=2):
         """What `report` raises on the manifest that `edit` leaves of a run of
         `trials` trials, and the manifest's path.  It must raise before it
-        makes a trace table or starts a worker, and write no summary.csv."""
+        reads the trace table or starts a worker, and write no summary.csv."""
         monkeypatch.setattr(harness, "available_workers", lambda: 2)
         config = small_config(tmp_path, trials=trials)
         run_experiment(config)
@@ -481,9 +494,9 @@ class TestAggregateAndReport:
         os.remove(summary_path)
 
         def refused(*args, **kwargs):
-            raise AssertionError("report made a trace table or started a worker")
+            raise AssertionError("report read the trace table or started a worker")
 
-        monkeypatch.setattr(harness, "_shared_table", refused)
+        monkeypatch.setattr(np, "load", refused)
         monkeypatch.setattr(harness, "ProcessPoolExecutor", refused)
         with pytest.raises(Exception) as raised:
             report(config.output_dir)
@@ -632,31 +645,36 @@ class TestAggregateAndReport:
         report(config.output_dir)
         assert path.read_bytes() == written.replace(b"\n", b"\r\n")
 
-    def test_report_names_missing_trace(self, tmp_path):
+    def test_report_names_missing_table(self, tmp_path):
+        """A run directory without traces.npy, such as one written before
+        `compare` saved its table, is refused by the table's name."""
         config = small_config(tmp_path, trials=2)
         run_experiment(config)
-        path = trial_trace_path(config.output_dir, 1, "FDGM")
+        path = os.path.join(config.output_dir, "traces.npy")
         os.remove(path)
         with pytest.raises(TraceMismatchError, match=re.escape(path)):
             report(config.output_dir)
 
-    @pytest.mark.parametrize("source", [(0, "SDGM"), (1, "DGM")], ids=["trial", "algorithm"])
-    def test_report_names_trace_of_other_trial_or_algorithm(self, tmp_path, source):
+    @pytest.mark.parametrize("edit", [
+        lambda table: table[:, :-1],
+        lambda table: table[..., :-1],
+        lambda table: table[:, :, :-1],
+        lambda table: table.astype(np.float32),
+        lambda table: table.astype(table.dtype.newbyteorder()),
+    ], ids=["round", "trial", "algorithm", "float32", "byte-swapped"])
+    def test_report_names_mismatched_table(self, tmp_path, edit):
+        """A table saved with one round, trial or algorithm fewer than the
+        manifest's config, or in any type but native float64, is refused by
+        name, and no summary.csv is written."""
         config = small_config(tmp_path, trials=2)
         run_experiment(config)
-        path = trial_trace_path(config.output_dir, 1, "SDGM")
-        shutil.copyfile(trial_trace_path(config.output_dir, *source), path)
+        path = os.path.join(config.output_dir, "traces.npy")
+        np.save(path, edit(np.load(path)))
+        summary_path = os.path.join(config.output_dir, "summary.csv")
+        os.remove(summary_path)
         with pytest.raises(TraceMismatchError, match=re.escape(path)):
             report(config.output_dir)
-
-    def test_report_names_trace_of_other_horizon(self, tmp_path):
-        config = small_config(tmp_path, trials=2)
-        run_experiment(config)
-        path = trial_trace_path(config.output_dir, 0, "NDGM")
-        lines = Path(path).read_text().splitlines(keepends=True)
-        Path(path).write_text("".join(lines[:-1]))
-        with pytest.raises(TraceMismatchError, match=re.escape(path)):
-            report(config.output_dir)
+        assert not os.path.exists(summary_path)
 
     def test_report_without_traces_fails(self, tmp_path):
         os.makedirs(tmp_path / "empty" / "traces")
