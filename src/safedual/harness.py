@@ -4,21 +4,21 @@ A run generates an ensemble of random networks, solves each to optimality,
 runs the selected algorithms for a fixed horizon, and writes its trace
 table, one trace CSV per (trial, algorithm) and an aggregate summary.  The
 calling process prepares every trial, solving each reference optimum afresh
-and storing it under oracle_cache/.  A run then works in two phases, price
-then write.  Pricing splits the trials into contiguous blocks: the caller
-prices the first block itself while forked workers price the others, each
-running every selected algorithm over its block in one loop, over a
-ProblemBatch that holds the block once per algorithm.  Every block records
-its traces into one shared (metric, round, algorithm, trial) table, which
-the caller saves as traces.npy and reduces to the summary.  Writing deals
-the files over the workers again: each trace CSV and each algorithm's
-section of summary.csv is one unit, dealt by its cost; the sections go to
+and storing it under oracle_cache/.  Pricing splits the trials into
+contiguous blocks: the caller prices the first block itself while forked
+workers price the others, each running every selected algorithm over its
+block in one loop, over a ProblemBatch that holds the block once per
+algorithm.  Every block records its traces into one shared (metric, round,
+algorithm, trial) table and writes the trace CSVs of its own trials.  The
+caller then saves the table as traces.npy and reduces it to the summary,
+whose one writer, SummaryStats.write_csv, splits the algorithms' sections
+into contiguous blocks over the workers in the same way; the sections go to
 part files that the caller joins behind the header.  `report` loads
-traces.npy, not the CSVs, then reduces it and writes its sections the same
-way.  A run and `report` each work out their worker count once, the caller
-included: the CPUs in the process's affinity mask (limit it with `taskset
--c`), or 1 where processes cannot fork.  Everything is a pure function of
-the master seed, regardless of worker count and batch size.
+traces.npy, not the CSVs, then reduces it and writes summary.csv through
+the same writer.  A run and `report` each work out their worker count once,
+the caller included: the CPUs in the process's affinity mask (limit it with
+`taskset -c`), or 1 where processes cannot fork.  Everything is a pure
+function of the master seed, regardless of worker count and batch size.
 """
 from __future__ import annotations
 
@@ -161,11 +161,30 @@ class SummaryStats:
         ]
         write_rows(fh, f"{algorithm},", np.arange(1, self.horizon + 1), columns)
 
-    def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.header())
-            for alg in self.algorithms:
-                self.write_section(fh, alg)
+    def write_csv(self, path, workers: int) -> None:
+        """Write summary.csv at `path`: blocks of algorithms, one per worker,
+        write their sections to part files, which the caller appends behind
+        the header in algorithm order.  No part file outlives the call,
+        whether it ends normally or a section fails."""
+        parts = [f"{path}.{alg}.part" for alg in self.algorithms]
+
+        def write(block) -> None:
+            for a in block:
+                with open(parts[a], "w") as fh:
+                    self.write_section(fh, self.algorithms[a])
+
+        try:
+            fan_out(write, blocks(len(parts), workers))
+            with open(path, "w") as out:
+                out.write(self.header())
+            with open(path, "ab") as out:
+                for part in parts:
+                    with open(part, "rb") as fh:
+                        shutil.copyfileobj(fh, out)
+        finally:
+            for part in parts:
+                with suppress(FileNotFoundError):
+                    os.remove(part)
 
 
 def derive_trial_seed(master_seed: int, index: int) -> int:
@@ -257,46 +276,40 @@ def _prepare_trial(config: ExperimentConfig, trial_id: int):
     """Generate one trial, derive its constants, solve its reference optimum
     and store that in oracle_cache/, which no run reads back; the file is
     written whole.  The manifest entry holds the optimum too, x* and lambda*
-    as the file does."""
-    seed = derive_trial_seed(config.master_seed, trial_id)
-    problem = generate_random(replace(config.generator, seed=seed))
-    constants = compute_constants(problem)
-    solution = oracle.solve_optimal(problem)
-    optimum = solution.to_dict()
-    path = os.path.join(config.output_dir, "oracle_cache", f"{problem_hash(problem)}.json")
-    _write_whole(path, "w", partial(json.dump, optimum))
-    gamma = config.gamma if config.gamma is not None else sdgm.default_gamma(constants, problem)
-    meta = {
-        "trial_id": trial_id,
-        "seed": seed,
-        "n": problem.n,
-        "m": problem.m,
-        "gamma": gamma,
-        "lambda_bar": constants.lambda_bar,
-        "mu": constants.mu,
-        "spectral": constants.spectral,
-        "c_l1": constants.c_l1,
-        "regret_constant": sdgm.regret_constant(constants, problem),
-        "f_star": solution.f_star,
-        "x_star": optimum["x_star"],
-        "lambda_star": optimum["lambda_star"],
-        "kkt_residual": solution.kkt_residual,
-        "oracle_iterations": solution.iterations_used,
-    }
-    return problem, constants, solution, meta
-
-
-def _prepare_trials(config: ExperimentConfig, trial_ids) -> list[tuple]:
-    prepared = []
-    for trial_id in trial_ids:
-        with _naming_trial(config, trial_id):
-            prepared.append(_prepare_trial(config, trial_id))
-    return prepared
+    as the file does.  A failure is raised naming the trial and its seed."""
+    with _naming_trial(config, trial_id):
+        seed = derive_trial_seed(config.master_seed, trial_id)
+        problem = generate_random(replace(config.generator, seed=seed))
+        constants = compute_constants(problem)
+        solution = oracle.solve_optimal(problem)
+        optimum = solution.to_dict()
+        path = os.path.join(config.output_dir, "oracle_cache", f"{problem_hash(problem)}.json")
+        _write_whole(path, "w", partial(json.dump, optimum))
+        gamma = config.gamma if config.gamma is not None else sdgm.default_gamma(constants, problem)
+        meta = {
+            "trial_id": trial_id,
+            "seed": seed,
+            "n": problem.n,
+            "m": problem.m,
+            "gamma": gamma,
+            "lambda_bar": constants.lambda_bar,
+            "mu": constants.mu,
+            "spectral": constants.spectral,
+            "c_l1": constants.c_l1,
+            "regret_constant": sdgm.regret_constant(constants, problem),
+            "f_star": solution.f_star,
+            "x_star": optimum["x_star"],
+            "lambda_star": optimum["lambda_star"],
+            "kkt_residual": solution.kkt_residual,
+            "oracle_iterations": solution.iterations_used,
+        }
+        return problem, constants, solution, meta
 
 
 def _price_block(config: ExperimentConfig, prepared, table) -> list[TrialTrace]:
-    """Price a block of prepared trials as one batch and record their traces
-    into `table`, its (metric, round, algorithm, trial) slice."""
+    """Price a block of prepared trials as one batch, record their traces
+    into `table`, its (metric, round, algorithm, trial) slice, and write each
+    trace as its CSV under the output directory."""
     problems, constants, solutions, metas = zip(*prepared)
     trial_ids = [meta["trial_id"] for meta in metas]
     batch = ProblemBatch(problems)
@@ -312,23 +325,22 @@ def _price_block(config: ExperimentConfig, prepared, table) -> list[TrialTrace]:
         k, user = batch.locate_user(exc.user % batch.n)
         with _naming_trial(config, trial_ids[k]):
             raise UnboundedSubproblemError.at(user, exc.price) from exc
+    for trace in traces:
+        trace.write_csv(trial_trace_path(config.output_dir, trace.trial_id, trace.algorithm))
     return traces
 
 
 def run_trial(config: ExperimentConfig, trial_id: int) -> tuple[dict, list[TrialTrace]]:
     """One trial as a batch of one, in this process: its manifest entry and
     its traces, each also written as its CSV under the output directory."""
-    prepared = _prepare_trials(config, [trial_id])
-    traces = _price_block(config, prepared, None)
-    for trace in traces:
-        trace.write_csv(trial_trace_path(config.output_dir, trace.trial_id, trace.algorithm))
-    return prepared[0][-1], traces
+    prepared = [_prepare_trial(config, trial_id)]
+    return prepared[0][-1], _price_block(config, prepared, None)
 
 
-def trial_blocks(trials: int, workers: int) -> list[range]:
-    """Contiguous blocks of trial ids, one per worker, sizes within one of each other."""
-    workers = max(1, min(workers, trials))
-    bounds = [trials * k // workers for k in range(workers + 1)]
+def blocks(count: int, workers: int) -> list[range]:
+    """range(count) as contiguous blocks, one per worker, sizes within one of each other."""
+    workers = max(1, min(workers, count))
+    bounds = [count * k // workers for k in range(workers + 1)]
     return [range(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
@@ -348,8 +360,9 @@ def fan_out(work, items) -> None:
     """Run work(item) for each item: the caller runs the first item while
     len(items) - 1 forked workers run the others.
 
-    A run calls it twice: once to price its trial blocks, once to write the
-    files those blocks recorded (`report`: once, to write).  `work`
+    A run calls it twice: once to price its trial blocks, each block
+    writing its own trace CSVs, and once, in SummaryStats.write_csv, to
+    write the summary's sections (`report`: only that once).  `work`
     reaches the workers through fork, not pickle, so it may close over
     memory that they share with the caller, such as the trace table and the
     summary; only the items are pickled, and whatever work returns is
@@ -366,65 +379,6 @@ def fan_out(work, items) -> None:
         work(items[0])
         for future in futures:
             future.result()
-
-
-def deal(costs, hands: int) -> list[list[int]]:
-    """The indices of `costs`, dealt into min(hands, len(costs)) hands (at
-    least one): largest cost first, ties in index order, each to the hand
-    with the least cost so far, the first such.  No two hands' totals then
-    differ by more than the largest cost."""
-    hands = max(1, min(hands, len(costs)))
-    dealt, loads = [[] for _ in range(hands)], [0] * hands
-    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
-        h = loads.index(min(loads))
-        dealt[h].append(i)
-        loads[h] += costs[i]
-    return dealt
-
-
-def _write_tables(output_dir: str, summary: SummaryStats, workers: int, table=None) -> None:
-    """Write summary.csv and, given a compare run's (metric, round,
-    algorithm, trial) table, whose trial ids are its trial indices, one CSV
-    per trace in it, dealt over `workers` processes.
-
-    A unit is one trace CSV or one algorithm's section of the summary,
-    costing its rows times the values in a row; a trace is viewed from the
-    table only when its unit is written.  Each section goes to a part file;
-    the caller then writes the header and appends the parts in algorithm
-    order.  No part file outlives the call, whether it ends normally or a
-    unit fails."""
-    path = os.path.join(output_dir, "summary.csv")
-    parts = {alg: f"{path}.{alg}.part" for alg in summary.algorithms}
-
-    def write_section(alg) -> None:
-        with open(parts[alg], "w") as fh:
-            summary.write_section(fh, alg)
-
-    def write_trace(a, trial_id) -> None:
-        trace = TrialTrace(trial_id, summary.algorithms[a], *table[:, :, a, trial_id])
-        trace.write_csv(trial_trace_path(output_dir, trial_id, trace.algorithm))
-
-    writes = [] if table is None else [partial(write_trace, a, k) for a, k in np.ndindex(table.shape[2:])]
-    costs = [summary.horizon * (1 + len(METRIC_COLUMNS))] * len(writes)
-    writes += [partial(write_section, alg) for alg in summary.algorithms]
-    costs += [summary.horizon * (1 + len(summary.STATS) * len(METRIC_COLUMNS))] * len(parts)
-
-    def write(hand) -> None:
-        for i in hand:
-            writes[i]()
-
-    try:
-        fan_out(write, deal(costs, workers))
-        with open(path, "w") as out:
-            out.write(summary.header())
-        with open(path, "ab") as out:
-            for alg in summary.algorithms:
-                with open(parts[alg], "rb") as part:
-                    shutil.copyfileobj(part, out)
-    finally:
-        for part in parts.values():
-            with suppress(FileNotFoundError):
-                os.remove(part)
 
 
 def _shared_table(config: ExperimentConfig) -> np.ndarray:
@@ -469,17 +423,17 @@ def run_experiment(config: ExperimentConfig) -> SummaryStats:
     config.check()
     os.makedirs(os.path.join(config.output_dir, "traces"), exist_ok=True)
     os.makedirs(os.path.join(config.output_dir, "oracle_cache"), exist_ok=True)
-    prepared = _prepare_trials(config, range(config.trials))
+    prepared = [_prepare_trial(config, trial_id) for trial_id in range(config.trials)]
     table = _shared_table(config)
     workers = available_workers()
 
     def price(block) -> None:
         _price_block(config, prepared[block.start:block.stop], table[..., block.start:block.stop])
 
-    fan_out(price, trial_blocks(config.trials, workers))
+    fan_out(price, blocks(config.trials, workers))
     _write_whole(os.path.join(config.output_dir, "traces.npy"), "wb", partial(np.save, arr=table))
     summary = aggregate(table, config.algorithms)
-    _write_tables(config.output_dir, summary, workers, table)
+    summary.write_csv(os.path.join(config.output_dir, "summary.csv"), workers)
     _write_artifacts(config, [meta for *_, meta in prepared], table)
     return summary
 
@@ -488,16 +442,23 @@ def report(output_dir: str) -> SummaryStats:
     """Re-aggregate the trace table of the run that `manifest.json` records,
     read from traces.npy alone, and write summary.csv with as many processes
     as this machine can run.  Refused before the table is read: a manifest
-    whose config `compare` would refuse, that lists a trial id that is not a
-    non-negative integer, or whose ids are not each of 0 to config.trials -
-    1 once.  Refused after: a missing table, or one not of native float64
-    in the config's (metric, round, algorithm, trial) shape."""
+    that is not an object holding a config that `compare` accepts and a list
+    of trial objects whose ids are each of 0 to config.trials - 1 once.
+    Refused after: a missing table, or one not of native float64 in the
+    config's (metric, round, algorithm, trial) shape."""
     manifest_path = os.path.join(output_dir, "manifest.json")
     with open(manifest_path) as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise TraceMismatchError(f"{manifest_path} is not a JSON object")
+    if not isinstance(manifest.get("config"), dict):
+        raise ConfigError(f'{manifest_path} has no "config" object')
     config = ExperimentConfig.from_dict(manifest["config"])
     config.check()
-    trial_ids = [meta["trial_id"] for meta in manifest["trials"]]
+    trials = manifest.get("trials")
+    if not (isinstance(trials, list) and all(isinstance(meta, dict) for meta in trials)):
+        raise TraceMismatchError(f'{manifest_path} has no "trials" list of objects')
+    trial_ids = [meta.get("trial_id") for meta in trials]
     for trial_id in trial_ids:
         if not (is_integer(trial_id) and trial_id >= 0):
             raise TraceMismatchError(
@@ -524,5 +485,5 @@ def report(output_dir: str) -> SummaryStats:
     if table.dtype != np.float64:
         raise TraceMismatchError(f"{path} holds {table.dtype.str} values, not native float64")
     summary = aggregate(table, config.algorithms)
-    _write_tables(output_dir, summary, available_workers())
+    summary.write_csv(os.path.join(output_dir, "summary.csv"), available_workers())
     return summary

@@ -11,6 +11,7 @@ import pytest
 
 from conftest import gate_problem
 from safedual import baselines, harness
+from safedual import trace as trace_module
 from safedual.harness import (
     ALGORITHMS,
     STARTS,
@@ -19,14 +20,13 @@ from safedual.harness import (
     TraceMismatchError,
     aggregate,
     available_workers,
-    deal,
+    blocks,
     derive_trial_seed,
     report,
     run_algorithm,
     run_batch,
     run_experiment,
     run_trial,
-    trial_blocks,
     trial_trace_path,
 )
 from safedual.oracle import kkt_residual, solve_optimal
@@ -277,28 +277,15 @@ class TestBatching:
         config = ExperimentConfig(
             master_seed=1, algorithms=("FDGM",), trials=34, output_dir=str(tmp_path)
         )
-        assert 32 in trial_blocks(config.trials, 2)[1]
+        assert 32 in blocks(config.trials, 2)[1]
         expected = r"^trial 32 \(seed 5418039791164437117\) failed: user 0 faces price 0.0 "
         with pytest.raises(RuntimeError, match=expected):
             run_experiment(config)
 
     def test_blocks_are_contiguous_and_balanced(self):
-        assert trial_blocks(10, 3) == [range(0, 3), range(3, 6), range(6, 10)]
-        assert trial_blocks(2, 4) == [range(0, 1), range(1, 2)]
-        assert trial_blocks(5, 1) == trial_blocks(5, 0) == [range(0, 5)]
-
-    def test_deal_hands_out_every_unit_once_and_balanced(self):
-        rng = np.random.default_rng(0)
-        for size, hands in ((1, 1), (3, 2), (12, 2), (16, 3), (400, 2), (37, 5)):
-            costs = rng.integers(1, 10_000, size).tolist()
-            dealt = deal(costs, hands)
-            assert dealt == deal(costs, hands)
-            assert len(dealt) == min(size, hands) and all(dealt)
-            assert sorted(i for hand in dealt for i in hand) == list(range(size))
-            loads = [sum(costs[i] for i in hand) for hand in dealt]
-            assert max(loads) - min(loads) <= max(costs)
-        assert deal([5, 5, 5, 5], 2) == [[0, 2], [1, 3]]
-        assert deal([], 3) == [[]]
+        assert blocks(10, 3) == [range(0, 3), range(3, 6), range(6, 10)]
+        assert blocks(2, 4) == [range(0, 1), range(1, 2)]
+        assert blocks(5, 1) == blocks(5, 0) == [range(0, 5)]
 
 
 class TestRunExperiment:
@@ -371,6 +358,32 @@ class TestRunExperiment:
         with pytest.raises(OSError, match="no space left"):
             run_experiment(config)
         assert [name for name in os.listdir(config.output_dir) if name.startswith("traces.npy")] == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_trace_write_leaves_no_table(self, tmp_path, monkeypatch, workers):
+        """A trace CSV whose write fails, in the caller's block or in a forked
+        one, is raised before the table or the summary is written: the run
+        leaves no traces.npy, no temporary of it and no summary part file, and
+        `report` refuses the directory."""
+        monkeypatch.setattr(harness, "available_workers", lambda: workers)
+        config = small_config(tmp_path)
+        assert 2 in blocks(config.trials, workers)[-1]
+        write_rows = trace_module.write_rows
+
+        def full_disk(fh, prefix, *args):
+            if prefix.startswith("2,"):
+                raise OSError("no space left on device")
+            write_rows(fh, prefix, *args)
+
+        monkeypatch.setattr(trace_module, "write_rows", full_disk)
+        with pytest.raises(OSError, match="no space left"):
+            run_experiment(config)
+        assert [
+            name for name in os.listdir(config.output_dir)
+            if name.startswith(("traces.npy", "summary.csv"))
+        ] == []
+        with pytest.raises(FileNotFoundError, match="manifest.json"):
+            report(config.output_dir)
 
     def test_manifest_records_each_certified_optimum(self, tmp_path):
         """Each manifest entry holds the optimum its cache file holds, and that
@@ -480,15 +493,20 @@ class TestAggregateAndReport:
 
     def _refusal(self, tmp_path, monkeypatch, edit, trials=2):
         """What `report` raises on the manifest that `edit` leaves of a run of
-        `trials` trials, and the manifest's path.  It must raise before it
-        reads the trace table or starts a worker, and write no summary.csv."""
+        `trials` trials, and the manifest's path; `edit` edits the manifest in
+        place, or is the document to write in its stead.  `report` must raise
+        before it reads the trace table or starts a worker, and write no
+        summary.csv."""
         monkeypatch.setattr(harness, "available_workers", lambda: 2)
         config = small_config(tmp_path, trials=trials)
         run_experiment(config)
         manifest_path = os.path.join(config.output_dir, "manifest.json")
         summary_path = os.path.join(config.output_dir, "summary.csv")
         manifest = json.loads(Path(manifest_path).read_text())
-        edit(manifest)
+        if callable(edit):
+            edit(manifest)
+        else:
+            manifest = edit
         with open(manifest_path, "w") as fh:
             json.dump(manifest, fh)
         os.remove(summary_path)
@@ -529,6 +547,22 @@ class TestAggregateAndReport:
         error, manifest_path = self._refusal(tmp_path, monkeypatch, edit, trials=3)
         assert type(error) is TraceMismatchError
         assert re.match(rf"^{re.escape(manifest_path)} .*trial {named}\b", str(error))
+
+    @pytest.mark.parametrize("edit, error_type, key", [
+        ([], TraceMismatchError, None),
+        (lambda m: m.pop("config"), ConfigError, "config"),
+        (lambda m: m.update(trials="01"), TraceMismatchError, "trials"),
+        (lambda m: m["trials"].append(7), TraceMismatchError, "trials"),
+        (lambda m: m["trials"][0].pop("trial_id"), TraceMismatchError, None),
+    ], ids=["list", "no-config", "str-trials", "int-trial", "no-trial-id"])
+    def test_report_refuses_malformed_manifest(self, tmp_path, monkeypatch, edit, error_type, key):
+        """A manifest that is not an object, that lacks its config, or whose
+        trials are not a list of objects with ids, is refused by a typed error
+        that names the manifest and the key it lacks."""
+        error, manifest_path = self._refusal(tmp_path, monkeypatch, edit)
+        assert type(error) is error_type
+        assert str(error).startswith(f"{manifest_path} ")
+        assert key is None or f'"{key}"' in str(error)
 
     @pytest.mark.parametrize("settings, error_type, message", [
         ({"algorithms": []}, ValueError, "no algorithms"),
