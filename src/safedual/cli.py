@@ -133,9 +133,8 @@ def _cmd_compare(args) -> None:
         settings["generator"] = replace(config.generator, seed=settings["master_seed"])
     config = replace(config, **settings)
     summary = harness.run_experiment(config)
-    final = {
-        alg: float(summary.mean[(alg, "distance_to_opt")][-1]) for alg in config.algorithms
-    }
+    distance = summary.mean[harness.METRIC_COLUMNS.index("distance_to_opt"), -1]
+    final = dict(zip(config.algorithms, distance.tolist()))
     print(json.dumps({"trials": summary.trials, "final_mean_distance": final}, indent=2))
 
 

@@ -2,23 +2,22 @@
 
 A run generates an ensemble of random networks, solves each to optimality,
 runs the selected algorithms for a fixed horizon, and writes its trace
-table, one trace CSV per (trial, algorithm) and an aggregate summary.  The
-calling process prepares every trial, solving each reference optimum afresh
-and storing it under oracle_cache/.  Pricing splits the trials into
-contiguous blocks: the caller prices the first block itself while forked
-workers price the others, each running every selected algorithm over its
-block in one loop, over a ProblemBatch that holds the block once per
-algorithm.  Every block records its traces into one shared (metric, round,
-algorithm, trial) table and writes the trace CSVs of its own trials.  The
-caller then saves the table as traces.npy and reduces it to the summary,
-whose one writer, SummaryStats.write_csv, splits the algorithms' sections
-into contiguous blocks over the workers in the same way; the sections go to
-part files that the caller joins behind the header.  `report` loads
-traces.npy, not the CSVs, then reduces it and writes summary.csv through
-the same writer.  A run and `report` each work out their worker count once,
-the caller included: the CPUs in the process's affinity mask (limit it with
-`taskset -c`), or 1 where processes cannot fork.  Everything is a pure
-function of the master seed, regardless of worker count and batch size.
+table, one trace CSV per (trial, algorithm) and an aggregate summary, in
+place of any earlier run's.  The calling process prepares every trial,
+solving each reference optimum afresh and storing it under oracle_cache/.
+fan_out then prices contiguous blocks of trials: the caller prices the
+first while forked workers price the others, each running every selected
+algorithm over its block in one loop.  Every block records its traces into
+one shared (metric, round, algorithm, trial) table and writes the trace
+CSVs of its own trials.  The caller saves the table as traces.npy and
+reduces it to (metric, round, algorithm) arrays of mean and deviation,
+which SummaryStats.write_csv writes, blocks of algorithms fanned out in the
+same way, as summary.csv, replaced whole.  `report` loads traces.npy, not
+the CSVs, and reduces and writes it the same way.  fan_out splits its work
+over the CPUs in the process's affinity mask (limit them with `taskset
+-c`), the caller included, or runs it in one process where processes
+cannot fork.  Everything is a pure function of the master seed, regardless
+of worker count and batch size.
 """
 from __future__ import annotations
 
@@ -140,13 +139,12 @@ class ExperimentConfig:
 @dataclass
 class SummaryStats:
     """Across-trial mean and standard deviation of every metric at every t,
-    over `trials` trials."""
+    over `trials` trials, as (metric, round, algorithm) arrays."""
 
     algorithms: tuple[str, ...]
-    horizon: int
     trials: int
-    mean: dict  # (algorithm, metric) -> array over t
-    std: dict
+    mean: np.ndarray
+    std: np.ndarray
 
     STATS = ("mean", "std")
 
@@ -154,33 +152,33 @@ class SummaryStats:
         names = (f"{metric}_{stat}" for metric in METRIC_COLUMNS for stat in self.STATS)
         return ",".join(["algorithm", "t", *names]) + "\n"
 
-    def write_section(self, fh, algorithm: str) -> None:
-        """The rows of one algorithm, t = 1 to horizon."""
-        columns = [
-            getattr(self, stat)[(algorithm, metric)] for metric in METRIC_COLUMNS for stat in self.STATS
-        ]
-        write_rows(fh, f"{algorithm},", np.arange(1, self.horizon + 1), columns)
+    def write_section(self, fh, a: int) -> None:
+        """The rows of the a-th algorithm, t = 1 to horizon."""
+        columns = [getattr(self, stat)[i, :, a] for i in range(len(METRIC_COLUMNS)) for stat in self.STATS]
+        write_rows(fh, f"{self.algorithms[a]},", np.arange(1, self.mean.shape[1] + 1), columns)
 
-    def write_csv(self, path, workers: int) -> None:
-        """Write summary.csv at `path`: blocks of algorithms, one per worker,
-        write their sections to part files, which the caller appends behind
-        the header in algorithm order.  No part file outlives the call,
-        whether it ends normally or a section fails."""
+    def write_csv(self, path) -> None:
+        """Replace summary.csv at `path` whole: fan_out's blocks of algorithms
+        write their sections to part files, which the caller joins behind the
+        header, in algorithm order, through _write_whole.  No part file
+        outlives the call, whether it ends normally or a write fails."""
         parts = [f"{path}.{alg}.part" for alg in self.algorithms]
 
         def write(block) -> None:
             for a in block:
                 with open(parts[a], "w") as fh:
-                    self.write_section(fh, self.algorithms[a])
+                    self.write_section(fh, a)
+
+        def join(out) -> None:
+            out.write(self.header())
+            out.flush()
+            for part in parts:
+                with open(part, "rb") as fh:
+                    shutil.copyfileobj(fh, out.buffer)
 
         try:
-            fan_out(write, blocks(len(parts), workers))
-            with open(path, "w") as out:
-                out.write(self.header())
-            with open(path, "ab") as out:
-                for part in parts:
-                    with open(part, "rb") as fh:
-                        shutil.copyfileobj(fh, out)
+            fan_out(write, len(parts))
+            _write_whole(path, "w", join)
         finally:
             for part in parts:
                 with suppress(FileNotFoundError):
@@ -238,13 +236,12 @@ def run_batch(
 
 
 def run_algorithm(
-    algorithm: str, problem, constants, horizon: int, gamma=None,
-    trial_id: int = 0, *, f_star: float, x_star,
+    algorithm: str, problem, constants, horizon: int, gamma=None, *, f_star: float, x_star,
 ) -> TrialTrace:
-    """Run one registered algorithm on one instance, as a batch of one."""
+    """Run one registered algorithm on one instance, as a batch of one; its
+    trace is trial 0's."""
     return run_batch(
-        (algorithm,), ProblemBatch([problem]), [constants], horizon, [gamma],
-        [trial_id], [f_star], x_star,
+        (algorithm,), ProblemBatch([problem]), [constants], horizon, [gamma], [0], [f_star], x_star,
     )[0]
 
 
@@ -356,18 +353,19 @@ def _run_forked(item) -> None:
     _forked_work(item)
 
 
-def fan_out(work, items) -> None:
-    """Run work(item) for each item: the caller runs the first item while
-    len(items) - 1 forked workers run the others.
+def fan_out(work, count: int) -> None:
+    """Run work(block) for each of blocks(count, available_workers()): the
+    caller runs the first block while forked workers run the others.
 
-    A run calls it twice: once to price its trial blocks, each block
-    writing its own trace CSVs, and once, in SummaryStats.write_csv, to
-    write the summary's sections (`report`: only that once).  `work`
-    reaches the workers through fork, not pickle, so it may close over
-    memory that they share with the caller, such as the trace table and the
-    summary; only the items are pickled, and whatever work returns is
-    dropped.  A failure is raised in item order.
+    A run calls it twice: once to price its trials, each block writing its
+    own trace CSVs, and once, in SummaryStats.write_csv, to write the
+    summary's sections (`report`: only that once).  `work` reaches the
+    workers through fork, not pickle, so it may close over memory that they
+    share with the caller, such as the trace table and the summary; only
+    the blocks are pickled, and whatever work returns is dropped.  A
+    failure is raised in block order.
     """
+    items = blocks(count, available_workers())
     if len(items) == 1:
         work(items[0])
         return
@@ -396,14 +394,11 @@ def aggregate(table: np.ndarray, algorithms) -> SummaryStats:
     array before it is reduced, so its sums run in one order, and give the
     same bits, whatever the table's strides.
     """
-    horizon = table.shape[1]
-    mean, std = {}, {}
-    for a, alg in enumerate(algorithms):
-        for i, metric in enumerate(METRIC_COLUMNS):
-            block = np.ascontiguousarray(table[i, :, a].T)
-            mean[(alg, metric)] = block.mean(axis=0)
-            std[(alg, metric)] = block.std(axis=0)
-    return SummaryStats(tuple(algorithms), horizon, table.shape[-1], mean, std)
+    mean, std = np.empty(table.shape[:3]), np.empty(table.shape[:3])
+    for i, a in np.ndindex(table.shape[0], table.shape[2]):
+        block = np.ascontiguousarray(table[i, :, a].T)
+        mean[i, :, a], std[i, :, a] = block.mean(axis=0), block.std(axis=0)
+    return SummaryStats(tuple(algorithms), table.shape[-1], mean, std)
 
 
 def _write_artifacts(config: ExperimentConfig, metas, table: np.ndarray) -> None:
@@ -421,19 +416,20 @@ def _write_artifacts(config: ExperimentConfig, metas, table: np.ndarray) -> None
 def run_experiment(config: ExperimentConfig) -> SummaryStats:
     """Run the full ensemble and write its trace table, traces, summary, and manifest."""
     config.check()
-    os.makedirs(os.path.join(config.output_dir, "traces"), exist_ok=True)
-    os.makedirs(os.path.join(config.output_dir, "oracle_cache"), exist_ok=True)
+    for name in ("traces", "oracle_cache"):  # emptied of an earlier run's files
+        with suppress(FileNotFoundError):
+            shutil.rmtree(os.path.join(config.output_dir, name))
+        os.makedirs(os.path.join(config.output_dir, name))
     prepared = [_prepare_trial(config, trial_id) for trial_id in range(config.trials)]
     table = _shared_table(config)
-    workers = available_workers()
 
     def price(block) -> None:
         _price_block(config, prepared[block.start:block.stop], table[..., block.start:block.stop])
 
-    fan_out(price, blocks(config.trials, workers))
+    fan_out(price, config.trials)
     _write_whole(os.path.join(config.output_dir, "traces.npy"), "wb", partial(np.save, arr=table))
     summary = aggregate(table, config.algorithms)
-    summary.write_csv(os.path.join(config.output_dir, "summary.csv"), workers)
+    summary.write_csv(os.path.join(config.output_dir, "summary.csv"))
     _write_artifacts(config, [meta for *_, meta in prepared], table)
     return summary
 
@@ -485,5 +481,5 @@ def report(output_dir: str) -> SummaryStats:
     if table.dtype != np.float64:
         raise TraceMismatchError(f"{path} holds {table.dtype.str} values, not native float64")
     summary = aggregate(table, config.algorithms)
-    summary.write_csv(os.path.join(output_dir, "summary.csv"), available_workers())
+    summary.write_csv(os.path.join(output_dir, "summary.csv"))
     return summary

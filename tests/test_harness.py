@@ -3,6 +3,7 @@ import json
 import multiprocessing
 import os
 import re
+import shutil
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import gate_problem
-from safedual import baselines, harness
+from safedual import baselines, cli, harness
 from safedual import trace as trace_module
 from safedual.harness import (
     ALGORITHMS,
@@ -294,10 +295,10 @@ class TestRunExperiment:
         summary = run_experiment(config)
         assert summary.trials == config.trials
         assert summary.algorithms == ALGORITHMS
-        for alg in ALGORITHMS:
-            for metric in METRIC_COLUMNS:
-                assert summary.mean[(alg, metric)].shape == (config.horizon,)
-                assert (summary.std[(alg, metric)] >= 0).all()
+        for a, alg in enumerate(ALGORITHMS):
+            for i, metric in enumerate(METRIC_COLUMNS):
+                assert summary.mean[i, :, a].shape == (config.horizon,)
+                assert (summary.std[i, :, a] >= 0).all()
 
         out = config.output_dir
         assert os.path.exists(os.path.join(out, "summary.csv"))
@@ -420,6 +421,23 @@ class TestRunExperiment:
         assert optima() == before
         assert read_all(config.output_dir) == traces_before
 
+    def test_rerun_leaves_only_its_own_files(self, tmp_path):
+        """A rerun into the same directory, over fewer trials and more
+        algorithms, leaves the trace CSVs and optima of its own trials only."""
+        out = str(tmp_path / "out")
+        common = ["--horizon", "3", "--out", out]
+        assert cli.main(["compare", "--trials", "5", "--algorithms", "NDGM,SDGM", *common]) == 0
+        assert cli.main(["compare", "--trials", "2", *common]) == 0
+        assert sorted(os.listdir(os.path.join(out, "traces"))) == sorted(
+            os.path.basename(trial_trace_path(out, k, alg)) for k in range(2) for alg in ALGORITHMS
+        )
+        manifest = json.loads(Path(out, "manifest.json").read_text())
+        config = ExperimentConfig.from_dict(manifest["config"])
+        assert sorted(os.listdir(os.path.join(out, "oracle_cache"))) == sorted(
+            f"{problem_hash(generate_random(replace(config.generator, seed=meta['seed'])))}.json"
+            for meta in manifest["trials"]
+        )
+
     def test_planted_optimum_file_is_never_read(self, tmp_path):
         """An optimum file planted under the very name the run writes, holding
         a wrong f_star, is never read: the run solves the optimum and
@@ -451,8 +469,9 @@ class TestAggregateAndReport:
         table = np.array([[[*tr.metrics().values()] for tr in traces]]).transpose(2, 3, 0, 1)
         summary = aggregate(table, ("DGM",))
         stacked = np.vstack([tr.objective for tr in traces])
-        assert np.array_equal(summary.mean[("DGM", "objective")], stacked.mean(axis=0))
-        assert np.array_equal(summary.std[("DGM", "objective")], stacked.std(axis=0))
+        objective = METRIC_COLUMNS.index("objective")
+        assert np.array_equal(summary.mean[objective, :, 0], stacked.mean(axis=0))
+        assert np.array_equal(summary.std[objective, :, 0], stacked.std(axis=0))
 
         # Wider tables, whose trial axis a strided reduction would sum in
         # another order: 8 and 12 trials, and a strided slice of 8 of them.
@@ -464,8 +483,8 @@ class TestAggregateAndReport:
             for a, alg in enumerate(algorithms):
                 for i, metric in enumerate(METRIC_COLUMNS):
                     stacked = np.vstack([table[i, :, a, k] for k in range(trials)])
-                    assert np.array_equal(summary.mean[(alg, metric)], stacked.mean(axis=0))
-                    assert np.array_equal(summary.std[(alg, metric)], stacked.std(axis=0))
+                    assert np.array_equal(summary.mean[i, :, a], stacked.mean(axis=0))
+                    assert np.array_equal(summary.std[i, :, a], stacked.std(axis=0))
 
     def test_report_rebuilds_summary(self, tmp_path):
         config = small_config(tmp_path)
@@ -660,6 +679,33 @@ class TestAggregateAndReport:
             report(config.output_dir)
         assert parts() == []
         assert Path(summary_path).read_text() == written
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_join_leaves_summary_whole(self, tmp_path, monkeypatch, workers):
+        """A join of summary.csv that fails at its second part is raised by
+        `report`, and leaves the summary `compare` wrote, whole, and neither a
+        part file nor a temporary file."""
+        monkeypatch.setattr(harness, "available_workers", lambda: workers)
+        config = small_config(tmp_path)
+        run_experiment(config)
+        summary_path = Path(config.output_dir, "summary.csv")
+        written = summary_path.read_bytes()
+        copyfileobj, copied = shutil.copyfileobj, []
+
+        def full_disk(src, dst, *args):
+            copied.append(src)
+            if len(copied) == 2:
+                raise OSError("no space left on device")
+            copyfileobj(src, dst, *args)
+
+        monkeypatch.setattr(shutil, "copyfileobj", full_disk)
+        with pytest.raises(OSError, match="no space left"):
+            report(config.output_dir)
+        assert len(copied) == 2
+        assert summary_path.read_bytes() == written
+        assert [
+            name for name in os.listdir(config.output_dir) if name.endswith(".part") or ".tmp." in name
+        ] == []
 
     def test_summary_header_and_sections_end_lines_alike(self, tmp_path, monkeypatch):
         """As where text files end lines with \\r\\n: the header and the joined

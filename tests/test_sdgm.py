@@ -197,11 +197,10 @@ class TestRunSdgm:
             tiny,
             tiny_constants,
             horizon=40,
-            trial_id=7,
             f_star=tiny_solution.f_star,
             x_star=tiny_solution.x_star,
         )
-        assert trace.trial_id == 7
+        assert trace.trial_id == 0
         assert trace.algorithm == "SDGM"
         assert trace.horizon == 40
         assert (trace.min_slack >= -1e-9).all()
