@@ -2,9 +2,10 @@
 
 A run generates an ensemble of random networks, solves each to optimality,
 runs the selected algorithms for a fixed horizon, and writes its trace
-table, one trace CSV per (trial, algorithm) and an aggregate summary, in
-place of any earlier run's.  The calling process prepares every trial,
-solving each reference optimum afresh and storing it under oracle_cache/.
+table, one trace CSV per (trial, algorithm), an aggregate summary and, last,
+its manifest, once it has removed each name in OWNED and nothing else.  The
+calling process prepares every trial, solving each reference optimum afresh
+and storing it under oracle_cache/.
 fan_out then prices contiguous blocks of trials: the caller prices the
 first while forked workers price the others, each running every selected
 algorithm over its block in one loop.  Every block records its traces into
@@ -65,6 +66,8 @@ STARTS = {
     "NDGM": lambda batch, constants, gammas: baselines.start_ndgm(batch, constants),
 }
 ALGORITHMS = tuple(STARTS)
+# All that a run writes, and so removes, in its output directory: the manifest first.
+OWNED = ("manifest.json", "traces.npy", "summary.csv", "sdgm_regret_scaled.csv", "traces", "oracle_cache")
 
 
 class ConfigError(ValueError):
@@ -402,24 +405,30 @@ def aggregate(table: np.ndarray, algorithms) -> SummaryStats:
 
 
 def _write_artifacts(config: ExperimentConfig, metas, table: np.ndarray) -> None:
-    manifest = {"config": config.to_dict(), "trials": metas}
-    with open(os.path.join(config.output_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """sdgm_regret_scaled.csv, when SDGM ran, then manifest.json, the run's commit record."""
     if "SDGM" in config.algorithms:
         regret = table[METRIC_COLUMNS.index("regret_cum"), -1, config.algorithms.index("SDGM")]
-        with open(os.path.join(config.output_dir, "sdgm_regret_scaled.csv"), "w") as fh:
+
+        def write_regret(fh) -> None:
             fh.write("trial_id,regret_final_over_sqrt_horizon\n")
             write_rows(fh, "", range(config.trials), [regret / np.sqrt(config.horizon)])
 
+        _write_whole(os.path.join(config.output_dir, "sdgm_regret_scaled.csv"), "w", write_regret)
+    manifest = json.dumps({"config": config.to_dict(), "trials": metas}, indent=2, sort_keys=True)
+    path = os.path.join(config.output_dir, "manifest.json")
+    _write_whole(path, "w", lambda fh: fh.write(f"{manifest}\n"))
+
 
 def run_experiment(config: ExperimentConfig) -> SummaryStats:
-    """Run the full ensemble and write its trace table, traces, summary, and manifest."""
+    """Run the full ensemble: remove each name in OWNED, the manifest first, then
+    write the trace table, traces, summary and, last, the manifest."""
     config.check()
-    for name in ("traces", "oracle_cache"):  # emptied of an earlier run's files
+    for name in OWNED:  # a directory without a manifest holds no run
+        path = os.path.join(config.output_dir, name)
         with suppress(FileNotFoundError):
-            shutil.rmtree(os.path.join(config.output_dir, name))
-        os.makedirs(os.path.join(config.output_dir, name))
+            os.remove(path) if "." in name else shutil.rmtree(path)
+        if "." not in name:  # a directory the run fills, recreated empty
+            os.makedirs(path)
     prepared = [_prepare_trial(config, trial_id) for trial_id in range(config.trials)]
     table = _shared_table(config)
 

@@ -438,6 +438,39 @@ class TestRunExperiment:
             for meta in manifest["trials"]
         )
 
+    def test_rerun_without_sdgm_leaves_no_sdgm_file(self, tmp_path):
+        """A rerun that leaves SDGM out leaves no sdgm_regret_scaled.csv of the
+        earlier run, and neither run touches a file of the user's own."""
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("mine\n")
+        assert cli.main(["compare", "--trials", "2", "--horizon", "5", "--out", str(out)]) == 0
+        assert (out / "sdgm_regret_scaled.csv").exists()
+        assert cli.main(
+            ["compare", "--trials", "3", "--horizon", "5", "--algorithms", "DGM", "--out", str(out)]
+        ) == 0
+        assert not (out / "sdgm_regret_scaled.csv").exists()
+        assert (out / "notes.txt").read_text() == "mine\n"
+        assert report(str(out)).trials == 3
+
+    def test_failed_rerun_leaves_no_run(self, tmp_path, monkeypatch):
+        """A rerun whose pricing fails is raised, and leaves none of the earlier
+        run's manifest, table, summary or SDGM file: `report` refuses the
+        directory rather than re-read the earlier run."""
+        run_experiment(small_config(tmp_path, trials=3, horizon=20))
+
+        def broken(*args):
+            raise RuntimeError("pricing failed")
+
+        monkeypatch.setattr(harness, "_price_block", broken)
+        with pytest.raises(RuntimeError, match="pricing failed"):
+            run_experiment(small_config(tmp_path, trials=2, horizon=7, algorithms=("DGM",)))
+        out = tmp_path / "out"
+        for name in ("manifest.json", "traces.npy", "summary.csv", "sdgm_regret_scaled.csv"):
+            assert not (out / name).exists(), name
+        with pytest.raises(FileNotFoundError, match="manifest.json"):
+            report(str(out))
+
     def test_planted_optimum_file_is_never_read(self, tmp_path):
         """An optimum file planted under the very name the run writes, holding
         a wrong f_star, is never read: the run solves the optimum and
@@ -673,12 +706,13 @@ class TestAggregateAndReport:
 
         monkeypatch.setattr(harness, "write_rows", full_disk)
         with pytest.raises(OSError, match="no space left"):
-            run_experiment(config)
-        assert parts() == []
-        with pytest.raises(OSError, match="no space left"):
             report(config.output_dir)
         assert parts() == []
         assert Path(summary_path).read_text() == written
+        with pytest.raises(OSError, match="no space left"):
+            run_experiment(config)
+        assert parts() == []
+        assert not os.path.exists(os.path.join(config.output_dir, "manifest.json"))
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failed_join_leaves_summary_whole(self, tmp_path, monkeypatch, workers):
