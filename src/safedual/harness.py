@@ -447,13 +447,17 @@ def report(output_dir: str) -> SummaryStats:
     """Re-aggregate the trace table of the run that `manifest.json` records,
     read from traces.npy alone, and write summary.csv with as many processes
     as this machine can run.  Refused before the table is read: a manifest
-    that is not an object holding a config that `compare` accepts and a list
-    of trial objects whose ids are each of 0 to config.trials - 1 once.
-    Refused after: a missing table, or one not of native float64 in the
-    config's (metric, round, algorithm, trial) shape."""
+    that is not a JSON object holding a config that `compare` accepts and a
+    list of trial objects whose ids are each of 0 to config.trials - 1 once.
+    Refused after: a missing table, one that is not a whole .npy file, or
+    one not of native float64 in the config's (metric, round, algorithm,
+    trial) shape."""
     manifest_path = os.path.join(output_dir, "manifest.json")
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
+    try:
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise TraceMismatchError(f"{manifest_path} is not JSON: {exc}") from None
     if not isinstance(manifest, dict):
         raise TraceMismatchError(f"{manifest_path} is not a JSON object")
     if not isinstance(manifest.get("config"), dict):
@@ -484,6 +488,8 @@ def report(output_dir: str) -> SummaryStats:
         table = np.load(path, allow_pickle=False)
     except FileNotFoundError:
         raise TraceMismatchError(f"missing trace table {path}, which compare writes") from None
+    except (ValueError, EOFError) as exc:
+        raise TraceMismatchError(f"unreadable trace table {path}: {exc}") from None
     shape = (len(METRIC_COLUMNS), config.horizon, len(config.algorithms), config.trials)
     if table.shape != shape:
         raise TraceMismatchError(f"{path} holds a {table.shape} table, the manifest {shape}")

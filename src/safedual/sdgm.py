@@ -117,34 +117,43 @@ def regret_bound(
     return lambda_bar**2 * c_l1 * root / gamma + 2.0 * constant * gamma * root
 
 
+# run_pricing holds as many rounds as fit in this many values at the batch's
+# width (its users or its rows, whichever are more), and at least one, before
+# it hands them to its record.  So unless one round is wider, no buffer or
+# temporary of a record passes 128 KiB (16 Ki float64), glibc's default
+# threshold from which malloc maps each allocation afresh.
+BUFFER_VALUES = 1 << 14
+
+
 def run_pricing(batch: ProblemBatch, lam: np.ndarray, update, horizon: int, record=None):
     """Post prices for `horizon` rounds: the one round loop every method shares.
 
     Every trial of the batch moves in the same round.  Round t (1-based)
-    posts the dual `lam`, hands it, the demand x it realizes and that
-    demand's load A x to `record(t, x, lam, load)`, then moves to
-    `update(lam, x, load, t)`.  A TraceRecorder as `record` reduces a chunk
-    of rounds at a time: a round's columns are final once its chunk
-    flushes, at the latest at its table's last round.  Without a `record`,
-    the batch must hold one instance, and the loop keeps its raw iterates
-    and returns them as (x_hist, lam_hist).
+    posts the dual `lam`, realizes demand x and its load A x, then moves to
+    `update(lam, x, load, t)`.  The loop holds the rounds it has not yet
+    handed on, as many as BUFFER_VALUES allows, and hands each full chunk,
+    and the last, to `record(first, x, lam, load)`, one row per round from
+    round `first` on; it reuses those arrays for the next chunk.  Without a
+    `record`, the batch must hold one instance, the chunk is the whole run,
+    and the loop returns it as (x_hist, lam_hist).
     """
-    history = None
-    if record is None:
-        if batch.size != 1:
-            raise ValueError("a batch of several trials needs a record for its rounds")
-        history = np.empty((horizon, batch.n)), np.empty((horizon, batch.m))
-
-        def record(t, x, lam, load):
-            history[0][t - 1] = x
-            history[1][t - 1] = lam
-
+    if record is not None:
+        rounds = max(1, min(horizon, BUFFER_VALUES // max(batch.n, batch.m)))
+    elif batch.size != 1:
+        raise ValueError("a batch of several trials needs a record for its rounds")
+    else:
+        rounds = horizon
+    xs = np.empty((rounds, batch.n))
+    lams, loads = np.empty((rounds, batch.m)), np.empty((rounds, batch.m))
     for t in range(1, horizon + 1):
-        x = best_response_profile(batch, lam)
-        load = batch.a_matrix @ x
-        record(t, x, lam, load)
+        i = (t - 1) % rounds
+        xs[i] = x = best_response_profile(batch, lam)
+        loads[i] = load = batch.a_matrix @ x
+        lams[i] = lam
+        if record is not None and (i + 1 == rounds or t == horizon):
+            record(t - i, xs[:i + 1], lams[:i + 1], loads[:i + 1])
         lam = update(lam, x, load, t)
-    return history
+    return (xs, lams) if record is None else None
 
 
 def _trial_params(batch: ProblemBatch, constants, gammas) -> list[SdgmParams]:

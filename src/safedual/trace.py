@@ -3,8 +3,9 @@
 A run records every trial's metrics into one (metric, round, algorithm,
 trial) table; a TrialTrace is one (algorithm, trial) column of it, viewed
 for its CSV file, and the run's summary reduces the table itself.  The
-recorder fills the table a chunk of rounds at a time, so a round's columns
-are final once its chunk flushes, at the latest at the table's last round.
+pricing loop hands the recorder its rounds a chunk at a time, and the
+recorder reduces each chunk into the table, so a round's columns are final
+once its chunk is recorded, at the latest after the run's last round.
 Each trace is measured against its trial's optimum: ||x_t - x*|| and
 sum f* - f(x_t).
 """
@@ -71,14 +72,6 @@ METRIC_COLUMNS = tuple(f.name for f in fields(TrialTrace))[2:]
 CSV_HEADER = ",".join(("trial_id", "algorithm", "t", *METRIC_COLUMNS))
 
 
-# TraceRecorder buffers as many rounds as fit in this many values at the
-# batch's width (its users or its rows, whichever are more), and at least one.
-# So unless one round is wider, no buffer or temporary of a flush passes
-# 128 KiB (16 Ki float64), glibc's default threshold from which malloc maps
-# each allocation afresh.
-BUFFER_VALUES = 1 << 14
-
-
 class TraceRecorder:
     """The trace columns of a batch, filled in place a chunk of rounds at a time.
 
@@ -86,12 +79,10 @@ class TraceRecorder:
     with one entry per METRIC_COLUMNS; the batch holds its trials once per
     algorithm, algorithm by algorithm.  `x_star` is the batch's reference
     optima, concatenated, and `f_star` their values, one per trial of the
-    batch.  The recorder holds the iterates of the rounds it has not yet
-    flushed, as many as BUFFER_VALUES allows at the batch's width, and
-    reduces them in one pass when its buffers are full or at the table's
-    last round.  So a round's columns are final once its chunk flushes, at
-    the latest once the table's last round is recorded; the values do not
-    depend on the chunk size.
+    batch.  The recorder is a `record` of sdgm.run_pricing: it reduces each
+    chunk of rounds it is handed, in order from round 1, and holds no
+    iterate of its own.  A round's columns are final once its chunk is
+    recorded; the values do not depend on the chunk size.
     """
 
     def __init__(self, batch: ProblemBatch, table: np.ndarray, x_star: np.ndarray, f_star):
@@ -100,25 +91,14 @@ class TraceRecorder:
         self.x_star = np.asarray(x_star, float)
         self.f_star = np.asarray(f_star, float)
         self.regret = table[METRIC_COLUMNS.index("regret_cum")]
-        rounds = max(1, min(table.shape[1], BUFFER_VALUES // max(batch.n, batch.m)))
-        self.x = np.empty((rounds, batch.n))
-        self.lam = np.empty((rounds, batch.m))
-        self.load = np.empty((rounds, batch.m))
 
-    def __call__(self, t: int, x: np.ndarray, lam: np.ndarray, load: np.ndarray) -> None:
-        """Take round t's demand x, its load A x and the duals; rounds come
-        in order from t = 1."""
-        i = (t - 1) % len(self.x)
-        self.x[i], self.lam[i], self.load[i] = x, lam, load
-        if i + 1 == len(self.x) or t == self.table.shape[1]:
-            self._flush(t - i, i + 1)
-
-    def _flush(self, first: int, count: int) -> None:
-        """Record the `count` buffered rounds from round `first` on, every
-        metric in METRIC_COLUMNS order; a round's regret is the previous
-        round's plus its own f_star - objective."""
+    def __call__(self, first: int, x: np.ndarray, lam: np.ndarray, load: np.ndarray) -> None:
+        """Record rounds `first` to first + len(x) - 1 from their demands x,
+        duals and loads A x, one row per round, every metric in
+        METRIC_COLUMNS order; a round's regret is the previous round's plus
+        its own f_star - objective.  The arrays belong to the caller, which
+        may reuse them for the next chunk once this call returns."""
         batch = self.batch
-        x, lam, load = self.x[:count], self.lam[:count], self.load[:count]
         slack = batch.capacities - load
         excess = np.maximum(-slack, 0.0)
         gap = x - self.x_star
@@ -127,7 +107,7 @@ class TraceRecorder:
         if first > 1:
             regret[0] += self.regret[first - 2].ravel()
         np.add.accumulate(regret, out=regret)
-        rows = self.table[:, first - 1:first - 1 + count]
+        rows = self.table[:, first - 1:first - 1 + len(x)]
         rows[...] = np.reshape([
             objective,
             regret,
@@ -157,15 +137,15 @@ def build_trace(
     f_star: float,
     x_star: np.ndarray,
 ) -> TrialTrace:
-    """Assemble the metric columns from raw iterates, replayed round by round
-    through a TraceRecorder, against the reference optimum f_star at x_star."""
+    """Assemble the metric columns from raw iterates, recorded as one chunk
+    by a TraceRecorder, against the reference optimum f_star at x_star."""
     x_hist = np.asarray(x_hist, float)
     lam_hist = np.asarray(lam_hist, float)
     batch = ProblemBatch([problem])
     table = np.empty((len(METRIC_COLUMNS), len(x_hist), 1, 1))
     record = TraceRecorder(batch, table, x_star, [f_star])
-    for t, (x, lam) in enumerate(zip(x_hist, lam_hist), start=1):
-        record(t, x, lam, batch.a_matrix @ x)
+    load = np.reshape([batch.a_matrix @ x for x in x_hist], (len(x_hist), batch.m))
+    record(1, x_hist, lam_hist, load)
     return record.traces([algorithm], [trial_id])[0]
 
 

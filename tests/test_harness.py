@@ -640,6 +640,27 @@ class TestAggregateAndReport:
         assert type(error) is TraceMismatchError
         assert str(error).startswith(f"{manifest_path} lists trial id {trial_id!r}")
 
+    @pytest.mark.parametrize("name, spoil", [
+        ("traces.npy", lambda data: data[:200]),
+        ("traces.npy", lambda data: b""),
+        ("traces.npy", lambda data: b"not a table\n"),
+        ("manifest.json", lambda data: data[:len(data) // 2]),
+        ("manifest.json", lambda data: b"\xff" + data),
+    ], ids=["truncated", "empty", "not-npy", "manifest-not-json", "manifest-not-utf8"])
+    def test_report_refuses_unreadable_file(self, tmp_path, name, spoil):
+        """A trace table or manifest that cannot be read is refused by a
+        TraceMismatchError that names it, and no summary.csv is written."""
+        config = small_config(tmp_path)
+        run_experiment(config)
+        path = Path(config.output_dir) / name
+        path.write_bytes(spoil(path.read_bytes()))
+        summary_path = Path(config.output_dir) / "summary.csv"
+        summary_path.unlink()
+        with pytest.raises(TraceMismatchError) as raised:
+            report(config.output_dir)
+        assert str(path) in str(raised.value)
+        assert not summary_path.exists()
+
     def test_report_forks_no_more_workers_than_this_machine_runs(self, tmp_path, monkeypatch):
         config = small_config(tmp_path, trials=8)
         run_experiment(config)

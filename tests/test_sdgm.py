@@ -9,6 +9,7 @@ from conftest import (
     sdgm_dual_floor,
     sdgm_shut_off_through,
 )
+from safedual import sdgm
 from safedual.agents import best_response_profile
 from safedual.harness import run_algorithm
 from safedual.problem import NumProblem, ProblemBatch, compute_constants
@@ -19,9 +20,11 @@ from safedual.sdgm import (
     dual_step,
     regret_bound,
     regret_constant,
+    run_pricing,
     run_sdgm,
     safe_step,
     safety_margin,
+    start_sdgm,
     step_sizes,
 )
 
@@ -150,6 +153,32 @@ class TestConstants:
         ratio_base = tiny_constants.lambda_bar**2 / regret_constant(tiny_constants, tiny)
         ratio_doubled = doubled.lambda_bar**2 / regret_constant(doubled, tiny)
         assert ratio_doubled / ratio_base == pytest.approx(2.0, rel=0.25)
+
+
+class TestRunPricing:
+    def test_chunks_join_to_the_history(self, monkeypatch):
+        """The iterates that run_pricing hands a record, chunk by chunk and
+        joined in order, are the bits of the history it returns without one;
+        23 rounds are 3 chunks of 7 and one of 2."""
+        problem = random_valid_problem(3)
+        batch = ProblemBatch([problem])
+        constants = [compute_constants(problem)]
+        x_hist, lam_hist = run_pricing(batch, *start_sdgm(batch, constants, [None]), 23)
+
+        chunks = []
+        monkeypatch.setattr(sdgm, "BUFFER_VALUES", 7 * max(batch.n, batch.m))
+        run_pricing(
+            batch, *start_sdgm(batch, constants, [None]), 23,
+            lambda first, x, lam, load: chunks.append((x.copy(), lam.copy())),
+        )
+        assert len(chunks) == 4
+        assert np.concatenate([x for x, _ in chunks]).tobytes() == x_hist.tobytes()
+        assert np.concatenate([lam for _, lam in chunks]).tobytes() == lam_hist.tobytes()
+
+    def test_batch_of_several_trials_needs_a_record(self, tiny, tiny_constants):
+        batch = ProblemBatch([tiny, tiny])
+        with pytest.raises(ValueError, match="needs a record"):
+            run_pricing(batch, *start_sdgm(batch, [tiny_constants] * 2, [None] * 2), 5)
 
 
 class TestRunSdgm:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_valid_problem
-from safedual import trace
+from safedual import sdgm
 from safedual.problem import ProblemBatch
 from safedual.trace import (
     CHUNK,
@@ -52,10 +52,12 @@ class TestTraceRecorder:
     HORIZON = 23  # not a multiple of 7
 
     def test_chunk_size_changes_no_bit(self, monkeypatch):
-        """The same iterates of 2 trials x 2 algorithms, recorded a round, 7
-        rounds or the whole horizon at a time, fill the table with the bits
-        of a round-by-round reference; a round is in the table once its
-        chunk flushes, and the last round flushes whatever is buffered."""
+        """The same iterates of 2 trials x 2 algorithms, handed to the
+        recorder a round, 7 rounds or the whole horizon at a time, fill the
+        table with the bits of a round-by-round reference; a round is in the
+        table once its chunk is recorded.  run_pricing hands on chunks of as
+        many rounds as BUFFER_VALUES allows at the batch's width, and the
+        rest at the last round."""
         fused = ProblemBatch([random_valid_problem(seed) for seed in (1, 2)] * 2)
         rng = np.random.default_rng(9)
         xs = fused.lower + rng.random((self.HORIZON, fused.n))
@@ -85,15 +87,25 @@ class TestTraceRecorder:
             ], (len(METRIC_COLUMNS), 2, 2))
 
         for rounds in (1, 7, self.HORIZON):
-            monkeypatch.setattr(trace, "BUFFER_VALUES", rounds * max(fused.n, fused.m))
             table = np.full(shape, np.nan)
             record = TraceRecorder(fused, table, x_star, f_star)
-            for t, (x, lam) in enumerate(zip(xs, lams), start=1):
-                record(t, x, lam, fused.a_matrix @ x)
-                flushed = t if t == self.HORIZON else t - t % rounds
-                assert not np.isnan(table[:, :flushed]).any(), (rounds, t)
-                assert np.isnan(table[:, flushed:]).all(), (rounds, t)
+            for first in range(1, self.HORIZON + 1, rounds):
+                chunk = slice(first - 1, first - 1 + rounds)
+                record(first, xs[chunk], lams[chunk], np.array([fused.a_matrix @ x for x in xs[chunk]]))
+                recorded = min(first - 1 + rounds, self.HORIZON)
+                assert not np.isnan(table[:, :recorded]).any(), (rounds, first)
+                assert np.isnan(table[:, recorded:]).all(), (rounds, first)
             assert table.tobytes() == reference.tobytes(), rounds
+
+        chunks = []
+
+        def spy(first, x, lam, load):
+            assert len(x) == len(lam) == len(load)
+            chunks.append((first, len(x)))
+
+        monkeypatch.setattr(sdgm, "BUFFER_VALUES", 7 * max(fused.n, fused.m))
+        sdgm.run_pricing(fused, lams[0], lambda lam, x, load, t: lam, self.HORIZON, spy)
+        assert chunks == [(1, 7), (8, 7), (15, 7), (22, 2)]
 
 
 class TestCsvRoundTrip:
