@@ -2,10 +2,10 @@
 
 Subcommands: generate (emit a problem document), solve (reference optimum),
 run (one algorithm on one problem), compare (full ensemble experiment),
-report (re-aggregate a run's trace table).  Failures exit nonzero with a
-machine-readable JSON error on stderr.  Only run, compare and report import
-the experiment harness; generate and solve load the problem, agent and
-oracle layers alone.
+report (rebuild the files derived from a run's trace table).  Failures
+exit nonzero with a machine-readable JSON error on stderr.  Only run,
+compare and report import the experiment harness; generate and solve load
+the problem, agent and oracle layers alone.
 """
 from __future__ import annotations
 
@@ -67,7 +67,9 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="comma-separated subset, e.g. SDGM,DGM")
     cmp_.add_argument("--out", dest="output_dir", help="output directory")
 
-    rep = sub.add_parser("report", help="re-aggregate a run's trace table, traces.npy")
+    rep = sub.add_parser(
+        "report", help="rebuild summary.csv and sdgm_regret_scaled.csv from a run's traces.npy"
+    )
     rep.set_defaults(handler=_cmd_report)
     rep.add_argument("--out", required=True, help="experiment output directory")
     return parser

@@ -10,15 +10,17 @@ fan_out then prices contiguous blocks of trials: the caller prices the
 first while forked workers price the others, each running every selected
 algorithm over its block in one loop.  Every block records its traces into
 one shared (metric, round, algorithm, trial) table and writes the trace
-CSVs of its own trials.  The caller saves the table as traces.npy and
-reduces it to (metric, round, algorithm) arrays of mean and deviation,
-which SummaryStats.write_csv writes, blocks of algorithms fanned out in the
-same way, as summary.csv, replaced whole.  `report` loads traces.npy, not
-the CSVs, and reduces and writes it the same way.  fan_out splits its work
-over the CPUs in the process's affinity mask (limit them with `taskset
--c`), the caller included, or runs it in one process where processes
-cannot fork.  Everything is a pure function of the master seed, regardless
-of worker count and batch size.
+CSVs of its own trials.  The caller saves the table as traces.npy, then
+writes the files derived from it alone: it reduces it to (metric, round,
+algorithm) arrays of mean and deviation, which SummaryStats.write_csv
+writes, blocks of algorithms fanned out in the same way, as summary.csv,
+replaced whole, and writes SDGM's R(T)/sqrt(T) per trial as
+sdgm_regret_scaled.csv.  `report` loads traces.npy, not the CSVs, and
+rebuilds both files from it through the same function.  fan_out splits
+its work over the CPUs in the process's affinity mask (limit them with
+`taskset -c`), the caller included, or runs it in one process where
+processes cannot fork.  Everything is a pure function of the master seed,
+regardless of worker count and batch size.
 """
 from __future__ import annotations
 
@@ -281,11 +283,13 @@ def _prepare_trial(config: ExperimentConfig, trial_id: int):
         seed = derive_trial_seed(config.master_seed, trial_id)
         problem = generate_random(replace(config.generator, seed=seed))
         constants = compute_constants(problem)
+        gamma = config.gamma if config.gamma is not None else sdgm.default_gamma(constants, problem)
+        if "SDGM" in config.algorithms:  # a default step can underflow to 0
+            sdgm.SdgmParams.from_constants(constants, gamma)
         solution = oracle.solve_optimal(problem)
         optimum = solution.to_dict()
         path = os.path.join(config.output_dir, "oracle_cache", f"{problem_hash(problem)}.json")
         _write_whole(path, "w", partial(json.dump, optimum))
-        gamma = config.gamma if config.gamma is not None else sdgm.default_gamma(constants, problem)
         meta = {
             "trial_id": trial_id,
             "seed": seed,
@@ -404,8 +408,11 @@ def aggregate(table: np.ndarray, algorithms) -> SummaryStats:
     return SummaryStats(tuple(algorithms), table.shape[-1], mean, std)
 
 
-def _write_artifacts(config: ExperimentConfig, metas, table: np.ndarray) -> None:
-    """sdgm_regret_scaled.csv, when SDGM ran, then manifest.json, the run's commit record."""
+def _write_views(output_dir: str, config: ExperimentConfig, table: np.ndarray) -> SummaryStats:
+    """Write into `output_dir` every file derived from the trace table alone:
+    summary.csv and, when SDGM ran, sdgm_regret_scaled.csv."""
+    summary = aggregate(table, config.algorithms)
+    summary.write_csv(os.path.join(output_dir, "summary.csv"))
     if "SDGM" in config.algorithms:
         regret = table[METRIC_COLUMNS.index("regret_cum"), -1, config.algorithms.index("SDGM")]
 
@@ -413,10 +420,8 @@ def _write_artifacts(config: ExperimentConfig, metas, table: np.ndarray) -> None
             fh.write("trial_id,regret_final_over_sqrt_horizon\n")
             write_rows(fh, "", range(config.trials), [regret / np.sqrt(config.horizon)])
 
-        _write_whole(os.path.join(config.output_dir, "sdgm_regret_scaled.csv"), "w", write_regret)
-    manifest = json.dumps({"config": config.to_dict(), "trials": metas}, indent=2, sort_keys=True)
-    path = os.path.join(config.output_dir, "manifest.json")
-    _write_whole(path, "w", lambda fh: fh.write(f"{manifest}\n"))
+        _write_whole(os.path.join(output_dir, "sdgm_regret_scaled.csv"), "w", write_regret)
+    return summary
 
 
 def run_experiment(config: ExperimentConfig) -> SummaryStats:
@@ -437,21 +442,23 @@ def run_experiment(config: ExperimentConfig) -> SummaryStats:
 
     fan_out(price, config.trials)
     _write_whole(os.path.join(config.output_dir, "traces.npy"), "wb", partial(np.save, arr=table))
-    summary = aggregate(table, config.algorithms)
-    summary.write_csv(os.path.join(config.output_dir, "summary.csv"))
-    _write_artifacts(config, [meta for *_, meta in prepared], table)
+    summary = _write_views(config.output_dir, config, table)
+    manifest = {"config": config.to_dict(), "trials": [meta for *_, meta in prepared]}
+    _write_whole(os.path.join(config.output_dir, "manifest.json"), "w",
+                 lambda fh: fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n"))
     return summary
 
 
 def report(output_dir: str) -> SummaryStats:
-    """Re-aggregate the trace table of the run that `manifest.json` records,
-    read from traces.npy alone, and write summary.csv with as many processes
-    as this machine can run.  Refused before the table is read: a manifest
-    that is not a JSON object holding a config that `compare` accepts and a
-    list of trial objects whose ids are each of 0 to config.trials - 1 once.
-    Refused after: a missing table, one that is not a whole .npy file, or
-    one not of native float64 in the config's (metric, round, algorithm,
-    trial) shape."""
+    """Rebuild summary.csv and, when SDGM ran, sdgm_regret_scaled.csv from
+    the trace table of the run that `manifest.json` records, read from
+    traces.npy alone, with as many processes as this machine can run.
+    Refused before the table is read: a manifest that is not a JSON object
+    holding a config that `compare` accepts and a list of trial objects
+    whose ids are each of 0 to config.trials - 1 once.  Refused after: a
+    missing table, one that is not a whole .npy file (a zip archive among
+    them), or one not of native float64 in the config's (metric, round,
+    algorithm, trial) shape."""
     manifest_path = os.path.join(output_dir, "manifest.json")
     try:
         with open(manifest_path) as fh:
@@ -490,11 +497,12 @@ def report(output_dir: str) -> SummaryStats:
         raise TraceMismatchError(f"missing trace table {path}, which compare writes") from None
     except (ValueError, EOFError) as exc:
         raise TraceMismatchError(f"unreadable trace table {path}: {exc}") from None
+    if not isinstance(table, np.ndarray):  # np.load opens a zip archive as an NpzFile
+        table.close()
+        raise TraceMismatchError(f"unreadable trace table {path}: a zip archive, not a .npy file")
     shape = (len(METRIC_COLUMNS), config.horizon, len(config.algorithms), config.trials)
     if table.shape != shape:
         raise TraceMismatchError(f"{path} holds a {table.shape} table, the manifest {shape}")
     if table.dtype != np.float64:
         raise TraceMismatchError(f"{path} holds {table.dtype.str} values, not native float64")
-    summary = aggregate(table, config.algorithms)
-    summary.write_csv(os.path.join(output_dir, "summary.csv"))
-    return summary
+    return _write_views(output_dir, config, table)

@@ -377,13 +377,16 @@ def test_trace_csvs_hold_the_table_bits(compared_long):
 
 
 def test_report_reads_the_table_not_the_csvs(compared_long, tmp_path, capsys):
-    """With traces/ gone, `report` still rewrites compare's summary.csv byte for byte."""
+    """With traces/ gone, `report` still rewrites compare's summary.csv and
+    sdgm_regret_scaled.csv byte for byte."""
     out_dir = tmp_path / "exp"
     shutil.copytree(compared_long, out_dir)
     shutil.rmtree(out_dir / "traces")
-    (out_dir / "summary.csv").unlink()
+    for name in ("summary.csv", "sdgm_regret_scaled.csv"):
+        (out_dir / name).unlink()
     assert main(["report", "--out", str(out_dir)]) == 0
-    assert (out_dir / "summary.csv").read_bytes() == (compared_long / "summary.csv").read_bytes()
+    for name in ("summary.csv", "sdgm_regret_scaled.csv"):
+        assert (out_dir / name).read_bytes() == (compared_long / name).read_bytes(), name
 
 
 def compare_and_report(out_dir, capsys, trials=2, horizon=20):

@@ -55,6 +55,13 @@ def small_config(tmp_path, **overrides):
     return ExperimentConfig(**defaults)
 
 
+def npz_archive(table) -> bytes:
+    """`table` saved as np.savez saves it: a zip archive, not a .npy file."""
+    buffer = io.BytesIO()
+    np.savez(buffer, table=table)
+    return buffer.getvalue()
+
+
 def read_all(output_dir):
     trace_dir = os.path.join(output_dir, "traces")
     return {
@@ -452,6 +459,20 @@ class TestRunExperiment:
         assert not (out / "sdgm_regret_scaled.csv").exists()
         assert (out / "notes.txt").read_text() == "mine\n"
         assert report(str(out)).trials == 3
+        assert not (out / "sdgm_regret_scaled.csv").exists()
+
+    def test_default_step_that_underflows_is_refused_by_trial(self, tmp_path):
+        """Utilities this small pass the generator's checks, but the default
+        SDGM base step underflows to 0: a run with SDGM is refused while it
+        prepares trial 0, naming the trial and its seed, before any optimum is
+        solved.  A run without SDGM takes no step and completes."""
+        generator = replace(SMALL_GENERATOR, theta_range=(1e-300, 1e-300))
+        config = small_config(tmp_path, generator=generator, trials=4, horizon=3)
+        seed = derive_trial_seed(config.master_seed, 0)
+        with pytest.raises(RuntimeError, match=rf"^trial 0 \(seed {seed}\) failed: gamma must be positive"):
+            run_experiment(config)
+        assert os.listdir(os.path.join(config.output_dir, "oracle_cache")) == []
+        assert run_experiment(replace(config, algorithms=("DGM", "NDGM"))).trials == 4
 
     def test_failed_rerun_leaves_no_run(self, tmp_path, monkeypatch):
         """A rerun whose pricing fails is raised, and leaves none of the earlier
@@ -644,9 +665,10 @@ class TestAggregateAndReport:
         ("traces.npy", lambda data: data[:200]),
         ("traces.npy", lambda data: b""),
         ("traces.npy", lambda data: b"not a table\n"),
+        ("traces.npy", lambda data: npz_archive(np.load(io.BytesIO(data)))),
         ("manifest.json", lambda data: data[:len(data) // 2]),
         ("manifest.json", lambda data: b"\xff" + data),
-    ], ids=["truncated", "empty", "not-npy", "manifest-not-json", "manifest-not-utf8"])
+    ], ids=["truncated", "empty", "not-npy", "npz", "manifest-not-json", "manifest-not-utf8"])
     def test_report_refuses_unreadable_file(self, tmp_path, name, spoil):
         """A trace table or manifest that cannot be read is refused by a
         TraceMismatchError that names it, and no summary.csv is written."""
