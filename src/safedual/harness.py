@@ -9,14 +9,14 @@ and storing it under oracle_cache/.
 fan_out then prices contiguous blocks of trials: the caller prices the
 first while forked workers price the others, each running every selected
 algorithm over its block in one loop.  Every block records its traces into
-one shared (metric, round, algorithm, trial) table and writes the trace
-CSVs of its own trials.  The caller saves the table as traces.npy, then
-writes the files derived from it alone: it reduces it to (metric, round,
-algorithm) arrays of mean and deviation, which SummaryStats.write_csv
-writes, blocks of algorithms fanned out in the same way, as summary.csv,
-replaced whole, and writes SDGM's R(T)/sqrt(T) per trial as
-sdgm_regret_scaled.csv.  `report` loads traces.npy, not the CSVs, and
-rebuilds both files from it through the same function.  fan_out splits
+the (metric, round, algorithm, trial) table, which lives in traces.npy from
+the first round, in a map that the blocks share, and writes the trace CSVs of
+its own trials.  Nothing copies the table: the caller reads it back, reduces
+it to (metric, round, algorithm) arrays of mean and deviation, which
+SummaryStats.write_csv writes, blocks of algorithms fanned out in the same
+way, as summary.csv, replaced whole, and writes SDGM's R(T)/sqrt(T) per trial
+as sdgm_regret_scaled.csv.  `report` reads traces.npy back in the same way and
+rebuilds both files through the same function.  fan_out splits
 its work over the CPUs in the process's affinity mask (limit them with
 `taskset -c`), the caller included, or runs it in one process where
 processes cannot fork.  Everything is a pure function of the master seed,
@@ -25,8 +25,6 @@ regardless of worker count and batch size.
 from __future__ import annotations
 
 import json
-import math
-import mmap
 import multiprocessing
 import os
 import shutil
@@ -386,13 +384,6 @@ def fan_out(work, count: int) -> None:
             future.result()
 
 
-def _shared_table(config: ExperimentConfig) -> np.ndarray:
-    """An unfilled (metric, round, algorithm, trial) trace table in anonymous
-    shared memory: what forked workers write into it, the caller reads."""
-    shape = (len(METRIC_COLUMNS), config.horizon, len(config.algorithms), config.trials)
-    return np.ndarray(shape, buffer=mmap.mmap(-1, 8 * max(1, math.prod(shape))))
-
-
 def aggregate(table: np.ndarray, algorithms) -> SummaryStats:
     """Across-trial statistics of a (metric, round, algorithm, trial) table,
     summed in the order of its trial axis.
@@ -425,8 +416,8 @@ def _write_views(output_dir: str, config: ExperimentConfig, table: np.ndarray) -
 
 
 def run_experiment(config: ExperimentConfig) -> SummaryStats:
-    """Run the full ensemble: remove each name in OWNED, the manifest first, then
-    write the trace table, traces, summary and, last, the manifest."""
+    """Run the full ensemble: remove each name in OWNED, the manifest first; fill the
+    trace table in traces.npy in place; write the traces, summary and, last, the manifest."""
     config.check()
     for name in OWNED:  # a directory without a manifest holds no run
         path = os.path.join(config.output_dir, name)
@@ -434,15 +425,23 @@ def run_experiment(config: ExperimentConfig) -> SummaryStats:
             os.remove(path) if "." in name else shutil.rmtree(path)
         if "." not in name:  # a directory the run fills, recreated empty
             os.makedirs(path)
+    for name in os.listdir(config.output_dir):  # a killed run's temporaries, named by _write_whole
+        stem, _, pid = name.rpartition(".tmp.")
+        if stem in OWNED and pid.isdigit():
+            os.remove(os.path.join(config.output_dir, name))
     prepared = [_prepare_trial(config, trial_id) for trial_id in range(config.trials)]
-    table = _shared_table(config)
+    shape = (len(METRIC_COLUMNS), config.horizon, len(config.algorithms), config.trials)
 
-    def price(block) -> None:
-        _price_block(config, prepared[block.start:block.stop], table[..., block.start:block.stop])
+    def fill(fh) -> None:
+        table = np.lib.format.open_memmap(fh.name, mode="w+", shape=shape)
+        if hasattr(os, "posix_fallocate"):  # a full disk: an OSError here; without it, a SIGBUS in a block
+            os.posix_fallocate(fh.fileno(), 0, table.offset + table.nbytes)
+        fan_out(lambda b: _price_block(config, prepared[b.start:b.stop], table[..., b.start:b.stop]),
+                config.trials)
 
-    fan_out(price, config.trials)
-    _write_whole(os.path.join(config.output_dir, "traces.npy"), "wb", partial(np.save, arr=table))
-    summary = _write_views(config.output_dir, config, table)
+    path = os.path.join(config.output_dir, "traces.npy")
+    _write_whole(path, "wb", fill)
+    summary = _write_views(config.output_dir, config, np.load(path, mmap_mode="r"))
     manifest = {"config": config.to_dict(), "trials": [meta for *_, meta in prepared]}
     _write_whole(os.path.join(config.output_dir, "manifest.json"), "w",
                  lambda fh: fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n"))
@@ -451,8 +450,8 @@ def run_experiment(config: ExperimentConfig) -> SummaryStats:
 
 def report(output_dir: str) -> SummaryStats:
     """Rebuild summary.csv and, when SDGM ran, sdgm_regret_scaled.csv from
-    the trace table of the run that `manifest.json` records, read from
-    traces.npy alone, with as many processes as this machine can run.
+    the trace table of the run that `manifest.json` records, mapped from
+    traces.npy alone as `compare` reads it back, with every CPU it may use.
     Refused before the table is read: a manifest that is not a JSON object
     holding a config that `compare` accepts and a list of trial objects
     whose ids are each of 0 to config.trials - 1 once.  Refused after: a
@@ -492,7 +491,7 @@ def report(output_dir: str) -> SummaryStats:
             raise TraceMismatchError(f"{manifest_path} lacks trial {expected}")
     path = os.path.join(output_dir, "traces.npy")
     try:
-        table = np.load(path, allow_pickle=False)
+        table = np.load(path, mmap_mode="r", allow_pickle=False)
     except FileNotFoundError:
         raise TraceMismatchError(f"missing trace table {path}, which compare writes") from None
     except (ValueError, EOFError) as exc:

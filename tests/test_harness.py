@@ -354,18 +354,41 @@ class TestRunExperiment:
         assert summary_a == summary_b
 
     def test_failed_table_save_leaves_no_table_file(self, tmp_path, monkeypatch):
-        """A save of traces.npy that fails part way is raised, and leaves
+        """A table whose disk blocks cannot be reserved is raised, and leaves
         neither the table nor its temporary file."""
         config = small_config(tmp_path)
 
-        def full_disk(fh, arr):
-            fh.write(b"\x93NUMPY")
+        def full_disk(fd, offset, length):
             raise OSError("no space left on device")
 
-        monkeypatch.setattr(np, "save", full_disk)
+        monkeypatch.setattr(os, "posix_fallocate", full_disk, raising=False)
         with pytest.raises(OSError, match="no space left"):
             run_experiment(config)
         assert [name for name in os.listdir(config.output_dir) if name.startswith("traces.npy")] == []
+
+    def test_table_file_is_what_np_save_writes(self, tmp_path, monkeypatch):
+        """The table that the blocks fill in place, one of them forked, has the
+        bytes that np.save writes of it: its header and its values."""
+        monkeypatch.setattr(harness, "available_workers", lambda: 2)
+        config = small_config(tmp_path, trials=2)
+        run_experiment(config)
+        path = Path(config.output_dir, "traces.npy")
+        saved = io.BytesIO()
+        np.save(saved, np.load(path))
+        assert path.read_bytes() == saved.getvalue()
+
+    def test_rerun_removes_a_killed_runs_temporary_table(self, tmp_path):
+        """A temporary table that a killed run left, named as _write_whole
+        names it, is removed by the next run into that directory; a file
+        the run does not own is kept."""
+        config = small_config(tmp_path, trials=2)
+        os.makedirs(config.output_dir)
+        for name in ("traces.npy.tmp.99999", "traces.npy.tmp.notes", "notes.txt"):
+            Path(config.output_dir, name).write_text("kept?")
+        run_experiment(config)
+        assert not os.path.exists(os.path.join(config.output_dir, "traces.npy.tmp.99999"))
+        for name in ("traces.npy.tmp.notes", "notes.txt"):
+            assert Path(config.output_dir, name).read_text() == "kept?"
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failed_trace_write_leaves_no_table(self, tmp_path, monkeypatch, workers):
