@@ -164,8 +164,10 @@ class SummaryStats:
         """Replace summary.csv at `path` whole: fan_out's blocks of algorithms
         write their sections to part files, which the caller joins behind the
         header, in algorithm order, through _write_whole.  No part file
-        outlives the call, whether it ends normally or a write fails."""
-        parts = [f"{path}.{alg}.part" for alg in self.algorithms]
+        outlives the call, whether it ends normally or a write fails.  A part
+        is named as _write_whole names its temporary, with the section's index
+        after the pid, so a rerun removes the parts of a run killed here."""
+        parts = [f"{path}.tmp.{os.getpid()}{a}" for a in range(len(self.algorithms))]
 
         def write(block) -> None:
             for a in block:
@@ -425,9 +427,9 @@ def run_experiment(config: ExperimentConfig) -> SummaryStats:
             os.remove(path) if "." in name else shutil.rmtree(path)
         if "." not in name:  # a directory the run fills, recreated empty
             os.makedirs(path)
-    for name in os.listdir(config.output_dir):  # a killed run's temporaries, named by _write_whole
+    for name in os.listdir(config.output_dir):  # a killed run's temporaries of owned files
         stem, _, pid = name.rpartition(".tmp.")
-        if stem in OWNED and pid.isdigit():
+        if stem in OWNED and "." in stem and pid.isdigit():
             os.remove(os.path.join(config.output_dir, name))
     prepared = [_prepare_trial(config, trial_id) for trial_id in range(config.trials)]
     shape = (len(METRIC_COLUMNS), config.horizon, len(config.algorithms), config.trials)

@@ -169,9 +169,11 @@ class TestRun:
     ({"A": [[1.5, 1], [1, 0]]}, "non-binary entry"),
     ({"A": [[1, 1], [1, 0.5]]}, "non-binary entry"),
     ({"lower": [0.0, 0.0, 0.0], "shift": [0.1, 0.1, -3.0]}, "utility dimension mismatch"),
+    ({"shift": [0.1, 0.1, -3.0]}, "utility dimension mismatch"),
     ({"theta": [1.0, 2.0, 3.0]}, "utility dimension mismatch"),
     ({"upper": ["inf", "inf", 1.0]}, "utility dimension mismatch"),
-], ids=["entry-1.5", "entry-0.5", "long-lower-and-shift", "long-theta", "long-upper"])
+], ids=["entry-1.5", "entry-0.5", "long-lower-and-shift", "long-shift", "long-theta",
+        "long-upper"])
 @pytest.mark.parametrize("command", [["solve"], ["run", "--horizon", "3", "--problem"]],
                          ids=["solve", "run"])
 def test_refuses_what_loading_once_truncated(tmp_path, capsys, command, change, violation):

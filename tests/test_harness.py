@@ -377,17 +377,27 @@ class TestRunExperiment:
         np.save(saved, np.load(path))
         assert path.read_bytes() == saved.getvalue()
 
-    def test_rerun_removes_a_killed_runs_temporary_table(self, tmp_path):
+    def test_rerun_removes_a_killed_runs_temporary_table(self, tmp_path, monkeypatch):
         """A temporary table that a killed run left, named as _write_whole
-        names it, is removed by the next run into that directory; a file
-        the run does not own is kept."""
+        names it, and the summary parts of a run killed before it removed
+        them, are removed by the next run into that directory, even one
+        without those parts' algorithms.  A file the run does not own is
+        kept, and so is a file or directory named as a temporary of an owned
+        directory, which _write_whole never makes."""
         config = small_config(tmp_path, trials=2)
-        os.makedirs(config.output_dir)
-        for name in ("traces.npy.tmp.99999", "traces.npy.tmp.notes", "notes.txt"):
+        with monkeypatch.context() as killed:
+            killed.setattr(os, "remove", lambda path: None)
+            run_experiment(config)
+        parts = set(os.listdir(config.output_dir)) - set(harness.OWNED)
+        assert len(parts) == len(config.algorithms)
+        os.makedirs(os.path.join(config.output_dir, "traces.tmp.7"))
+        kept = ("traces.npy.tmp.notes", "notes.txt", "oracle_cache.tmp.42")
+        for name in ("traces.npy.tmp.99999", *kept):
             Path(config.output_dir, name).write_text("kept?")
-        run_experiment(config)
-        assert not os.path.exists(os.path.join(config.output_dir, "traces.npy.tmp.99999"))
-        for name in ("traces.npy.tmp.notes", "notes.txt"):
+        run_experiment(replace(config, algorithms=("DGM",)))
+        left = set(os.listdir(config.output_dir)) - set(harness.OWNED)
+        assert left == {*kept, "traces.tmp.7"}
+        for name in kept:
             assert Path(config.output_dir, name).read_text() == "kept?"
 
     @pytest.mark.parametrize("workers", [1, 2])
