@@ -11,16 +11,18 @@ first while forked workers price the others, each running every selected
 algorithm over its block in one loop.  Every block records its traces into
 the (metric, round, algorithm, trial) table, which lives in traces.npy from
 the first round, in a map that the blocks share, and writes the trace CSVs of
-its own trials.  Nothing copies the table: the caller reads it back, reduces
-it to (metric, round, algorithm) arrays of mean and deviation, which
-SummaryStats.write_csv writes, blocks of algorithms fanned out in the same
-way, as summary.csv, replaced whole, and writes SDGM's R(T)/sqrt(T) per trial
-as sdgm_regret_scaled.csv.  `report` reads traces.npy back in the same way and
-rebuilds both files through the same function.  fan_out splits
-its work over the CPUs in the process's affinity mask (limit them with
-`taskset -c`), the caller included, or runs it in one process where
-processes cannot fork.  Everything is a pure function of the master seed,
-regardless of worker count and batch size.
+its own trials.  The file is in Fortran order, so each block's trials are one
+byte range of it, the only pages that block touches.  Nothing copies the
+table: the caller reads it back one (trial, algorithm) slab at a time, with
+plain file reads, reduces it to (metric, round, algorithm) arrays of mean and
+deviation, which SummaryStats.write_csv writes, blocks of algorithms fanned
+out in the same way, as summary.csv, replaced whole, and writes SDGM's
+R(T)/sqrt(T) per trial as sdgm_regret_scaled.csv.  `report` reads traces.npy
+back in the same way and rebuilds both files through the same function.
+fan_out splits its work over the CPUs in the process's affinity mask (limit
+them with `taskset -c`), the caller included, or runs it in one process
+where processes cannot fork.  Everything is a pure function of the master
+seed, regardless of worker count and batch size.
 """
 from __future__ import annotations
 
@@ -386,32 +388,93 @@ def fan_out(work, count: int) -> None:
             future.result()
 
 
-def aggregate(table: np.ndarray, algorithms) -> SummaryStats:
-    """Across-trial statistics of a (metric, round, algorithm, trial) table,
-    summed in the order of its trial axis.
+def _slab_reader(fh):
+    """(shape, read) of the trace table in the .npy file open as binary
+    `fh`: its (metric, round, algorithm, trial) shape, and read(a, k), the
+    (round, metric) slab of trial k under algorithm a, read from `fh` into
+    one buffer that each call overwrites.  In Fortran order each slab is one
+    byte range, so no page of the table is ever mapped.  Refused with a
+    TraceMismatchError naming the file: one that is not a whole .npy file
+    (a zip archive among them), or whose table is not 4-D, not native
+    float64 or not in Fortran order, as traces.npy was before compare wrote
+    that order; such a run must be made again with compare."""
+    fmt = np.lib.format
+    fh.seek(0)
+    try:
+        version = fmt.read_magic(fh)
+        read_header = fmt.read_array_header_1_0 if version == (1, 0) else fmt.read_array_header_2_0
+        shape, fortran_order, dtype = read_header(fh)
+    except (ValueError, EOFError) as exc:
+        raise TraceMismatchError(f"unreadable trace table {fh.name}: {exc}") from None
+    if len(shape) != 4:
+        raise TraceMismatchError(f"{fh.name} holds a {shape} table, not a 4-D one")
+    if dtype != np.float64:
+        raise TraceMismatchError(f"{fh.name} holds {dtype.str} values, not native float64")
+    if not fortran_order:
+        raise TraceMismatchError(
+            f"{fh.name} holds its table in C order, not the Fortran order compare writes;"
+            " make the run again with compare"
+        )
+    metrics, horizon, count, trials = shape
+    buffer = np.empty((horizon, metrics))
+    offset = fh.tell()
+    if os.fstat(fh.fileno()).st_size < offset + trials * count * buffer.nbytes:
+        raise TraceMismatchError(f"unreadable trace table {fh.name}: it ends before its {shape} table")
 
-    Each (metric, algorithm) block is copied to a contiguous (trial, round)
-    array before it is reduced, so its sums run in one order, and give the
-    same bits, whatever the table's strides.
+    def read(a, k):
+        fh.seek(offset + (k * count + a) * buffer.nbytes)
+        if fh.readinto(buffer) != buffer.nbytes:
+            raise TraceMismatchError(f"{fh.name} ends inside the slab of trial {k}")
+        return buffer
+
+    return shape, read
+
+
+def aggregate(fh, algorithms) -> SummaryStats:
+    """Across-trial statistics of the (metric, round, algorithm, trial)
+    table in the .npy file open as binary `fh`, as compare writes
+    traces.npy; _slab_reader refuses any other.
+
+    Each algorithm's part is read one trial's (metric, round) slab at a
+    time, twice: every entry is summed from +0.0 in ascending trial order,
+    once for the mean and once for the squared deviations from it.  That is
+    the order in which np.mean and np.std sum a contiguous (trial, round)
+    array of two rounds or more, so the bits are theirs.  (Over one round
+    they sum 8 or more trials pairwise.)
     """
-    mean, std = np.empty(table.shape[:3]), np.empty(table.shape[:3])
-    for i, a in np.ndindex(table.shape[0], table.shape[2]):
-        block = np.ascontiguousarray(table[i, :, a].T)
-        mean[i, :, a], std[i, :, a] = block.mean(axis=0), block.std(axis=0)
-    return SummaryStats(tuple(algorithms), table.shape[-1], mean, std)
+    shape, read = _slab_reader(fh)
+    mean, std = np.empty(shape[:3]), np.empty(shape[:3])
+    trials = shape[-1]
+    for a in range(shape[2]):
+        total = np.zeros(shape[1::-1])
+        for k in range(trials):
+            total += read(a, k)
+        average = total / trials
+        total[...] = 0.0
+        for k in range(trials):
+            deviation = read(a, k)
+            deviation -= average
+            deviation *= deviation
+            total += deviation
+        mean[:, :, a], std[:, :, a] = average.T, np.sqrt(total / trials).T
+    return SummaryStats(tuple(algorithms), trials, mean, std)
 
 
-def _write_views(output_dir: str, config: ExperimentConfig, table: np.ndarray) -> SummaryStats:
-    """Write into `output_dir` every file derived from the trace table alone:
-    summary.csv and, when SDGM ran, sdgm_regret_scaled.csv."""
-    summary = aggregate(table, config.algorithms)
+def _write_views(output_dir: str, config: ExperimentConfig, fh) -> SummaryStats:
+    """Write into `output_dir` every file derived from the trace table in
+    `fh` alone: summary.csv, from aggregate's slab-by-slab reads of it, and,
+    when SDGM ran, sdgm_regret_scaled.csv, from SDGM's last-round regret in
+    each trial's slab."""
+    summary = aggregate(fh, config.algorithms)
     summary.write_csv(os.path.join(output_dir, "summary.csv"))
     if "SDGM" in config.algorithms:
-        regret = table[METRIC_COLUMNS.index("regret_cum"), -1, config.algorithms.index("SDGM")]
+        _, read = _slab_reader(fh)
+        a, i = config.algorithms.index("SDGM"), METRIC_COLUMNS.index("regret_cum")
+        regret = np.array([read(a, k)[-1, i] for k in range(config.trials)])
 
-        def write_regret(fh) -> None:
-            fh.write("trial_id,regret_final_over_sqrt_horizon\n")
-            write_rows(fh, "", range(config.trials), [regret / np.sqrt(config.horizon)])
+        def write_regret(out) -> None:
+            out.write("trial_id,regret_final_over_sqrt_horizon\n")
+            write_rows(out, "", range(config.trials), [regret / np.sqrt(config.horizon)])
 
         _write_whole(os.path.join(output_dir, "sdgm_regret_scaled.csv"), "w", write_regret)
     return summary
@@ -429,13 +492,14 @@ def run_experiment(config: ExperimentConfig) -> SummaryStats:
             os.makedirs(path)
     for name in os.listdir(config.output_dir):  # a killed run's temporaries of owned files
         stem, _, pid = name.rpartition(".tmp.")
-        if stem in OWNED and "." in stem and pid.isdigit():
-            os.remove(os.path.join(config.output_dir, name))
+        path = os.path.join(config.output_dir, name)
+        if stem in OWNED and "." in stem and pid.isdigit() and os.path.isfile(path):
+            os.remove(path)
     prepared = [_prepare_trial(config, trial_id) for trial_id in range(config.trials)]
     shape = (len(METRIC_COLUMNS), config.horizon, len(config.algorithms), config.trials)
 
     def fill(fh) -> None:
-        table = np.lib.format.open_memmap(fh.name, mode="w+", shape=shape)
+        table = np.lib.format.open_memmap(fh.name, mode="w+", shape=shape, fortran_order=True)
         if hasattr(os, "posix_fallocate"):  # a full disk: an OSError here; without it, a SIGBUS in a block
             os.posix_fallocate(fh.fileno(), 0, table.offset + table.nbytes)
         fan_out(lambda b: _price_block(config, prepared[b.start:b.stop], table[..., b.start:b.stop]),
@@ -443,7 +507,8 @@ def run_experiment(config: ExperimentConfig) -> SummaryStats:
 
     path = os.path.join(config.output_dir, "traces.npy")
     _write_whole(path, "wb", fill)
-    summary = _write_views(config.output_dir, config, np.load(path, mmap_mode="r"))
+    with open(path, "rb") as fh:
+        summary = _write_views(config.output_dir, config, fh)
     manifest = {"config": config.to_dict(), "trials": [meta for *_, meta in prepared]}
     _write_whole(os.path.join(config.output_dir, "manifest.json"), "w",
                  lambda fh: fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n"))
@@ -452,14 +517,15 @@ def run_experiment(config: ExperimentConfig) -> SummaryStats:
 
 def report(output_dir: str) -> SummaryStats:
     """Rebuild summary.csv and, when SDGM ran, sdgm_regret_scaled.csv from
-    the trace table of the run that `manifest.json` records, mapped from
-    traces.npy alone as `compare` reads it back, with every CPU it may use.
-    Refused before the table is read: a manifest that is not a JSON object
-    holding a config that `compare` accepts and a list of trial objects
-    whose ids are each of 0 to config.trials - 1 once.  Refused after: a
-    missing table, one that is not a whole .npy file (a zip archive among
-    them), or one not of native float64 in the config's (metric, round,
-    algorithm, trial) shape."""
+    the trace table of the run that `manifest.json` records, read from
+    traces.npy alone as `compare` reads it back, one (trial, algorithm) slab
+    at a time, with every CPU it may use.  Refused before the table is
+    read: a manifest that is not a JSON object holding a config that
+    `compare` accepts and a list of trial objects whose ids are each of 0
+    to config.trials - 1 once.  Refused after: a missing table, one that
+    _slab_reader cannot read (not a whole .npy file, not native float64, or
+    in C order, as compare wrote it before it wrote Fortran order), or one
+    not in the config's (metric, round, algorithm, trial) shape."""
     manifest_path = os.path.join(output_dir, "manifest.json")
     try:
         with open(manifest_path) as fh:
@@ -493,17 +559,12 @@ def report(output_dir: str) -> SummaryStats:
             raise TraceMismatchError(f"{manifest_path} lacks trial {expected}")
     path = os.path.join(output_dir, "traces.npy")
     try:
-        table = np.load(path, mmap_mode="r", allow_pickle=False)
+        fh = open(path, "rb")
     except FileNotFoundError:
         raise TraceMismatchError(f"missing trace table {path}, which compare writes") from None
-    except (ValueError, EOFError) as exc:
-        raise TraceMismatchError(f"unreadable trace table {path}: {exc}") from None
-    if not isinstance(table, np.ndarray):  # np.load opens a zip archive as an NpzFile
-        table.close()
-        raise TraceMismatchError(f"unreadable trace table {path}: a zip archive, not a .npy file")
-    shape = (len(METRIC_COLUMNS), config.horizon, len(config.algorithms), config.trials)
-    if table.shape != shape:
-        raise TraceMismatchError(f"{path} holds a {table.shape} table, the manifest {shape}")
-    if table.dtype != np.float64:
-        raise TraceMismatchError(f"{path} holds {table.dtype.str} values, not native float64")
-    return _write_views(output_dir, config, table)
+    with fh:
+        found, _ = _slab_reader(fh)
+        shape = (len(METRIC_COLUMNS), config.horizon, len(config.algorithms), config.trials)
+        if found != shape:
+            raise TraceMismatchError(f"{path} holds a {found} table, the manifest {shape}")
+        return _write_views(output_dir, config, fh)

@@ -368,7 +368,8 @@ class TestRunExperiment:
 
     def test_table_file_is_what_np_save_writes(self, tmp_path, monkeypatch):
         """The table that the blocks fill in place, one of them forked, has the
-        bytes that np.save writes of it: its header and its values."""
+        bytes that np.save writes of it: its header and its values.  It is in
+        Fortran order, so each block's trials are one byte range of it."""
         monkeypatch.setattr(harness, "available_workers", lambda: 2)
         config = small_config(tmp_path, trials=2)
         run_experiment(config)
@@ -376,6 +377,7 @@ class TestRunExperiment:
         saved = io.BytesIO()
         np.save(saved, np.load(path))
         assert path.read_bytes() == saved.getvalue()
+        assert np.load(path, mmap_mode="r").flags.f_contiguous
 
     def test_rerun_removes_a_killed_runs_temporary_table(self, tmp_path, monkeypatch):
         """A temporary table that a killed run left, named as _write_whole
@@ -383,20 +385,23 @@ class TestRunExperiment:
         them, are removed by the next run into that directory, even one
         without those parts' algorithms.  A file the run does not own is
         kept, and so is a file or directory named as a temporary of an owned
-        directory, which _write_whole never makes."""
+        directory, which _write_whole never makes, and a directory named as a
+        temporary of an owned file."""
         config = small_config(tmp_path, trials=2)
         with monkeypatch.context() as killed:
             killed.setattr(os, "remove", lambda path: None)
             run_experiment(config)
         parts = set(os.listdir(config.output_dir)) - set(harness.OWNED)
         assert len(parts) == len(config.algorithms)
-        os.makedirs(os.path.join(config.output_dir, "traces.tmp.7"))
+        kept_dirs = ("traces.tmp.7", "summary.csv.tmp.5")
+        for name in kept_dirs:
+            os.makedirs(os.path.join(config.output_dir, name))
         kept = ("traces.npy.tmp.notes", "notes.txt", "oracle_cache.tmp.42")
         for name in ("traces.npy.tmp.99999", *kept):
             Path(config.output_dir, name).write_text("kept?")
         run_experiment(replace(config, algorithms=("DGM",)))
         left = set(os.listdir(config.output_dir)) - set(harness.OWNED)
-        assert left == {*kept, "traces.tmp.7"}
+        assert left == {*kept, *kept_dirs}
         for name in kept:
             assert Path(config.output_dir, name).read_text() == "kept?"
 
@@ -544,6 +549,14 @@ class TestRunExperiment:
         assert json.loads(Path(path).read_text()) == solution.to_dict()
 
 
+def aggregate_saved(tmp_path, table, algorithms):
+    """aggregate of `table` saved in Fortran order, as compare writes traces.npy."""
+    path = tmp_path / "table.npy"
+    np.save(path, np.asfortranarray(table))
+    with open(path, "rb") as fh:
+        return aggregate(fh, algorithms)
+
+
 class TestAggregateAndReport:
     def test_aggregate_matches_manual_stats(self, tmp_path):
         config = small_config(tmp_path, algorithms=("DGM",), trials=3)
@@ -554,24 +567,45 @@ class TestAggregateAndReport:
         ]
         # (metric, round, algorithm, trial), as a run records it
         table = np.array([[[*tr.metrics().values()] for tr in traces]]).transpose(2, 3, 0, 1)
-        summary = aggregate(table, ("DGM",))
+        summary = aggregate_saved(tmp_path, table, ("DGM",))
         stacked = np.vstack([tr.objective for tr in traces])
         objective = METRIC_COLUMNS.index("objective")
         assert np.array_equal(summary.mean[objective, :, 0], stacked.mean(axis=0))
         assert np.array_equal(summary.std[objective, :, 0], stacked.std(axis=0))
 
         # Wider tables, whose trial axis a strided reduction would sum in
-        # another order: 8 and 12 trials, and a strided slice of 8 of them.
+        # another order: 8 and 12 trials, and a strided slice of 8 of them;
+        # and entries of +0.0 and -0.0, whose sums keep their sign bits only
+        # if they start from +0.0.
         algorithms = ("SDGM", "DGM")
         larger = np.random.default_rng(0).lognormal(0.0, 3.0, (len(METRIC_COLUMNS), 40, 2, 12))
-        for table, trials in ((larger[..., :8], 8), (larger, 12), (larger[..., 1:9], 8)):
-            summary = aggregate(table, algorithms)
+        signed = larger.copy()
+        signed[0, ::2] = -0.0
+        signed[1, ::2, :, ::2] = 0.0
+        signed[1, ::2, :, 1::2] = -0.0
+        signed[2:, :, :, 5:] *= -1.0
+        for table, trials in ((larger[..., :8], 8), (larger, 12), (larger[..., 1:9], 8), (signed, 12)):
+            summary = aggregate_saved(tmp_path, table, algorithms)
             assert summary.trials == trials
             for a, alg in enumerate(algorithms):
                 for i, metric in enumerate(METRIC_COLUMNS):
                     stacked = np.vstack([table[i, :, a, k] for k in range(trials)])
-                    assert np.array_equal(summary.mean[i, :, a], stacked.mean(axis=0))
-                    assert np.array_equal(summary.std[i, :, a], stacked.std(axis=0))
+                    assert summary.mean[i, :, a].tobytes() == stacked.mean(axis=0).tobytes()
+                    assert summary.std[i, :, a].tobytes() == stacked.std(axis=0).tobytes()
+
+    @pytest.mark.parametrize("save", [
+        lambda path, table: np.save(path, np.asfortranarray(table, dtype=np.float32)),
+        lambda path, table: np.save(path, np.asfortranarray(table, dtype=">f8")),
+        lambda path, table: np.save(path, np.ascontiguousarray(table)),
+        lambda path, table: np.save(path, np.asfortranarray(table[0])),
+    ], ids=["float32", "byte-swapped", "c-order", "3-d"])
+    def test_aggregate_refuses_a_table_it_cannot_read(self, tmp_path, save):
+        """A table whose slabs are not native float64 byte ranges is refused
+        by a TraceMismatchError that names its file."""
+        path = tmp_path / "table.npy"
+        save(path, np.random.default_rng(0).random((len(METRIC_COLUMNS), 4, 2, 3)))
+        with open(path, "rb") as fh, pytest.raises(TraceMismatchError, match=re.escape(str(path))):
+            aggregate(fh, ("SDGM", "DGM"))
 
     def test_report_rebuilds_summary(self, tmp_path):
         config = small_config(tmp_path)
@@ -851,11 +885,13 @@ class TestAggregateAndReport:
         lambda table: table[:, :, :-1],
         lambda table: table.astype(np.float32),
         lambda table: table.astype(table.dtype.newbyteorder()),
-    ], ids=["round", "trial", "algorithm", "float32", "byte-swapped"])
+        np.ascontiguousarray,
+    ], ids=["round", "trial", "algorithm", "float32", "byte-swapped", "c-order"])
     def test_report_names_mismatched_table(self, tmp_path, edit):
         """A table saved with one round, trial or algorithm fewer than the
-        manifest's config, or in any type but native float64, is refused by
-        name, and no summary.csv is written."""
+        manifest's config, in any type but native float64, or in C order, as
+        compare wrote it before it wrote Fortran order, is refused by name,
+        and no summary.csv is written."""
         config = small_config(tmp_path, trials=2)
         run_experiment(config)
         path = os.path.join(config.output_dir, "traces.npy")
