@@ -8,13 +8,15 @@ calling process prepares every trial, solving each reference optimum afresh
 and storing it under oracle_cache/.
 fan_out then prices contiguous blocks of trials: the caller prices the
 first while forked workers price the others, each running every selected
-algorithm over its block in one loop.  Every block records its traces into
-the (metric, round, algorithm, trial) table, which lives in traces.npy from
-the first round, in a map that the blocks share, and writes the trace CSVs of
-its own trials.  The file is in Fortran order, so each block's trials are one
-byte range of it, the only pages that block touches.  Nothing copies the
-table: the caller reads it back one (trial, algorithm) slab at a time, with
-plain file reads, reduces it to (metric, round, algorithm) arrays of mean and
+algorithm over its block in one loop.  The (metric, round, algorithm, trial)
+table lives in traces.npy from the first round, in Fortran order, so each
+(trial, algorithm) slab is one byte range of it.  Every block records its
+traces into a window of about WINDOW_VALUES values and writes each full
+window, and the last, into its own trials' slabs with plain positioned
+writes through a descriptor of its own, then reads each slab back to write
+its trace CSV: no process maps the file.  Nothing copies the table: the
+caller reads it back one (trial, algorithm) slab at a time, with plain file
+reads, reduces it to (metric, round, algorithm) arrays of mean and
 deviation, which SummaryStats.write_csv writes, blocks of algorithms fanned
 out in the same way, as summary.csv, replaced whole, and writes SDGM's
 R(T)/sqrt(T) per trial as sdgm_regret_scaled.csv.  `report` reads traces.npy
@@ -27,6 +29,7 @@ seed, regardless of worker count and batch size.
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing
 import os
 import shutil
@@ -70,6 +73,10 @@ STARTS = {
 ALGORITHMS = tuple(STARTS)
 # All that a run writes, and so removes, in its output directory: the manifest first.
 OWNED = ("manifest.json", "traces.npy", "summary.csv", "sdgm_regret_scaled.csv", "traces", "oracle_cache")
+# A pricing block of run_experiment records its rounds into a window of about
+# this many values (1 MiB of float64) and writes each full window to the
+# table file, so the memory it holds for the table does not grow with it.
+WINDOW_VALUES = 1 << 17
 
 
 class ConfigError(ValueError):
@@ -217,28 +224,41 @@ def _fuse(starts, m: int, n: int):
     return np.concatenate([lam for lam, _ in starts]), update
 
 
-def run_batch(
+def _record(
     algorithms: tuple[str, ...], batch: ProblemBatch, constants, horizon: int, gammas,
-    trial_ids, f_stars, x_star, table=None,
-) -> list[TrialTrace]:
-    """Run registered algorithms over a batch; one trace per (algorithm, trial),
-    algorithm by algorithm.
+    f_stars, x_star, table, write=None,
+) -> TraceRecorder:
+    """Run registered algorithms over a batch, recording the traces of every
+    (algorithm, trial) into `table` through a TraceRecorder with `write`,
+    which is flushed after the last round.
 
     One loop prices the batch once per algorithm, so each round makes one
     demand call and one A x for all of them, and each algorithm updates its
     own slice of the duals.  An UnboundedSubproblemError names a user of
-    that fused batch.  `constants`, `gammas`, `trial_ids` and `f_stars` hold
-    one entry per trial; `x_star` is the trials' reference optima,
-    concatenated.  The traces are views of `table`, the (metric, round,
-    algorithm, trial) array they are recorded into; a fresh one if None.
+    that fused batch.  `constants`, `gammas` and `f_stars` hold one entry
+    per trial; `x_star` is the trials' reference optima, concatenated.
     """
     starts = [STARTS[alg](batch, constants, gammas) for alg in algorithms]
     copies = len(algorithms)
-    if table is None:
-        table = np.empty((len(METRIC_COLUMNS), horizon, copies, batch.size))
     fused = ProblemBatch(batch.problems * copies)
-    record = TraceRecorder(fused, table, np.tile(x_star, copies), np.tile(f_stars, copies))
+    record = TraceRecorder(fused, table, np.tile(x_star, copies), np.tile(f_stars, copies), write)
     sdgm.run_pricing(fused, *_fuse(starts, batch.m, batch.n), horizon, record)
+    record.flush()
+    return record
+
+
+def run_batch(
+    algorithms: tuple[str, ...], batch: ProblemBatch, constants, horizon: int, gammas,
+    trial_ids, f_stars, x_star, table=None,
+) -> list[TrialTrace]:
+    """Run registered algorithms over a batch (see _record); one trace per
+    (algorithm, trial), algorithm by algorithm.  `trial_ids` holds one entry
+    per trial.  The traces are views of `table`, the (metric, round,
+    algorithm, trial) array they are recorded into; a fresh one if None.
+    """
+    if table is None:
+        table = np.empty((len(METRIC_COLUMNS), horizon, len(algorithms), batch.size))
+    record = _record(algorithms, batch, constants, horizon, gammas, f_stars, x_star, table)
     return record.traces(algorithms, trial_ids)
 
 
@@ -312,35 +332,80 @@ def _prepare_trial(config: ExperimentConfig, trial_id: int):
         return problem, constants, solution, meta
 
 
-def _price_block(config: ExperimentConfig, prepared, table) -> list[TrialTrace]:
-    """Price a block of prepared trials as one batch, record their traces
-    into `table`, its (metric, round, algorithm, trial) slice, and write each
-    trace as its CSV under the output directory."""
+def _price_block(config: ExperimentConfig, prepared, write=None) -> TraceRecorder:
+    """Price a block of prepared trials as one batch, recording their traces
+    into a (metric, round, algorithm, trial) table of every round or, with
+    `write`, into a Fortran-ordered window of its rounds, which the recorder
+    hands to write(first, rows) each time it is full and after the last
+    round.  The window holds about WINDOW_VALUES values: a whole multiple of
+    run_pricing's chunk, at least one chunk, at most the horizon."""
     problems, constants, solutions, metas = zip(*prepared)
-    trial_ids = [meta["trial_id"] for meta in metas]
     batch = ProblemBatch(problems)
+    shape = (len(METRIC_COLUMNS), config.horizon, len(config.algorithms), batch.size)
+    if write is None:
+        table = np.empty(shape)
+    else:  # the fused batch is as wide as the block once per algorithm
+        chunk = sdgm.chunk_rounds(len(config.algorithms) * max(batch.n, batch.m), config.horizon)
+        per_round = math.prod(shape) // config.horizon
+        rounds = min(config.horizon, chunk * max(1, WINDOW_VALUES // (chunk * per_round)))
+        table = np.empty((shape[0], rounds, *shape[2:]), order="F")
     try:
-        traces = run_batch(
+        return _record(
             config.algorithms, batch, constants, config.horizon,
-            [meta["gamma"] for meta in metas], trial_ids,
-            [solution.f_star for solution in solutions],
-            np.concatenate([solution.x_star for solution in solutions]), table,
+            [meta["gamma"] for meta in metas], [solution.f_star for solution in solutions],
+            np.concatenate([solution.x_star for solution in solutions]), table, write,
         )
     except UnboundedSubproblemError as exc:
         # the fused batch holds the batch's users once per algorithm
         k, user = batch.locate_user(exc.user % batch.n)
-        with _naming_trial(config, trial_ids[k]):
+        with _naming_trial(config, metas[k]["trial_id"]):
             raise UnboundedSubproblemError.at(user, exc.price) from exc
-    for trace in traces:
-        trace.write_csv(trial_trace_path(config.output_dir, trace.trial_id, trace.algorithm))
-    return traces
+
+
+def _write_at(fd: int, values: np.ndarray, pos: int) -> None:
+    """Write C-contiguous `values` at byte `pos` of the file open as `fd`,
+    without moving its offset; a short write is retried from where it
+    stopped, so a full disk raises its OSError."""
+    data = memoryview(values).cast("B")
+    while data:
+        written = os.pwrite(fd, data, pos)
+        data, pos = data[written:], pos + written
+
+
+def _price_into(config: ExperimentConfig, prepared, path: str, offset: int, first: int) -> None:
+    """Price a block of prepared trials, trial `first` on, into the
+    Fortran-ordered table of the .npy file at `path`, whose values start at
+    byte `offset`, and write each of their traces as its CSV under the
+    output directory.  The block opens the file itself, so no other block
+    moves its offset, and never maps it: each full window of rounds goes to
+    each (trial, algorithm) slab's byte range in one positioned write, and
+    each slab is then read back into one buffer for its trace's CSV."""
+    count, horizon = len(config.algorithms), config.horizon
+    with open(path, "r+b") as fh:
+
+        def write(start: int, rows: np.ndarray) -> None:
+            for k in range(rows.shape[3]):
+                for a in range(count):
+                    values = rows[:, :, a, k].T  # (round, metric): contiguous, as in the file
+                    slab = ((first + k) * count + a) * horizon + start - 1
+                    _write_at(fh.fileno(), values, offset + slab * values.strides[0])
+
+        _price_block(config, prepared, write)
+        _, read = _slab_reader(fh)  # no read before this, so nothing buffered is stale
+        for k in range(first, first + len(prepared)):
+            for a, algorithm in enumerate(config.algorithms):
+                trace = TrialTrace(k, algorithm, *read(a, k).T)
+                trace.write_csv(trial_trace_path(config.output_dir, k, algorithm))
 
 
 def run_trial(config: ExperimentConfig, trial_id: int) -> tuple[dict, list[TrialTrace]]:
     """One trial as a batch of one, in this process: its manifest entry and
     its traces, each also written as its CSV under the output directory."""
     prepared = [_prepare_trial(config, trial_id)]
-    return prepared[0][-1], _price_block(config, prepared, None)
+    traces = _price_block(config, prepared).traces(config.algorithms, [trial_id])
+    for trace in traces:
+        trace.write_csv(trial_trace_path(config.output_dir, trace.trial_id, trace.algorithm))
+    return prepared[0][-1], traces
 
 
 def blocks(count: int, workers: int) -> list[range]:
@@ -370,7 +435,7 @@ def fan_out(work, count: int) -> None:
     own trace CSVs, and once, in SummaryStats.write_csv, to write the
     summary's sections (`report`: only that once).  `work` reaches the
     workers through fork, not pickle, so it may close over memory that they
-    share with the caller, such as the trace table and the summary; only
+    share with the caller, such as the prepared trials and the summary; only
     the blocks are pickled, and whatever work returns is dropped.  A
     failure is raised in block order.
     """
@@ -499,10 +564,16 @@ def run_experiment(config: ExperimentConfig) -> SummaryStats:
     shape = (len(METRIC_COLUMNS), config.horizon, len(config.algorithms), config.trials)
 
     def fill(fh) -> None:
-        table = np.lib.format.open_memmap(fh.name, mode="w+", shape=shape, fortran_order=True)
-        if hasattr(os, "posix_fallocate"):  # a full disk: an OSError here; without it, a SIGBUS in a block
-            os.posix_fallocate(fh.fileno(), 0, table.offset + table.nbytes)
-        fan_out(lambda b: _price_block(config, prepared[b.start:b.stop], table[..., b.start:b.stop]),
+        fmt = np.lib.format
+        header = {"descr": fmt.dtype_to_descr(np.dtype(float)), "fortran_order": True, "shape": shape}
+        fmt.write_array_header_1_0(fh, header)
+        offset = fh.tell()
+        end = offset + math.prod(shape) * np.dtype(float).itemsize
+        fh.truncate(end)  # flushes the header for the blocks, which open the file themselves
+        # a full disk: an OSError here; without posix_fallocate (macOS), from a block's write
+        if hasattr(os, "posix_fallocate"):
+            os.posix_fallocate(fh.fileno(), 0, end)
+        fan_out(lambda b: _price_into(config, prepared[b.start:b.stop], fh.name, offset, b.start),
                 config.trials)
 
     path = os.path.join(config.output_dir, "traces.npy")

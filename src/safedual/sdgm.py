@@ -125,6 +125,13 @@ def regret_bound(
 BUFFER_VALUES = 1 << 14
 
 
+def chunk_rounds(width: int, horizon: int) -> int:
+    """The rounds run_pricing hands its record at a time over `horizon`
+    rounds of a batch `width` values wide (its users or its rows, whichever
+    are more): every chunk but the last holds this many."""
+    return max(1, min(horizon, BUFFER_VALUES // width))
+
+
 def run_pricing(batch: ProblemBatch, lam: np.ndarray, update, horizon: int, record=None):
     """Post prices for `horizon` rounds: the one round loop every method shares.
 
@@ -138,7 +145,7 @@ def run_pricing(batch: ProblemBatch, lam: np.ndarray, update, horizon: int, reco
     and the loop returns it as (x_hist, lam_hist).
     """
     if record is not None:
-        rounds = max(1, min(horizon, BUFFER_VALUES // max(batch.n, batch.m)))
+        rounds = chunk_rounds(max(batch.n, batch.m), horizon)
     elif batch.size != 1:
         raise ValueError("a batch of several trials needs a record for its rounds")
     else:

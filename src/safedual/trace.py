@@ -4,8 +4,9 @@ A run records every trial's metrics into one (metric, round, algorithm,
 trial) table; a TrialTrace is one (algorithm, trial) column of it, viewed
 for its CSV file, and the run's summary reduces the table itself.  The
 pricing loop hands the recorder its rounds a chunk at a time, and the
-recorder reduces each chunk into the table, so a round's columns are final
-once its chunk is recorded, at the latest after the run's last round.
+recorder reduces each chunk into the table, or into a window of its rounds
+that it hands on whenever the window is full, so a round's columns are
+final once its chunk is recorded, at the latest after the run's last round.
 Each trace is measured against its trial's optimum: ||x_t - x*|| and
 sum f* - f(x_t).
 """
@@ -81,16 +82,25 @@ class TraceRecorder:
     optima, concatenated, and `f_star` their values, one per trial of the
     batch.  The recorder is a `record` of sdgm.run_pricing: it reduces each
     chunk of rounds it is handed, in order from round 1, and holds no
-    iterate of its own.  A round's columns are final once its chunk is
-    recorded; the values do not depend on the chunk size.
+    iterate of its own, only the last round's cumulative regret.  A round's
+    columns are final once its chunk is recorded; the values do not depend
+    on the chunk size.
+
+    Without `write`, `table` holds every round, and a flush does nothing.
+    With it, `table` is a window of rounds, a whole multiple of the chunk or as
+    long as the horizon: each time the window is full, and at flush(), the
+    recorder hands write(first, rows) the rows it holds, rounds `first` on,
+    and fills the window again from its start.
     """
 
-    def __init__(self, batch: ProblemBatch, table: np.ndarray, x_star: np.ndarray, f_star):
+    def __init__(self, batch: ProblemBatch, table: np.ndarray, x_star: np.ndarray, f_star, write=None):
         self.batch = batch
         self.table = table
         self.x_star = np.asarray(x_star, float)
         self.f_star = np.asarray(f_star, float)
-        self.regret = table[METRIC_COLUMNS.index("regret_cum")]
+        self.write = write
+        self.regret = None  # the last recorded round's cumulative regret, per trial
+        self.recorded = self.written = 0  # rounds recorded, and those handed to `write`
 
     def __call__(self, first: int, x: np.ndarray, lam: np.ndarray, load: np.ndarray) -> None:
         """Record rounds `first` to first + len(x) - 1 from their demands x,
@@ -105,9 +115,11 @@ class TraceRecorder:
         objective = batch.user_sums(batch.theta * np.log(x + batch.shift))
         regret = self.f_star - objective
         if first > 1:
-            regret[0] += self.regret[first - 2].ravel()
+            regret[0] += self.regret
         np.add.accumulate(regret, out=regret)
-        rows = self.table[:, first - 1:first - 1 + len(x)]
+        self.regret = regret[-1].copy()
+        start = first - 1 - self.written
+        rows = self.table[:, start:start + len(x)]
         rows[...] = np.reshape([
             objective,
             regret,
@@ -116,10 +128,20 @@ class TraceRecorder:
             batch.row_max(lam),
             batch.row_min(slack),
         ], rows.shape)
+        self.recorded = first - 1 + len(x)
+        if self.recorded - self.written == self.table.shape[1]:
+            self.flush()
+
+    def flush(self) -> None:
+        """Hand `write` the rounds recorded since it was last handed any."""
+        if self.write is not None and self.recorded > self.written:
+            self.write(self.written + 1, self.table[:, :self.recorded - self.written])
+            self.written = self.recorded
 
     def traces(self, algorithms, trial_ids) -> list[TrialTrace]:
         """The table as one trace per (algorithm, trial), algorithm by
-        algorithm; their columns are views of the table."""
+        algorithm; their columns are views of the table, whole only when it
+        was never flushed."""
         return [
             TrialTrace(trial_id, algorithm, *self.table[:, :, a, k])
             for a, algorithm in enumerate(algorithms)

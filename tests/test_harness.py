@@ -1,5 +1,7 @@
+import errno
 import io
 import json
+import mmap
 import multiprocessing
 import os
 import re
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import gate_problem
-from safedual import baselines, cli, harness
+from safedual import baselines, cli, harness, sdgm
 from safedual import trace as trace_module
 from safedual.harness import (
     ALGORITHMS,
@@ -60,6 +62,14 @@ def npz_archive(table) -> bytes:
     buffer = io.BytesIO()
     np.savez(buffer, table=table)
     return buffer.getvalue()
+
+
+def run_files(output_dir):
+    """The bytes of every file a run derives from its pricing, by name:
+    traces.npy, summary.csv, sdgm_regret_scaled.csv and each trace CSV."""
+    names = ["traces.npy", "summary.csv", "sdgm_regret_scaled.csv"]
+    names += [os.path.join("traces", name) for name in os.listdir(os.path.join(output_dir, "traces"))]
+    return {name: Path(output_dir, name).read_bytes() for name in names}
 
 
 def read_all(output_dir):
@@ -365,6 +375,86 @@ class TestRunExperiment:
         with pytest.raises(OSError, match="no space left"):
             run_experiment(config)
         assert [name for name in os.listdir(config.output_dir) if name.startswith("traces.npy")] == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_full_disk_is_raised_from_the_table_write(self, tmp_path, monkeypatch, workers):
+        """Without posix_fallocate, as on macOS, the table file stays sparse,
+        and a write to it that finds the disk full, in the caller's block or
+        in a forked one, raises that OSError: the run leaves no traces.npy,
+        no temporary of it and no summary part file, and `report` refuses the
+        directory."""
+        monkeypatch.setattr(harness, "available_workers", lambda: workers)
+        monkeypatch.delattr(os, "posix_fallocate", raising=False)
+        config = small_config(tmp_path)
+        assert 2 in blocks(config.trials, workers)[-1]
+        trial_bytes = len(config.algorithms) * config.horizon * len(METRIC_COLUMNS) * 8
+        pwrite = os.pwrite
+
+        def full_disk(fd, data, pos):
+            if pos >= os.fstat(fd).st_size - trial_bytes:  # the slabs of trial 2, the last
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return pwrite(fd, data, pos)
+
+        monkeypatch.setattr(os, "pwrite", full_disk)
+        with pytest.raises(OSError) as raised:
+            run_experiment(config)
+        assert raised.value.errno == errno.ENOSPC
+        assert [
+            name for name in os.listdir(config.output_dir)
+            if name.startswith(("traces.npy", "summary.csv"))
+        ] == []
+        with pytest.raises(FileNotFoundError, match="manifest.json"):
+            report(config.output_dir)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_process_maps_the_table(self, tmp_path, monkeypatch, workers):
+        """compare and report, the forked blocks included, fill and read the
+        table with plain file writes and reads: with every map refused, they
+        write the bytes of a run that may map."""
+        monkeypatch.setattr(harness, "available_workers", lambda: workers)
+        mapped = small_config(tmp_path / "mapped")
+        run_experiment(mapped)
+
+        def no_map(*args, **kwargs):
+            raise AssertionError("a process mapped a file")
+
+        monkeypatch.setattr(mmap, "mmap", no_map)
+        monkeypatch.setattr(np, "memmap", no_map)
+        config = small_config(tmp_path / "unmapped")
+        run_experiment(config)
+        assert run_files(config.output_dir) == run_files(mapped.output_dir)
+        os.remove(os.path.join(config.output_dir, "summary.csv"))
+        report(config.output_dir)
+        assert run_files(config.output_dir) == run_files(mapped.output_dir)
+
+    @pytest.mark.parametrize("window_values", [1, 1000, 1 << 30])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bytes_do_not_depend_on_the_window(self, tmp_path, monkeypatch, workers, window_values):
+        """A block's window of rounds one pricing chunk long, several chunks
+        long, or longer than the horizon, which is a multiple of neither,
+        gives the table and trace CSVs of a default run."""
+        default = small_config(tmp_path / "default", horizon=101)
+        run_experiment(default)
+        monkeypatch.setattr(harness, "available_workers", lambda: workers)
+        monkeypatch.setattr(sdgm, "BUFFER_VALUES", 256)  # chunks of 2 to 16 rounds
+        monkeypatch.setattr(harness, "WINDOW_VALUES", window_values)
+        written = []  # the rounds of each write of the caller's block
+        flush = trace_module.TraceRecorder.flush
+
+        def spy(record):
+            written.append(record.recorded - record.written)
+            flush(record)
+
+        monkeypatch.setattr(trace_module.TraceRecorder, "flush", spy)
+        config = replace(default, output_dir=str(tmp_path / "windowed"))
+        run_experiment(config)
+        assert run_files(config.output_dir) == run_files(default.output_dir)
+        written = [rounds for rounds in written if rounds]
+        assert sum(written) == config.horizon
+        if window_values < 1 << 30:  # full windows, then the shorter rest
+            assert len(set(written[:-1])) == 1 and written[-1] < written[0], written
+        else:
+            assert written == [config.horizon]
 
     def test_table_file_is_what_np_save_writes(self, tmp_path, monkeypatch):
         """The table that the blocks fill in place, one of them forked, has the
