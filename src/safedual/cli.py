@@ -135,7 +135,7 @@ def _cmd_compare(args) -> None:
         settings["generator"] = replace(config.generator, seed=settings["master_seed"])
     config = replace(config, **settings)
     summary = harness.run_experiment(config)
-    distance = summary.mean[harness.METRIC_COLUMNS.index("distance_to_opt"), -1]
+    distance = summary.final_mean[:, harness.METRIC_COLUMNS.index("distance_to_opt")]
     final = dict(zip(config.algorithms, distance.tolist()))
     print(json.dumps({"trials": summary.trials, "final_mean_distance": final}, indent=2))
 

@@ -2,29 +2,16 @@
 
 A run generates an ensemble of random networks, solves each to optimality,
 runs the selected algorithms for a fixed horizon, and writes its trace
-table, one trace CSV per (trial, algorithm), an aggregate summary and, last,
-its manifest, once it has removed each name in OWNED and nothing else.  The
-calling process prepares every trial, solving each reference optimum afresh
-and storing it under oracle_cache/.
-fan_out then prices contiguous blocks of trials: the caller prices the
-first while forked workers price the others, each running every selected
-algorithm over its block in one loop.  The (metric, round, algorithm, trial)
-table lives in traces.npy from the first round, in Fortran order, so each
-(trial, algorithm) slab is one byte range of it.  Every block records its
-traces into a window of about WINDOW_VALUES values and writes each full
-window, and the last, into its own trials' slabs with plain positioned
-writes through a descriptor of its own, then reads each slab back to write
-its trace CSV: no process maps the file.  Nothing copies the table: the
-caller reads it back one (trial, algorithm) slab at a time, with plain file
-reads, reduces it to (metric, round, algorithm) arrays of mean and
-deviation, which SummaryStats.write_csv writes, blocks of algorithms fanned
-out in the same way, as summary.csv, replaced whole, and writes SDGM's
-R(T)/sqrt(T) per trial as sdgm_regret_scaled.csv.  `report` reads traces.npy
-back in the same way and rebuilds both files through the same function.
-fan_out splits its work over the CPUs in the process's affinity mask (limit
-them with `taskset -c`), the caller included, or runs it in one process
-where processes cannot fork.  Everything is a pure function of the master
-seed, regardless of worker count and batch size.
+table, traces.npy, one trace CSV per (trial, algorithm), the files derived
+from the table alone (_write_views) and, last, its manifest, once it has
+removed each name in OWNED and nothing else.  The calling process prepares
+every trial, storing each reference optimum under oracle_cache/; fan_out
+then spreads the pricing, and later the summary, over the CPUs the process
+may use.  No process maps the table: the pricing blocks write it, and the
+summary reduces it, a window of rounds at a time.  `report` rebuilds the
+derived files from traces.npy through the same function.  Everything is a
+pure function of the master seed, regardless of worker count and batch
+size.
 """
 from __future__ import annotations
 
@@ -36,7 +23,6 @@ import shutil
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field, fields, replace
-from functools import partial
 from itertools import zip_longest
 
 import numpy as np
@@ -53,6 +39,7 @@ from .problem import (
     problem_hash,
 )
 from .trace import (
+    CHUNK,
     METRIC_COLUMNS,
     TraceRecorder,
     TrialTrace,
@@ -150,13 +137,15 @@ class ExperimentConfig:
 
 @dataclass
 class SummaryStats:
-    """Across-trial mean and standard deviation of every metric at every t,
-    over `trials` trials, as (metric, round, algorithm) arrays."""
+    """The summary of a run's trace table: `trials` trials of `algorithms`
+    over `horizon` rounds, and the across-trial mean of every metric at the
+    last round, as an (algorithm, metric) array.  summary.csv, which
+    write_csv writes, holds the mean and standard deviation at every round."""
 
     algorithms: tuple[str, ...]
     trials: int
-    mean: np.ndarray
-    std: np.ndarray
+    horizon: int
+    final_mean: np.ndarray
 
     STATS = ("mean", "std")
 
@@ -164,24 +153,27 @@ class SummaryStats:
         names = (f"{metric}_{stat}" for metric in METRIC_COLUMNS for stat in self.STATS)
         return ",".join(["algorithm", "t", *names]) + "\n"
 
-    def write_section(self, fh, a: int) -> None:
-        """The rows of the a-th algorithm, t = 1 to horizon."""
-        columns = [getattr(self, stat)[i, :, a] for i in range(len(METRIC_COLUMNS)) for stat in self.STATS]
-        write_rows(fh, f"{self.algorithms[a]},", np.arange(1, self.mean.shape[1] + 1), columns)
-
-    def write_csv(self, path) -> None:
-        """Replace summary.csv at `path` whole: fan_out's blocks of algorithms
-        write their sections to part files, which the caller joins behind the
-        header, in algorithm order, through _write_whole.  No part file
-        outlives the call, whether it ends normally or a write fails.  A part
-        is named as _write_whole names its temporary, with the section's index
-        after the pid, so a rerun removes the parts of a run killed here."""
+    def write_csv(self, path, table: str) -> None:
+        """Replace summary.csv at `path` whole, from the trace table in the
+        .npy file at `table`: fan_out's blocks of algorithms each open the
+        table themselves and, for each of their algorithms, reduce it through
+        aggregate and write its rows to a part file, a window of CHUNK rounds
+        at a time.  The caller joins the parts behind the header, in
+        algorithm order, through _write_whole.  No part file outlives the
+        call, whether it ends normally or a write fails.  A part is named as
+        _write_whole names its temporary, with the section's index after the
+        pid, so a rerun removes the parts of a run killed here."""
         parts = [f"{path}.tmp.{os.getpid()}{a}" for a in range(len(self.algorithms))]
 
         def write(block) -> None:
-            for a in block:
-                with open(parts[a], "w") as fh:
-                    self.write_section(fh, a)
+            with open(table, "rb") as fh:  # an offset of its own, which no other block moves
+                for a in block:
+                    with open(parts[a], "w") as out:
+                        for start in range(0, self.horizon, CHUNK):
+                            stop = min(start + CHUNK, self.horizon)
+                            stats = aggregate(fh, a, range(start, stop))
+                            columns = [stat[:, i] for i in range(len(METRIC_COLUMNS)) for stat in stats]
+                            write_rows(out, f"{self.algorithms[a]},", range(start + 1, stop + 1), columns)
 
         def join(out) -> None:
             out.write(self.header())
@@ -311,7 +303,7 @@ def _prepare_trial(config: ExperimentConfig, trial_id: int):
         solution = oracle.solve_optimal(problem)
         optimum = solution.to_dict()
         path = os.path.join(config.output_dir, "oracle_cache", f"{problem_hash(problem)}.json")
-        _write_whole(path, "w", partial(json.dump, optimum))
+        _write_whole(path, "w", lambda fh: fh.write(json.dumps(optimum)))
         meta = {
             "trial_id": trial_id,
             "seed": seed,
@@ -379,7 +371,7 @@ def _price_into(config: ExperimentConfig, prepared, path: str, offset: int, firs
     output directory.  The block opens the file itself, so no other block
     moves its offset, and never maps it: each full window of rounds goes to
     each (trial, algorithm) slab's byte range in one positioned write, and
-    each slab is then read back into one buffer for its trace's CSV."""
+    each slab is then read back whole for its trace's CSV."""
     count, horizon = len(config.algorithms), config.horizon
     with open(path, "r+b") as fh:
 
@@ -394,7 +386,7 @@ def _price_into(config: ExperimentConfig, prepared, path: str, offset: int, firs
         _, read = _slab_reader(fh)  # no read before this, so nothing buffered is stale
         for k in range(first, first + len(prepared)):
             for a, algorithm in enumerate(config.algorithms):
-                trace = TrialTrace(k, algorithm, *read(a, k).T)
+                trace = TrialTrace(k, algorithm, *read(a, k, range(horizon)).T)
                 trace.write_csv(trial_trace_path(config.output_dir, k, algorithm))
 
 
@@ -432,10 +424,10 @@ def fan_out(work, count: int) -> None:
     caller runs the first block while forked workers run the others.
 
     A run calls it twice: once to price its trials, each block writing its
-    own trace CSVs, and once, in SummaryStats.write_csv, to write the
-    summary's sections (`report`: only that once).  `work` reaches the
+    own trace CSVs, and once, in SummaryStats.write_csv, to reduce and write
+    the summary's sections (`report`: only that once).  `work` reaches the
     workers through fork, not pickle, so it may close over memory that they
-    share with the caller, such as the prepared trials and the summary; only
+    share with the caller, such as the prepared trials; only
     the blocks are pickled, and whatever work returns is dropped.  A
     failure is raised in block order.
     """
@@ -455,12 +447,13 @@ def fan_out(work, count: int) -> None:
 
 def _slab_reader(fh):
     """(shape, read) of the trace table in the .npy file open as binary
-    `fh`: its (metric, round, algorithm, trial) shape, and read(a, k), the
+    `fh`: its (metric, round, algorithm, trial) shape, and read(a, k,
+    rounds), the rows `rounds` (a range, round 1 being row 0) of the
     (round, metric) slab of trial k under algorithm a, read from `fh` into
-    one buffer that each call overwrites.  In Fortran order each slab is one
-    byte range, so no page of the table is ever mapped.  Refused with a
-    TraceMismatchError naming the file: one that is not a whole .npy file
-    (a zip archive among them), or whose table is not 4-D, not native
+    a fresh array.  In Fortran order each slab is one byte range, and so is
+    each run of its rows, so no page of the table is ever mapped.  Refused
+    with a TraceMismatchError naming the file: one that is not a whole .npy
+    file (a zip archive among them), or whose table is not 4-D, not native
     float64 or not in Fortran order, as traces.npy was before compare wrote
     that order; such a run must be made again with compare."""
     fmt = np.lib.format
@@ -481,61 +474,63 @@ def _slab_reader(fh):
             " make the run again with compare"
         )
     metrics, horizon, count, trials = shape
-    buffer = np.empty((horizon, metrics))
+    row = metrics * dtype.itemsize
     offset = fh.tell()
-    if os.fstat(fh.fileno()).st_size < offset + trials * count * buffer.nbytes:
+    if os.fstat(fh.fileno()).st_size < offset + trials * count * horizon * row:
         raise TraceMismatchError(f"unreadable trace table {fh.name}: it ends before its {shape} table")
 
-    def read(a, k):
-        fh.seek(offset + (k * count + a) * buffer.nbytes)
-        if fh.readinto(buffer) != buffer.nbytes:
+    def read(a, k, rounds):
+        rows = np.empty((len(rounds), metrics))
+        fh.seek(offset + ((k * count + a) * horizon + rounds.start) * row)
+        if fh.readinto(rows) != rows.nbytes:
             raise TraceMismatchError(f"{fh.name} ends inside the slab of trial {k}")
-        return buffer
+        return rows
 
     return shape, read
 
 
-def aggregate(fh, algorithms) -> SummaryStats:
-    """Across-trial statistics of the (metric, round, algorithm, trial)
-    table in the .npy file open as binary `fh`, as compare writes
-    traces.npy; _slab_reader refuses any other.
+def aggregate(fh, a: int, rounds: range) -> tuple[np.ndarray, np.ndarray]:
+    """Across-trial mean and standard deviation, as two (round, metric)
+    arrays, of the rows `rounds` of algorithm a in the (metric, round,
+    algorithm, trial) table in the .npy file open as binary `fh`, as
+    compare writes traces.npy; _slab_reader refuses any other.
 
-    Each algorithm's part is read one trial's (metric, round) slab at a
-    time, twice: every entry is summed from +0.0 in ascending trial order,
-    once for the mean and once for the squared deviations from it.  That is
-    the order in which np.mean and np.std sum a contiguous (trial, round)
-    array of two rounds or more, so the bits are theirs.  (Over one round
-    they sum 8 or more trials pairwise.)
+    The rows are read one trial at a time, twice: every entry is summed
+    from +0.0 in ascending trial order, once for the mean and once for the
+    squared deviations from it.  That is the order in which np.mean and
+    np.std sum a contiguous (trial, round) array of two rounds or more, so
+    the bits are theirs, whichever rows are reduced together.  (Over one
+    round they sum 8 or more trials pairwise.)
     """
-    shape, read = _slab_reader(fh)
-    mean, std = np.empty(shape[:3]), np.empty(shape[:3])
-    trials = shape[-1]
-    for a in range(shape[2]):
-        total = np.zeros(shape[1::-1])
-        for k in range(trials):
-            total += read(a, k)
-        average = total / trials
-        total[...] = 0.0
-        for k in range(trials):
-            deviation = read(a, k)
-            deviation -= average
-            deviation *= deviation
-            total += deviation
-        mean[:, :, a], std[:, :, a] = average.T, np.sqrt(total / trials).T
-    return SummaryStats(tuple(algorithms), trials, mean, std)
+    (metrics, _, _, trials), read = _slab_reader(fh)
+    total = np.zeros((len(rounds), metrics))
+    for k in range(trials):
+        total += read(a, k, rounds)
+    mean = total / trials
+    total[...] = 0.0
+    for k in range(trials):
+        deviation = read(a, k, rounds)
+        deviation -= mean
+        deviation *= deviation
+        total += deviation
+    total /= trials
+    return mean, np.sqrt(total, out=total)
 
 
 def _write_views(output_dir: str, config: ExperimentConfig, fh) -> SummaryStats:
     """Write into `output_dir` every file derived from the trace table in
-    `fh` alone: summary.csv, from aggregate's slab-by-slab reads of it, and,
-    when SDGM ran, sdgm_regret_scaled.csv, from SDGM's last-round regret in
-    each trial's slab."""
-    summary = aggregate(fh, config.algorithms)
-    summary.write_csv(os.path.join(output_dir, "summary.csv"))
+    `fh` alone: summary.csv, through SummaryStats.write_csv, and, when SDGM
+    ran, sdgm_regret_scaled.csv, from SDGM's last-round regret in each
+    trial's slab.  The summary's last-round means are reduced from that
+    round's rows alone."""
+    last = range(config.horizon - 1, config.horizon)
+    final_mean = np.array([aggregate(fh, a, last)[0][0] for a in range(len(config.algorithms))])
+    summary = SummaryStats(config.algorithms, config.trials, config.horizon, final_mean)
+    summary.write_csv(os.path.join(output_dir, "summary.csv"), fh.name)
     if "SDGM" in config.algorithms:
         _, read = _slab_reader(fh)
         a, i = config.algorithms.index("SDGM"), METRIC_COLUMNS.index("regret_cum")
-        regret = np.array([read(a, k)[-1, i] for k in range(config.trials)])
+        regret = np.array([read(a, k, last)[0, i] for k in range(config.trials)])
 
         def write_regret(out) -> None:
             out.write("trial_id,regret_final_over_sqrt_horizon\n")

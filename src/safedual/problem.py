@@ -378,8 +378,7 @@ def problem_from_dict(doc: dict) -> NumProblem:
 
 def save_problem(problem: NumProblem, path) -> None:
     with open(path, "w") as fh:
-        json.dump(problem_to_dict(problem), fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(problem_to_dict(problem), indent=2) + "\n")
 
 
 def load_problem(path) -> NumProblem:

@@ -424,6 +424,22 @@ def test_compare_and_report_write_the_same_bytes_for_any_workers(tmp_path, capsy
         assert runs[0] == runs[1] == runs[2]
 
 
+@pytest.mark.parametrize("trials, horizon", [(3, 101), (12, 1)])
+def test_summary_bytes_do_not_depend_on_its_window(tmp_path, capsys, monkeypatch, trials, horizon):
+    """Every file and stdout of `compare` then `report` is a default run's
+    whether the summary is reduced one round at a time, 7 rounds at a time
+    (which divides neither horizon) or in one window longer than the
+    horizon, on one worker or two.  Twelve trials at a horizon of 1 is the
+    width at which numpy's own mean would sum the trials pairwise."""
+    default = compare_and_report(tmp_path / "default", capsys, trials, horizon)
+    for window in (1, 7, 200):
+        monkeypatch.setattr(harness, "CHUNK", window)
+        for workers in (1, 2):
+            monkeypatch.setattr(harness, "available_workers", lambda: workers)
+            out_dir = tmp_path / f"window{window}_workers{workers}"
+            assert compare_and_report(out_dir, capsys, trials, horizon) == default
+
+
 def test_compare_and_report_on_one_cpu_run_in_one_process(tmp_path, capsys, monkeypatch):
     """With one CPU in the affinity mask, as under `taskset -c 0`, `compare`
     and `report` start no worker and write the bytes of a default run."""

@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import re
 import shutil
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -312,13 +313,15 @@ class TestRunExperiment:
         summary = run_experiment(config)
         assert summary.trials == config.trials
         assert summary.algorithms == ALGORITHMS
-        for a, alg in enumerate(ALGORITHMS):
-            for i, metric in enumerate(METRIC_COLUMNS):
-                assert summary.mean[i, :, a].shape == (config.horizon,)
-                assert (summary.std[i, :, a] >= 0).all()
 
         out = config.output_dir
-        assert os.path.exists(os.path.join(out, "summary.csv"))
+        header, *rows = [row.split(",") for row in Path(out, "summary.csv").read_text().splitlines()]
+        stds = [j for j, name in enumerate(header) if name.endswith("_std")]
+        assert len(stds) == len(METRIC_COLUMNS)
+        for alg in ALGORITHMS:
+            section = [row for row in rows if row[0] == alg]
+            assert [int(row[1]) for row in section] == list(range(1, config.horizon + 1))
+            assert all(float(row[j]) >= 0 for row in section for j in stds)
         assert os.path.exists(os.path.join(out, "sdgm_regret_scaled.csv"))
         manifest = json.loads(Path(out, "manifest.json").read_text())
         assert manifest["config"]["master_seed"] == 5
@@ -636,15 +639,18 @@ class TestRunExperiment:
         manifest = json.loads(Path(config.output_dir, "manifest.json").read_text())
         assert manifest["trials"][0]["f_star"] == solution.f_star
         assert os.listdir(cache_dir) == [os.path.basename(path)]
-        assert json.loads(Path(path).read_text()) == solution.to_dict()
+        assert Path(path).read_text() == json.dumps(solution.to_dict())
 
 
 def aggregate_saved(tmp_path, table, algorithms):
-    """aggregate of `table` saved in Fortran order, as compare writes traces.npy."""
+    """aggregate of every round of each of `algorithms` in `table`, saved in
+    Fortran order as compare writes traces.npy: its (metric, round,
+    algorithm) arrays of mean and std."""
     path = tmp_path / "table.npy"
     np.save(path, np.asfortranarray(table))
     with open(path, "rb") as fh:
-        return aggregate(fh, algorithms)
+        stats = [aggregate(fh, a, range(table.shape[1])) for a in range(len(algorithms))]
+    return [np.stack([stat[j].T for stat in stats], axis=2) for j in range(2)]
 
 
 class TestAggregateAndReport:
@@ -657,11 +663,11 @@ class TestAggregateAndReport:
         ]
         # (metric, round, algorithm, trial), as a run records it
         table = np.array([[[*tr.metrics().values()] for tr in traces]]).transpose(2, 3, 0, 1)
-        summary = aggregate_saved(tmp_path, table, ("DGM",))
+        mean, std = aggregate_saved(tmp_path, table, ("DGM",))
         stacked = np.vstack([tr.objective for tr in traces])
         objective = METRIC_COLUMNS.index("objective")
-        assert np.array_equal(summary.mean[objective, :, 0], stacked.mean(axis=0))
-        assert np.array_equal(summary.std[objective, :, 0], stacked.std(axis=0))
+        assert np.array_equal(mean[objective, :, 0], stacked.mean(axis=0))
+        assert np.array_equal(std[objective, :, 0], stacked.std(axis=0))
 
         # Wider tables, whose trial axis a strided reduction would sum in
         # another order: 8 and 12 trials, and a strided slice of 8 of them;
@@ -675,13 +681,12 @@ class TestAggregateAndReport:
         signed[1, ::2, :, 1::2] = -0.0
         signed[2:, :, :, 5:] *= -1.0
         for table, trials in ((larger[..., :8], 8), (larger, 12), (larger[..., 1:9], 8), (signed, 12)):
-            summary = aggregate_saved(tmp_path, table, algorithms)
-            assert summary.trials == trials
+            mean, std = aggregate_saved(tmp_path, table, algorithms)
             for a, alg in enumerate(algorithms):
                 for i, metric in enumerate(METRIC_COLUMNS):
                     stacked = np.vstack([table[i, :, a, k] for k in range(trials)])
-                    assert summary.mean[i, :, a].tobytes() == stacked.mean(axis=0).tobytes()
-                    assert summary.std[i, :, a].tobytes() == stacked.std(axis=0).tobytes()
+                    assert mean[i, :, a].tobytes() == stacked.mean(axis=0).tobytes()
+                    assert std[i, :, a].tobytes() == stacked.std(axis=0).tobytes()
 
     @pytest.mark.parametrize("save", [
         lambda path, table: np.save(path, np.asfortranarray(table, dtype=np.float32)),
@@ -695,7 +700,29 @@ class TestAggregateAndReport:
         path = tmp_path / "table.npy"
         save(path, np.random.default_rng(0).random((len(METRIC_COLUMNS), 4, 2, 3)))
         with open(path, "rb") as fh, pytest.raises(TraceMismatchError, match=re.escape(str(path))):
-            aggregate(fh, ("SDGM", "DGM"))
+            aggregate(fh, 0, range(4))
+
+    def test_report_holds_no_array_as_long_as_the_horizon(self, tmp_path, monkeypatch):
+        """`report` on one worker reduces and writes a 50 000-round table a
+        window of rounds at a time: its allocations peak under 4 MiB, where
+        the table's whole (metric, round, algorithm) mean and std would take
+        4.8 MB each."""
+        monkeypatch.setattr(harness, "available_workers", lambda: 1)
+        shape = (len(METRIC_COLUMNS), 50_000, 2, 3)
+        config = ExperimentConfig(
+            horizon=shape[1], trials=shape[3], algorithms=("SDGM", "DGM"), output_dir=str(tmp_path)
+        )
+        np.save(tmp_path / "traces.npy", np.asfortranarray(np.random.default_rng(0).random(shape)))
+        manifest = {"config": config.to_dict(), "trials": [{"trial_id": k} for k in range(shape[3])]}
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        tracemalloc.start()
+        try:
+            report(str(tmp_path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+        assert len((tmp_path / "summary.csv").read_text().splitlines()) == 1 + 2 * shape[1]
 
     def test_report_rebuilds_summary(self, tmp_path):
         config = small_config(tmp_path)

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -220,6 +221,14 @@ class TestSerialization:
         back = load_problem(path)
         assert np.array_equal(back.a_matrix, tiny.a_matrix)
         assert user_specs(back) == user_specs(tiny)
+
+    def test_file_holds_the_indented_document(self, tmp_path, tiny):
+        """save_problem writes the document as json.dumps indents it, then a
+        newline."""
+        for problem in (tiny, *(generate_random(GeneratorConfig(seed=seed)) for seed in (0, 3))):
+            path = tmp_path / "problem.json"
+            save_problem(problem, path)
+            assert path.read_text() == json.dumps(problem_to_dict(problem), indent=2) + "\n"
 
     def test_hash_ignores_seed(self, tiny):
         other = NumProblem(tiny.a_matrix, tiny.capacities, tiny.theta, seed=77)
