@@ -7,11 +7,11 @@ from the table alone (_write_views) and, last, its manifest, once it has
 removed each name in OWNED and nothing else.  The calling process prepares
 every trial, storing each reference optimum under oracle_cache/; fan_out
 then spreads the pricing, and later the summary, over the CPUs the process
-may use.  No process maps the table: the pricing blocks write it, and the
-summary reduces it, a window of rounds at a time.  `report` rebuilds the
-derived files from traces.npy through the same function.  Everything is a
-pure function of the master seed, regardless of worker count and batch
-size.
+may use.  Every block reaches the table by position through the caller's
+one descriptor (_slab_reader), a window of rounds at a time, and no process
+maps it.  `report` rebuilds the derived files from traces.npy through the
+same function.  Everything is a pure function of the master seed,
+regardless of worker count and batch size.
 """
 from __future__ import annotations
 
@@ -153,27 +153,26 @@ class SummaryStats:
         names = (f"{metric}_{stat}" for metric in METRIC_COLUMNS for stat in self.STATS)
         return ",".join(["algorithm", "t", *names]) + "\n"
 
-    def write_csv(self, path, table: str) -> None:
-        """Replace summary.csv at `path` whole, from the trace table in the
-        .npy file at `table`: fan_out's blocks of algorithms each open the
-        table themselves and, for each of their algorithms, reduce it through
-        aggregate and write its rows to a part file, a window of CHUNK rounds
-        at a time.  The caller joins the parts behind the header, in
-        algorithm order, through _write_whole.  No part file outlives the
-        call, whether it ends normally or a write fails.  A part is named as
-        _write_whole names its temporary, with the section's index after the
-        pid, so a rerun removes the parts of a run killed here."""
+    def write_csv(self, path, table) -> None:
+        """Replace summary.csv at `path` whole, from `table` (as _slab_reader
+        gives it): fan_out's blocks of algorithms reduce each of theirs
+        through aggregate and write its rows to a part file, a window of
+        CHUNK rounds at a time.  The caller joins the parts behind the
+        header, in algorithm order, through _write_whole.  No part file
+        outlives the call, whether it ends normally or a write fails.  A part
+        is named as _write_whole names its temporary, with the section's
+        index after the pid, so a rerun removes the parts of a run killed
+        here."""
         parts = [f"{path}.tmp.{os.getpid()}{a}" for a in range(len(self.algorithms))]
 
         def write(block) -> None:
-            with open(table, "rb") as fh:  # an offset of its own, which no other block moves
-                for a in block:
-                    with open(parts[a], "w") as out:
-                        for start in range(0, self.horizon, CHUNK):
-                            stop = min(start + CHUNK, self.horizon)
-                            stats = aggregate(fh, a, range(start, stop))
-                            columns = [stat[:, i] for i in range(len(METRIC_COLUMNS)) for stat in stats]
-                            write_rows(out, f"{self.algorithms[a]},", range(start + 1, stop + 1), columns)
+            for a in block:
+                with open(parts[a], "w") as out:
+                    for start in range(0, self.horizon, CHUNK):
+                        stop = min(start + CHUNK, self.horizon)
+                        stats = aggregate(table, a, range(start, stop))
+                        columns = [stat[:, i] for i in range(len(METRIC_COLUMNS)) for stat in stats]
+                        write_rows(out, f"{self.algorithms[a]},", range(start + 1, stop + 1), columns)
 
         def join(out) -> None:
             out.write(self.header())
@@ -274,15 +273,16 @@ def _naming_trial(config: ExperimentConfig, trial_id: int):
         raise RuntimeError(f"trial {trial_id} (seed {seed}) failed: {exc}") from exc
 
 
-def _write_whole(path: str, mode: str, write) -> None:
+def _write_whole(path: str, mode: str, write):
     """write(file) into `path`, opened in `mode`, under a temporary name that
     then replaces it: a run cut short or a failed write leaves none half
-    written."""
+    written.  Returns what write returns."""
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, mode) as fh:
-            write(fh)
+            result = write(fh)
         os.replace(tmp, path)
+        return result
     finally:
         with suppress(FileNotFoundError):
             os.remove(tmp)
@@ -354,40 +354,24 @@ def _price_block(config: ExperimentConfig, prepared, write=None) -> TraceRecorde
             raise UnboundedSubproblemError.at(user, exc.price) from exc
 
 
-def _write_at(fd: int, values: np.ndarray, pos: int) -> None:
-    """Write C-contiguous `values` at byte `pos` of the file open as `fd`,
-    without moving its offset; a short write is retried from where it
-    stopped, so a full disk raises its OSError."""
-    data = memoryview(values).cast("B")
-    while data:
-        written = os.pwrite(fd, data, pos)
-        data, pos = data[written:], pos + written
+def _price_into(config: ExperimentConfig, prepared, table, first: int) -> None:
+    """Price a block of prepared trials, trial `first` on, into `table`,
+    the run's trace table as _slab_reader gives it, and write each of their
+    traces as its CSV under the output directory.  Each full window of
+    rounds goes to each (trial, algorithm) slab's rows in one positioned
+    write; each slab is then read back whole for its trace's CSV."""
+    _, read, write = table
 
+    def record(start: int, rows: np.ndarray) -> None:
+        for k in range(rows.shape[3]):
+            for a in range(rows.shape[2]):  # (round, metric): contiguous, as in the file
+                write(a, first + k, start - 1, rows[:, :, a, k].T)
 
-def _price_into(config: ExperimentConfig, prepared, path: str, offset: int, first: int) -> None:
-    """Price a block of prepared trials, trial `first` on, into the
-    Fortran-ordered table of the .npy file at `path`, whose values start at
-    byte `offset`, and write each of their traces as its CSV under the
-    output directory.  The block opens the file itself, so no other block
-    moves its offset, and never maps it: each full window of rounds goes to
-    each (trial, algorithm) slab's byte range in one positioned write, and
-    each slab is then read back whole for its trace's CSV."""
-    count, horizon = len(config.algorithms), config.horizon
-    with open(path, "r+b") as fh:
-
-        def write(start: int, rows: np.ndarray) -> None:
-            for k in range(rows.shape[3]):
-                for a in range(count):
-                    values = rows[:, :, a, k].T  # (round, metric): contiguous, as in the file
-                    slab = ((first + k) * count + a) * horizon + start - 1
-                    _write_at(fh.fileno(), values, offset + slab * values.strides[0])
-
-        _price_block(config, prepared, write)
-        _, read = _slab_reader(fh)  # no read before this, so nothing buffered is stale
-        for k in range(first, first + len(prepared)):
-            for a, algorithm in enumerate(config.algorithms):
-                trace = TrialTrace(k, algorithm, *read(a, k, range(horizon)).T)
-                trace.write_csv(trial_trace_path(config.output_dir, k, algorithm))
+    _price_block(config, prepared, record)
+    for k in range(first, first + len(prepared)):
+        for a, algorithm in enumerate(config.algorithms):
+            trace = TrialTrace(k, algorithm, *read(a, k, range(config.horizon)).T)
+            trace.write_csv(trial_trace_path(config.output_dir, k, algorithm))
 
 
 def run_trial(config: ExperimentConfig, trial_id: int) -> tuple[dict, list[TrialTrace]]:
@@ -446,16 +430,18 @@ def fan_out(work, count: int) -> None:
 
 
 def _slab_reader(fh):
-    """(shape, read) of the trace table in the .npy file open as binary
-    `fh`: its (metric, round, algorithm, trial) shape, and read(a, k,
-    rounds), the rows `rounds` (a range, round 1 being row 0) of the
-    (round, metric) slab of trial k under algorithm a, read from `fh` into
-    a fresh array.  In Fortran order each slab is one byte range, and so is
-    each run of its rows, so no page of the table is ever mapped.  Refused
-    with a TraceMismatchError naming the file: one that is not a whole .npy
-    file (a zip archive among them), or whose table is not 4-D, not native
-    float64 or not in Fortran order, as traces.npy was before compare wrote
-    that order; such a run must be made again with compare."""
+    """(shape, read, write) of the trace table in the .npy file open as
+    binary `fh`, from its header, parsed once: the (metric, round,
+    algorithm, trial) shape; read(a, k, rounds), the rows `rounds` (a range,
+    round 1 being row 0) of the (round, metric) slab of trial k under
+    algorithm a, in one read into a fresh array; write(a, k, start, values),
+    C-contiguous (round, metric) `values` into that slab from row `start`, a
+    short write retried from where it stopped.  Both are positional: neither
+    moves the offset, so forked blocks share `fh`, and none maps the table.
+    Refused with a TraceMismatchError naming the file: one that is not a
+    whole .npy file (a zip archive among them), or whose table is not 4-D,
+    not native float64 or not in Fortran order, as traces.npy was before
+    compare wrote that order; such a run must be made again with compare."""
     fmt = np.lib.format
     fh.seek(0)
     try:
@@ -475,25 +461,32 @@ def _slab_reader(fh):
         )
     metrics, horizon, count, trials = shape
     row = metrics * dtype.itemsize
-    offset = fh.tell()
-    if os.fstat(fh.fileno()).st_size < offset + trials * count * horizon * row:
+    offset, fd = fh.tell(), fh.fileno()
+    if os.fstat(fd).st_size < offset + trials * count * horizon * row:
         raise TraceMismatchError(f"unreadable trace table {fh.name}: it ends before its {shape} table")
+
+    def position(a, k, start):
+        return offset + ((k * count + a) * horizon + start) * row
 
     def read(a, k, rounds):
         rows = np.empty((len(rounds), metrics))
-        fh.seek(offset + ((k * count + a) * horizon + rounds.start) * row)
-        if fh.readinto(rows) != rows.nbytes:
+        if os.preadv(fd, [rows], position(a, k, rounds.start)) != rows.nbytes:
             raise TraceMismatchError(f"{fh.name} ends inside the slab of trial {k}")
         return rows
 
-    return shape, read
+    def write(a, k, start, values):
+        data, pos = memoryview(values).cast("B"), position(a, k, start)
+        while data:
+            written = os.pwrite(fd, data, pos)
+            data, pos = data[written:], pos + written
+
+    return shape, read, write
 
 
-def aggregate(fh, a: int, rounds: range) -> tuple[np.ndarray, np.ndarray]:
+def aggregate(table, a: int, rounds: range) -> tuple[np.ndarray, np.ndarray]:
     """Across-trial mean and standard deviation, as two (round, metric)
-    arrays, of the rows `rounds` of algorithm a in the (metric, round,
-    algorithm, trial) table in the .npy file open as binary `fh`, as
-    compare writes traces.npy; _slab_reader refuses any other.
+    arrays, of the rows `rounds` of algorithm a in `table`, a trace table as
+    _slab_reader gives it.
 
     The rows are read one trial at a time, twice: every entry is summed
     from +0.0 in ascending trial order, once for the mean and once for the
@@ -502,7 +495,7 @@ def aggregate(fh, a: int, rounds: range) -> tuple[np.ndarray, np.ndarray]:
     the bits are theirs, whichever rows are reduced together.  (Over one
     round they sum 8 or more trials pairwise.)
     """
-    (metrics, _, _, trials), read = _slab_reader(fh)
+    (metrics, _, _, trials), read, _ = table
     total = np.zeros((len(rounds), metrics))
     for k in range(trials):
         total += read(a, k, rounds)
@@ -517,20 +510,24 @@ def aggregate(fh, a: int, rounds: range) -> tuple[np.ndarray, np.ndarray]:
     return mean, np.sqrt(total, out=total)
 
 
-def _write_views(output_dir: str, config: ExperimentConfig, fh) -> SummaryStats:
-    """Write into `output_dir` every file derived from the trace table in
-    `fh` alone: summary.csv, through SummaryStats.write_csv, and, when SDGM
-    ran, sdgm_regret_scaled.csv, from SDGM's last-round regret in each
-    trial's slab.  The summary's last-round means are reduced from that
-    round's rows alone."""
+def _write_views(output_dir: str, config: ExperimentConfig, table) -> SummaryStats:
+    """Write into `output_dir` every file derived from `table` (as
+    _slab_reader gives it) alone: summary.csv, through
+    SummaryStats.write_csv, and, when SDGM ran, sdgm_regret_scaled.csv.
+    The last-round means, summed from +0.0 in trial order as aggregate sums,
+    and SDGM's regret come from one read of each slab's last row."""
+    _, read, _ = table
     last = range(config.horizon - 1, config.horizon)
-    final_mean = np.array([aggregate(fh, a, last)[0][0] for a in range(len(config.algorithms))])
+    rows = [  # per trial, its last round's (algorithm, metric) values
+        np.concatenate([read(a, k, last) for a in range(len(config.algorithms))])
+        for k in range(config.trials)
+    ]
+    final_mean = sum(rows, np.zeros_like(rows[0])) / config.trials
     summary = SummaryStats(config.algorithms, config.trials, config.horizon, final_mean)
-    summary.write_csv(os.path.join(output_dir, "summary.csv"), fh.name)
+    summary.write_csv(os.path.join(output_dir, "summary.csv"), table)
     if "SDGM" in config.algorithms:
-        _, read = _slab_reader(fh)
         a, i = config.algorithms.index("SDGM"), METRIC_COLUMNS.index("regret_cum")
-        regret = np.array([read(a, k, last)[0, i] for k in range(config.trials)])
+        regret = np.array([row[a, i] for row in rows])
 
         def write_regret(out) -> None:
             out.write("trial_id,regret_final_over_sqrt_horizon\n")
@@ -541,8 +538,9 @@ def _write_views(output_dir: str, config: ExperimentConfig, fh) -> SummaryStats:
 
 
 def run_experiment(config: ExperimentConfig) -> SummaryStats:
-    """Run the full ensemble: remove each name in OWNED, the manifest first; fill the
-    trace table in traces.npy in place; write the traces, summary and, last, the manifest."""
+    """Run the full ensemble: remove each name in OWNED, the manifest first;
+    fill the trace table in traces.npy's temporary, writing the traces and
+    the files derived from it; write, last, the manifest."""
     config.check()
     for name in OWNED:  # a directory without a manifest holds no run
         path = os.path.join(config.output_dir, name)
@@ -558,23 +556,20 @@ def run_experiment(config: ExperimentConfig) -> SummaryStats:
     prepared = [_prepare_trial(config, trial_id) for trial_id in range(config.trials)]
     shape = (len(METRIC_COLUMNS), config.horizon, len(config.algorithms), config.trials)
 
-    def fill(fh) -> None:
+    def fill(fh) -> SummaryStats:
         fmt = np.lib.format
         header = {"descr": fmt.dtype_to_descr(np.dtype(float)), "fortran_order": True, "shape": shape}
         fmt.write_array_header_1_0(fh, header)
-        offset = fh.tell()
-        end = offset + math.prod(shape) * np.dtype(float).itemsize
-        fh.truncate(end)  # flushes the header for the blocks, which open the file themselves
+        end = fh.tell() + math.prod(shape) * np.dtype(float).itemsize
+        fh.truncate(end)
         # a full disk: an OSError here; without posix_fallocate (macOS), from a block's write
         if hasattr(os, "posix_fallocate"):
             os.posix_fallocate(fh.fileno(), 0, end)
-        fan_out(lambda b: _price_into(config, prepared[b.start:b.stop], fh.name, offset, b.start),
-                config.trials)
+        table = _slab_reader(fh)
+        fan_out(lambda b: _price_into(config, prepared[b.start:b.stop], table, b.start), config.trials)
+        return _write_views(config.output_dir, config, table)
 
-    path = os.path.join(config.output_dir, "traces.npy")
-    _write_whole(path, "wb", fill)
-    with open(path, "rb") as fh:
-        summary = _write_views(config.output_dir, config, fh)
+    summary = _write_whole(os.path.join(config.output_dir, "traces.npy"), "w+b", fill)
     manifest = {"config": config.to_dict(), "trials": [meta for *_, meta in prepared]}
     _write_whole(os.path.join(config.output_dir, "manifest.json"), "w",
                  lambda fh: fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n"))
@@ -582,15 +577,12 @@ def run_experiment(config: ExperimentConfig) -> SummaryStats:
 
 
 def report(output_dir: str) -> SummaryStats:
-    """Rebuild summary.csv and, when SDGM ran, sdgm_regret_scaled.csv from
-    the trace table of the run that `manifest.json` records, read from
-    traces.npy alone as `compare` reads it back, one (trial, algorithm) slab
-    at a time, with every CPU it may use.  Refused before the table is
-    read: a manifest that is not a JSON object holding a config that
-    `compare` accepts and a list of trial objects whose ids are each of 0
-    to config.trials - 1 once.  Refused after: a missing table, one that
-    _slab_reader cannot read (not a whole .npy file, not native float64, or
-    in C order, as compare wrote it before it wrote Fortran order), or one
+    """Rebuild, through _write_views, the files that `compare` derives from
+    the trace table of the run that `manifest.json` records, reading
+    traces.npy alone.  Refused before the table is read: a manifest that is
+    not a JSON object holding a config that `compare` accepts and a list of
+    trial objects whose ids are each of 0 to config.trials - 1 once.
+    Refused after: a missing table, one that _slab_reader refuses, or one
     not in the config's (metric, round, algorithm, trial) shape."""
     manifest_path = os.path.join(output_dir, "manifest.json")
     try:
@@ -629,8 +621,8 @@ def report(output_dir: str) -> SummaryStats:
     except FileNotFoundError:
         raise TraceMismatchError(f"missing trace table {path}, which compare writes") from None
     with fh:
-        found, _ = _slab_reader(fh)
+        table = _slab_reader(fh)
         shape = (len(METRIC_COLUMNS), config.horizon, len(config.algorithms), config.trials)
-        if found != shape:
-            raise TraceMismatchError(f"{path} holds a {found} table, the manifest {shape}")
-        return _write_views(output_dir, config, fh)
+        if table[0] != shape:
+            raise TraceMismatchError(f"{path} holds a {table[0]} table, the manifest {shape}")
+        return _write_views(output_dir, config, table)

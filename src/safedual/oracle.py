@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agents import best_response_profile, prices_from_duals
+from .agents import best_response_profile
 from .problem import NumProblem
 from .problem import compute_constants  # unused here; kept as a wrap point of bench/tracer.py
 
@@ -54,14 +54,6 @@ class OptimalSolution:
             "kkt_residual": self.kkt_residual,
             "iterations_used": self.iterations_used,
         }
-
-
-def dual_value(problem: NumProblem, lam: np.ndarray) -> float:
-    """Value of the dual function at lam: best-response Lagrangian plus lam.c."""
-    lam = np.asarray(lam, float)
-    prices = prices_from_duals(problem, lam)
-    x = best_response_profile(problem, lam)
-    return float(problem.objective(x) - prices @ x + lam @ problem.capacities)
 
 
 def kkt_residual(problem: NumProblem, x: np.ndarray, lam: np.ndarray) -> float:

@@ -58,17 +58,6 @@ class DualState:
     t: int = 1
 
 
-def step_sizes(params: SdgmParams, t: int, m: int) -> tuple[float, float]:
-    """Downward and upward step sizes at iteration t."""
-    gamma_minus = params.gamma / math.sqrt(t)
-    return gamma_minus, (m - 1) * gamma_minus
-
-
-def safety_margin(params: SdgmParams, t: int) -> np.ndarray:
-    """Per-constraint buffer added to the constraint test at iteration t."""
-    return params.margin_scale * (params.gamma / math.sqrt(t))
-
-
 def safe_step(
     lam: np.ndarray, load: np.ndarray, t: int, problem: NumProblem, params: SdgmParams
 ) -> np.ndarray:
@@ -78,8 +67,7 @@ def safe_step(
     `problem` may be a ProblemBatch with params from SdgmParams.stack.
     """
     gamma_minus = params.gamma / math.sqrt(t)
-    gamma_plus = problem.row_peers * gamma_minus  # step_sizes(params, t, m)
-    # safety_margin(params, t), from the step already at hand
+    gamma_plus = problem.row_peers * gamma_minus
     shifted = load + params.margin_scale * gamma_minus - problem.capacities
     down = np.maximum(0.0, lam - gamma_minus)
     up = np.minimum(params.lambda_bar, lam + gamma_plus)

@@ -4,6 +4,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
+from safedual.agents import best_response_profile, prices_from_duals
 from safedual.oracle import solve_optimal
 from safedual.problem import NumProblem, UtilitySpec, compute_constants
 
@@ -37,6 +38,25 @@ def tiny_constants(tiny):
 @pytest.fixture(scope="session")
 def tiny_solution(tiny):
     return solve_optimal(tiny)
+
+
+def step_sizes(params, t, m):
+    """The safe method's downward and upward step sizes at iteration t."""
+    gamma_minus = params.gamma / math.sqrt(t)
+    return gamma_minus, (m - 1) * gamma_minus
+
+
+def safety_margin(params, t):
+    """The safe method's per-constraint buffer, added to the constraint test at iteration t."""
+    return params.margin_scale * (params.gamma / math.sqrt(t))
+
+
+def dual_value(problem, lam):
+    """Value of the dual function at lam: best-response Lagrangian plus lam.c."""
+    lam = np.asarray(lam, float)
+    prices = prices_from_duals(problem, lam)
+    x = best_response_profile(problem, lam)
+    return float(problem.objective(x) - prices @ x + lam @ problem.capacities)
 
 
 def grid_search_optimum(problem, rounds=6, points=33):

@@ -13,11 +13,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import grid_search_optimum, random_valid_problem, sdgm_shut_off_through
+from conftest import (
+    dual_value,
+    grid_search_optimum,
+    random_valid_problem,
+    safety_margin,
+    sdgm_shut_off_through,
+    step_sizes,
+)
 from safedual import harness
 from safedual.agents import best_response, best_response_profile
 from safedual.harness import ExperimentConfig, run_experiment, trial_trace_path
-from safedual.oracle import dual_value, solve_optimal
+from safedual.oracle import solve_optimal
 from safedual.problem import (
     GeneratorConfig,
     ProblemBatch,
@@ -32,8 +39,6 @@ from safedual.sdgm import (
     dual_step,
     regret_bound,
     run_sdgm,
-    safety_margin,
-    step_sizes,
 )
 from safedual.trace import read_trace_csv
 

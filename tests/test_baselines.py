@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import random_valid_problem
+from conftest import dual_value, random_valid_problem
 from safedual.baselines import (
     NDGM_EPSILON,
     ascent_step,
@@ -14,7 +14,6 @@ from safedual.baselines import (
     start_dgm,
 )
 from safedual.harness import derive_trial_seed
-from safedual.oracle import dual_value
 from safedual.problem import (
     GeneratorConfig,
     NumProblem,

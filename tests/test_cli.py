@@ -440,6 +440,32 @@ def test_summary_bytes_do_not_depend_on_its_window(tmp_path, capsys, monkeypatch
             assert compare_and_report(out_dir, capsys, trials, horizon) == default
 
 
+@pytest.mark.parametrize("seed, trials, horizon", [(3, 3, 20), (6, 12, 1)])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_printed_final_means_are_the_summary_last_rows(
+    tmp_path, capsys, monkeypatch, workers, seed, trials, horizon,
+):
+    """The final mean distance that `compare` prints for each algorithm has
+    the bits of that algorithm's last distance_to_opt_mean in summary.csv,
+    on one worker or two.  Twelve trials at a horizon of 1 is the width at
+    which numpy's own mean would sum the trials pairwise; under seed 6 that
+    sum differs from the summary's in the last bit."""
+    monkeypatch.setattr(harness, "available_workers", lambda: workers)
+    out_dir = tmp_path / "exp"
+    assert main(["compare", "--seed", str(seed), "--trials", str(trials), "--horizon", str(horizon),
+                 "--out", str(out_dir)]) == 0
+    printed = json.loads(capsys.readouterr().out)["final_mean_distance"]
+    header, *rows = (out_dir / "summary.csv").read_text().splitlines()
+    column = header.split(",").index("distance_to_opt_mean")
+    last = {}
+    for row in rows:  # t ascending, so each algorithm's last row is kept
+        values = row.split(",")
+        last[values[0]] = float(values[column])
+    assert list(printed) == list(last) == list(ALGORITHMS)
+    for algorithm, value in printed.items():
+        assert value.hex() == last[algorithm].hex(), algorithm
+
+
 def test_compare_and_report_on_one_cpu_run_in_one_process(tmp_path, capsys, monkeypatch):
     """With one CPU in the affinity mask, as under `taskset -c 0`, `compare`
     and `report` start no worker and write the bytes of a default run."""

@@ -410,6 +410,23 @@ class TestRunExperiment:
             report(config.output_dir)
 
     @pytest.mark.parametrize("workers", [1, 2])
+    def test_short_writes_to_the_table_are_retried(self, tmp_path, monkeypatch, workers):
+        """A write to the table that stops short, here after at most 5 bytes,
+        in the caller's block or in a forked one, is retried from where it
+        stopped: the table and the trace CSVs are a default run's."""
+        default = small_config(tmp_path / "default")
+        run_experiment(default)
+        monkeypatch.setattr(harness, "available_workers", lambda: workers)
+        pwrite = os.pwrite
+        monkeypatch.setattr(os, "pwrite", lambda fd, data, pos: pwrite(fd, data[:5], pos))
+        config = small_config(tmp_path / "short")
+        run_experiment(config)
+        traces = sorted(os.listdir(os.path.join(config.output_dir, "traces")))
+        assert len(traces) == config.trials * len(config.algorithms)
+        for name in ["traces.npy", *(os.path.join("traces", trace) for trace in traces)]:
+            assert Path(config.output_dir, name).read_bytes() == Path(default.output_dir, name).read_bytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_no_process_maps_the_table(self, tmp_path, monkeypatch, workers):
         """compare and report, the forked blocks included, fill and read the
         table with plain file writes and reads: with every map refused, they
@@ -649,7 +666,8 @@ def aggregate_saved(tmp_path, table, algorithms):
     path = tmp_path / "table.npy"
     np.save(path, np.asfortranarray(table))
     with open(path, "rb") as fh:
-        stats = [aggregate(fh, a, range(table.shape[1])) for a in range(len(algorithms))]
+        saved = harness._slab_reader(fh)
+        stats = [aggregate(saved, a, range(table.shape[1])) for a in range(len(algorithms))]
     return [np.stack([stat[j].T for stat in stats], axis=2) for j in range(2)]
 
 
@@ -700,7 +718,7 @@ class TestAggregateAndReport:
         path = tmp_path / "table.npy"
         save(path, np.random.default_rng(0).random((len(METRIC_COLUMNS), 4, 2, 3)))
         with open(path, "rb") as fh, pytest.raises(TraceMismatchError, match=re.escape(str(path))):
-            aggregate(fh, 0, range(4))
+            aggregate(harness._slab_reader(fh), 0, range(4))
 
     def test_report_holds_no_array_as_long_as_the_horizon(self, tmp_path, monkeypatch):
         """`report` on one worker reduces and writes a 50 000-round table a

@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import grid_search_optimum, random_valid_problem
+from conftest import dual_value, grid_search_optimum, random_valid_problem
 from safedual import oracle
 from safedual.harness import derive_trial_seed
 from safedual.oracle import (
     MAX_ITERATIONS,
     OracleConvergenceError,
-    dual_value,
     kkt_residual,
     solve_optimal,
 )

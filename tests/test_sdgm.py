@@ -6,8 +6,10 @@ import pytest
 from conftest import (
     gate_problem,
     random_valid_problem,
+    safety_margin,
     sdgm_dual_floor,
     sdgm_shut_off_through,
+    step_sizes,
 )
 from safedual import sdgm
 from safedual.agents import best_response_profile
@@ -23,9 +25,7 @@ from safedual.sdgm import (
     run_pricing,
     run_sdgm,
     safe_step,
-    safety_margin,
     start_sdgm,
-    step_sizes,
 )
 
 
