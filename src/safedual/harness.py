@@ -7,20 +7,20 @@ from the table alone (_write_views) and, last, its manifest, once it has
 removed each name in OWNED and nothing else.  The calling process prepares
 every trial, storing each reference optimum under oracle_cache/; fan_out
 then spreads the pricing, and later the summary, over the CPUs the process
-may use.  Every block reaches the table by position through the caller's
-one descriptor (_slab_reader), a window of rounds at a time, and no process
-maps it.  `report` rebuilds the derived files from traces.npy through the
-same function.  Everything is a pure function of the master seed,
-regardless of worker count and batch size.
+may use, forking a child for each block but the caller's own.  Every block
+reaches the table by position through the caller's one descriptor
+(_slab_reader).  `report` rebuilds the derived files from traces.npy
+through the same function.  Everything is a pure function of the master
+seed, regardless of worker count and batch size.
 """
 from __future__ import annotations
 
 import json
 import math
-import multiprocessing
 import os
+import pickle
 import shutil
-from concurrent.futures import ProcessPoolExecutor
+import signal
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import zip_longest
@@ -40,6 +40,7 @@ from .problem import (
 )
 from .trace import (
     CHUNK,
+    CSV_HEADER,
     METRIC_COLUMNS,
     TraceRecorder,
     TrialTrace,
@@ -86,8 +87,8 @@ def _from_fields(cls, doc: dict):
 
 
 def available_workers() -> int:
-    """The CPUs this process may run on, or 1 where it cannot fork workers."""
-    if not hasattr(os, "sched_getaffinity") or "fork" not in multiprocessing.get_all_start_methods():
+    """The CPUs this process may run on, or 1 where it cannot fork."""
+    if not hasattr(os, "sched_getaffinity") or not hasattr(os, "fork"):
         return 1
     return len(os.sched_getaffinity(0))
 
@@ -359,7 +360,7 @@ def _price_into(config: ExperimentConfig, prepared, table, first: int) -> None:
     the run's trace table as _slab_reader gives it, and write each of their
     traces as its CSV under the output directory.  Each full window of
     rounds goes to each (trial, algorithm) slab's rows in one positioned
-    write; each slab is then read back whole for its trace's CSV."""
+    write; each slab is then read back CHUNK rounds at a time for its CSV."""
     _, read, write = table
 
     def record(start: int, rows: np.ndarray) -> None:
@@ -370,8 +371,11 @@ def _price_into(config: ExperimentConfig, prepared, table, first: int) -> None:
     _price_block(config, prepared, record)
     for k in range(first, first + len(prepared)):
         for a, algorithm in enumerate(config.algorithms):
-            trace = TrialTrace(k, algorithm, *read(a, k, range(config.horizon)).T)
-            trace.write_csv(trial_trace_path(config.output_dir, k, algorithm))
+            with open(trial_trace_path(config.output_dir, k, algorithm), "w") as out:
+                out.write(CSV_HEADER + "\n")
+                for start in range(0, config.horizon, CHUNK):
+                    rounds = range(start, min(start + CHUNK, config.horizon))
+                    write_rows(out, f"{k},{algorithm},", range(start + 1, rounds.stop + 1), read(a, k, rounds).T)
 
 
 def run_trial(config: ExperimentConfig, trial_id: int) -> tuple[dict, list[TrialTrace]]:
@@ -391,42 +395,53 @@ def blocks(count: int, workers: int) -> list[range]:
     return [range(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
-_forked_work = None  # set in each forked worker, by _install, to its fan_out's work
-
-
-def _install(work) -> None:
-    global _forked_work
-    _forked_work = work
-
-
-def _run_forked(item) -> None:
-    _forked_work(item)
-
-
 def fan_out(work, count: int) -> None:
     """Run work(block) for each of blocks(count, available_workers()): the
-    caller runs the first block while forked workers run the others.
-
-    A run calls it twice: once to price its trials, each block writing its
-    own trace CSVs, and once, in SummaryStats.write_csv, to reduce and write
-    the summary's sections (`report`: only that once).  `work` reaches the
-    workers through fork, not pickle, so it may close over memory that they
-    share with the caller, such as the prepared trials; only
-    the blocks are pickled, and whatever work returns is dropped.  A
-    failure is raised in block order.
-    """
-    items = blocks(count, available_workers())
-    if len(items) == 1:
+    caller forks a child for each block but the first, runs the first
+    itself, then reads each child's pipe and reaps it, in block order, even
+    after its own block failed.  `work` reaches the children through fork,
+    so it may close over memory they share with the caller, such as the
+    prepared trials; what it returns is dropped.  A child ends in os._exit.
+    The first failure in block order is raised: the caller's own, the
+    exception a child pipes back, or a RuntimeError naming the child's block
+    where that cannot be pickled and rebuilt, or where the child sends none
+    and exits other than 0, as when a signal kills it."""
+    items, children = blocks(count, available_workers()), []
+    try:
+        for item in items[1:]:
+            read_end, write_end = os.pipe()
+            with open(write_end, "wb") as pipe:  # the caller's copy closes on every path
+                try:
+                    pid = os.fork()
+                except OSError:
+                    os.close(read_end)
+                    raise
+                if pid == 0:
+                    try:
+                        work(item)
+                        os._exit(0)
+                    except BaseException as exc:
+                        try:
+                            pickle.loads(sent := pickle.dumps(exc))
+                        except Exception:
+                            sent = pickle.dumps(RuntimeError(f"block {item} failed: {type(exc).__name__}: {exc}"))
+                        pipe.write(sent)
+                        pipe.flush()
+                    finally:
+                        os._exit(1)
+            children.append((item, pid, read_end))
         work(items[0])
-        return
-    with ProcessPoolExecutor(
-        max_workers=len(items) - 1, mp_context=multiprocessing.get_context("fork"),
-        initializer=_install, initargs=(work,),
-    ) as pool:
-        futures = [pool.submit(_run_forked, item) for item in items[1:]]
-        work(items[0])
-        for future in futures:
-            future.result()
+    finally:
+        ended = []  # (block, what its child sent, its exit code)
+        for item, pid, read_end in children:
+            with open(read_end, "rb") as pipe:
+                ended.append((item, pipe.read(), os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])))
+    for item, sent, code in ended:
+        if sent:
+            raise pickle.loads(sent)
+        if code:
+            how = f"signal {-code} ({signal.strsignal(-code)})" if code < 0 else f"status {code}"
+            raise RuntimeError(f"the child process of block {item} ended by {how}")
 
 
 def _slab_reader(fh):

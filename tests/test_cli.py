@@ -471,11 +471,11 @@ def test_compare_and_report_on_one_cpu_run_in_one_process(tmp_path, capsys, monk
     and `report` start no worker and write the bytes of a default run."""
     default = compare_and_report(tmp_path / "default", capsys)
 
-    def no_pool(*args, **kwargs):
+    def no_fork(*args, **kwargs):
         raise AssertionError("started a worker process")
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "fork", no_fork)
     assert compare_and_report(tmp_path / "one_cpu", capsys) == default
 
 
@@ -494,21 +494,30 @@ def test_compare_refuses_config_that_sets_workers(tmp_path, capsys):
 def test_cli_imports_no_heavy_dependency(tmp_path):
     """Every command starts by importing the CLI; scipy or pandas would slow that
     down.  `generate` and `solve` handle one network, so they load neither the
-    ensemble harness nor the pricing loops, the traces or the worker pool."""
+    ensemble harness nor the pricing loops, the traces or a process pool.
+    `compare` and `report` fork their blocks themselves, so they load no
+    process pool either: neither multiprocessing nor concurrent.futures."""
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
         "import sys\n"
         "from safedual import cli\n"
-        "heavy = {'safedual.harness', 'safedual.sdgm', 'safedual.baselines', 'safedual.trace',\n"
-        "         'multiprocessing', 'concurrent.futures'}\n"
+        "pool = {'multiprocessing', 'concurrent.futures'}\n"
+        "heavy = {'safedual.harness', 'safedual.sdgm', 'safedual.baselines', 'safedual.trace', *pool}\n"
+        "def loaded(names):\n"
+        "    return sorted(name for name in sys.modules\n"
+        "                  if name in names or name.split('.')[0] in {'scipy', 'pandas'})\n"
         "for argv in (['generate', '--out', sys.argv[1]], ['solve', sys.argv[1]]):\n"
         "    assert cli.main(argv) == 0\n"
-        "print(sorted(name for name in sys.modules\n"
-        "             if name in heavy or name.split('.')[0] in {'scipy', 'pandas'}))\n"
+        "single = loaded(heavy)\n"
+        "for argv in (['compare', '--trials', '3', '--horizon', '5', '--out', sys.argv[2]],\n"
+        "             ['report', '--out', sys.argv[2]]):\n"
+        "    assert cli.main(argv) == 0\n"
+        "print(single)\n"
+        "print(loaded(pool))\n"
     )
     result = subprocess.run(
-        [sys.executable, "-c", code, str(tmp_path / "problem.json")],
+        [sys.executable, "-c", code, str(tmp_path / "problem.json"), str(tmp_path / "run")],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert result.stdout.splitlines()[-1] == "[]"
+    assert result.stdout.splitlines()[-2:] == ["[]", "[]"]

@@ -2,10 +2,12 @@ import errno
 import io
 import json
 import mmap
-import multiprocessing
 import os
 import re
 import shutil
+import signal
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -33,7 +35,7 @@ from safedual.harness import (
     run_trial,
     trial_trace_path,
 )
-from safedual.oracle import kkt_residual, solve_optimal
+from safedual.oracle import OracleConvergenceError, kkt_residual, solve_optimal
 from safedual.problem import (
     GeneratorConfig,
     ProblemBatch,
@@ -41,7 +43,7 @@ from safedual.problem import (
     generate_random,
     problem_hash,
 )
-from safedual.trace import METRIC_COLUMNS, read_trace_csv
+from safedual.trace import METRIC_COLUMNS, TrialTrace, read_trace_csv
 
 SMALL_GENERATOR = GeneratorConfig(n_range=(4, 8), m_range=(2, 4))
 
@@ -122,7 +124,7 @@ class TestConfig:
     def test_check_refuses_workers_without_fork(self, tmp_path, monkeypatch):
         # Without fork the count falls to one process; a good config still passes check(),
         # and a document that tries to set a worker count is refused by name.
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.delattr(os, "fork")
         assert available_workers() == 1
         config = small_config(tmp_path)
         config.check()
@@ -531,7 +533,7 @@ class TestRunExperiment:
                 raise OSError("no space left on device")
             write_rows(fh, prefix, *args)
 
-        monkeypatch.setattr(trace_module, "write_rows", full_disk)
+        monkeypatch.setattr(harness, "write_rows", full_disk)  # where _price_into writes the CSVs
         with pytest.raises(OSError, match="no space left"):
             run_experiment(config)
         assert [
@@ -657,6 +659,41 @@ class TestRunExperiment:
         assert manifest["trials"][0]["f_star"] == solution.f_star
         assert os.listdir(cache_dir) == [os.path.basename(path)]
         assert Path(path).read_text() == json.dumps(solution.to_dict())
+
+    def test_trace_csvs_hold_no_slab_as_long_as_the_horizon(self, tmp_path, monkeypatch):
+        """compare on one worker writes a 65 536-round trace CSV from the
+        table CHUNK rounds at a time: once its block is priced, its
+        allocations peak under 1 MiB until the summary starts, where the
+        slab read back whole would take 3.1 MB.  The CSV has the bytes that
+        TrialTrace.write_csv writes of the same values."""
+        monkeypatch.setattr(harness, "available_workers", lambda: 1)
+        config = ExperimentConfig(
+            horizon=1 << 16, trials=1, algorithms=("DGM",), output_dir=str(tmp_path / "out")
+        )
+        values = np.random.default_rng(0).random((len(METRIC_COLUMNS), config.horizon, 1, 1))
+        peaks = []
+
+        def priced(config, prepared, write):  # the block's one window, then trace the CSV phase
+            write(1, np.asfortranarray(values))
+            tracemalloc.start()
+
+        write_views = harness._write_views
+
+        def views(*args):
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+            return write_views(*args)
+
+        monkeypatch.setattr(harness, "_price_block", priced)
+        monkeypatch.setattr(harness, "_write_views", views)
+        try:
+            run_experiment(config)
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 1 and peaks[0] < 1 << 20, peaks
+        expected = io.StringIO()
+        TrialTrace(0, "DGM", *values[:, :, 0, 0]).write_csv(expected)
+        assert Path(trial_trace_path(config.output_dir, 0, "DGM")).read_text() == expected.getvalue()
 
 
 def aggregate_saved(tmp_path, table, algorithms):
@@ -790,7 +827,7 @@ class TestAggregateAndReport:
             raise AssertionError("report read the trace table or started a worker")
 
         monkeypatch.setattr(np, "load", refused)
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", refused)
+        monkeypatch.setattr(os, "fork", refused)
         with pytest.raises(Exception) as raised:
             report(config.output_dir)
         assert not os.path.exists(summary_path)
@@ -890,17 +927,18 @@ class TestAggregateAndReport:
         run_experiment(config)
         summary_path = os.path.join(config.output_dir, "summary.csv")
         compared = Path(summary_path).read_text()
-        pools = []
+        forks, fork = [], os.fork
 
-        class RecordingPool(harness.ProcessPoolExecutor):
-            def __init__(self, max_workers, **kwargs):
-                pools.append(max_workers)
-                super().__init__(max_workers, **kwargs)
+        def recording_fork():
+            pid = fork()
+            if pid:  # in the caller, not in the child
+                forks.append(pid)
+            return pid
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "fork", recording_fork)
         os.remove(summary_path)
         assert report(config.output_dir).trials == 8
-        assert all(workers <= available_workers() - 1 for workers in pools)
+        assert len(forks) <= available_workers() - 1
         assert Path(summary_path).read_text() == compared
 
     def test_report_reads_in_process_without_fork(self, tmp_path, monkeypatch):
@@ -910,11 +948,7 @@ class TestAggregateAndReport:
         summary_path = os.path.join(config.output_dir, "summary.csv")
         compared = Path(summary_path).read_text()
 
-        def no_pool(*args, **kwargs):
-            raise AssertionError("report started a worker process")
-
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        monkeypatch.delattr(os, "fork")
         os.remove(summary_path)
         assert report(config.output_dir).trials == 3
         assert Path(summary_path).read_text() == compared
@@ -1041,3 +1075,160 @@ class TestAggregateAndReport:
         os.makedirs(tmp_path / "empty" / "traces")
         with pytest.raises(FileNotFoundError):
             report(str(tmp_path / "empty"))
+
+
+class TestFanOut:
+    """fan_out's failure paths at 2 and 3 workers, one block per worker.  On
+    each, every child is reaped and the caller's descriptors are as they
+    were, and a `compare` that fails this way prints its JSON error once,
+    and nothing on stdout, where its children inherit an unflushed stdout."""
+
+    @staticmethod
+    def raised(monkeypatch, workers, work):
+        """What fan_out(work, workers) raises, once it has reaped every child
+        and closed every pipe it opened."""
+        monkeypatch.setattr(harness, "available_workers", lambda: workers)
+        before = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(BaseException) as raised:
+            harness.fan_out(work, workers)
+        assert len(os.listdir("/proc/self/fd")) == before
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        return raised.value
+
+    @staticmethod
+    def in_last_child(workers, fail):
+        """A work that runs fail() in the child of the last block alone."""
+        caller = os.getpid()
+
+        def work(block):
+            if block.start == workers - 1 and os.getpid() != caller:
+                fail()
+
+        return work
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("end, how", [
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), f"signal 9 ({signal.strsignal(9)})"),
+        (lambda: os._exit(3), "status 3"),
+    ], ids=["sigkill", "exit-3"])
+    def test_a_child_that_dies_is_named_by_its_block(self, monkeypatch, workers, end, how):
+        error = self.raised(monkeypatch, workers, self.in_last_child(workers, end))
+        assert type(error) is RuntimeError
+        assert str(error) == f"the child process of block {range(workers - 1, workers)} ended by {how}"
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_an_exception_that_cannot_be_pickled_is_named(self, monkeypatch, workers):
+        def fail():
+            class Local(Exception):
+                pass
+
+            raise Local("lost in transit")
+
+        error = self.raised(monkeypatch, workers, self.in_last_child(workers, fail))
+        assert type(error) is RuntimeError
+        assert str(error) == f"block {range(workers - 1, workers)} failed: Local: lost in transit"
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_an_exception_that_cannot_be_rebuilt_is_named(self, monkeypatch, workers):
+        """OracleConvergenceError pickles, but its constructor takes three
+        arguments, so unpickling it fails."""
+        def fail():
+            raise OracleConvergenceError("no certificate", 1e-3, 7)
+
+        error = self.raised(monkeypatch, workers, self.in_last_child(workers, fail))
+        assert type(error) is RuntimeError
+        assert str(error) == (
+            f"block {range(workers - 1, workers)} failed: OracleConvergenceError: no certificate"
+            " (best certified residual 1.000e-03 after 7 iterations)"
+        )
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("failure", [ValueError, KeyboardInterrupt])
+    def test_the_callers_failure_is_raised_before_a_childs(self, monkeypatch, workers, failure):
+        caller = os.getpid()
+
+        def work(block):
+            if os.getpid() == caller:
+                raise failure(f"block {block.start}, the caller's")
+            raise ValueError(f"block {block.start}, a child's")
+
+        error = self.raised(monkeypatch, workers, work)
+        assert type(error) is failure and str(error) == "block 0, the caller's"
+
+    def test_childrens_failures_are_raised_in_block_order(self, monkeypatch):
+        def work(block):
+            if block.start:
+                raise ValueError(f"block {block.start}")
+
+        error = self.raised(monkeypatch, 3, work)
+        assert type(error) is ValueError and str(error) == "block 1"
+
+    def test_a_fork_that_fails_is_raised_once_the_forked_child_is_reaped(self, monkeypatch):
+        """At 3 workers the second fork fails: its OSError is raised, the
+        first child is reaped, and neither pipe stays open."""
+        fork, forks = os.fork, []
+
+        def failing_fork():
+            forks.append(len(forks))
+            if len(forks) == 2:
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return fork()
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        error = self.raised(monkeypatch, 3, lambda block: None)
+        assert type(error) is BlockingIOError and error.errno == errno.EAGAIN
+        assert len(forks) == 2
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_compare_prints_its_result_once_whatever_its_children_do(self, tmp_path, workers):
+        """In one process with stdout piped, so block-buffered: a compare that
+        succeeds, then one that fails on each path above.  stdout holds the
+        first one's JSON once, and stderr one JSON error per failure."""
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = (
+            "import os, signal, sys\n"
+            "from safedual import cli, harness\n"
+            "from safedual.oracle import OracleConvergenceError\n"
+            "workers, out = int(sys.argv[1]), sys.argv[2]\n"
+            "harness.available_workers = lambda: workers\n"
+            "caller, last = os.getpid(), harness.blocks(3, workers)[-1].start\n"
+            "price_into = harness._price_into\n"
+            "def unpicklable():\n"
+            "    class Local(Exception):\n"
+            "        pass\n"
+            "    raise Local('lost in transit')\n"
+            "def unrebuildable():\n"
+            "    raise OracleConvergenceError('no certificate', 1e-3, 7)\n"
+            "def child_and_caller():\n"
+            "    raise ValueError(\"the child's block\")\n"
+            "def failing(fail):\n"
+            "    def price(config, prepared, table, first):\n"
+            "        if os.getpid() == caller and fail is child_and_caller:\n"
+            "            raise ValueError(\"the caller's block\")\n"
+            "        if os.getpid() != caller and first == last:\n"
+            "            fail()\n"
+            "        price_into(config, prepared, table, first)\n"
+            "    return price\n"
+            "argv = ['compare', '--trials', '3', '--horizon', '5', '--out']\n"
+            "assert cli.main(argv + [os.path.join(out, 'ok')]) == 0\n"
+            "for fail in (lambda: os.kill(os.getpid(), signal.SIGKILL), unpicklable, unrebuildable,\n"
+            "             child_and_caller):\n"
+            "    harness._price_into = failing(fail)\n"
+            "    assert cli.main(argv + [os.path.join(out, 'failed')]) == 1\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code, str(workers), str(tmp_path)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        printed = json.loads(result.stdout)
+        assert printed["trials"] == 3 and list(printed["final_mean_distance"]) == list(ALGORITHMS)
+        assert result.stdout.count("final_mean_distance") == 1
+        errors = [json.loads(line) for line in result.stderr.splitlines()]
+        last = harness.blocks(3, workers)[-1]
+        assert [error["error"] for error in errors] == ["RuntimeError"] * 3 + ["ValueError"]
+        assert errors[0]["message"] == f"the child process of block {last} ended by signal 9 ({signal.strsignal(9)})"
+        assert errors[1]["message"] == f"block {last} failed: Local: lost in transit"
+        assert errors[2]["message"].startswith(f"block {last} failed: OracleConvergenceError: no certificate")
+        assert errors[3]["message"] == "the caller's block"
