@@ -8,10 +8,11 @@ removed each name in OWNED and nothing else.  The calling process prepares
 every trial, storing each reference optimum under oracle_cache/; fan_out
 then spreads the pricing, and later the summary, over the CPUs the process
 may use, forking a child for each block but the caller's own.  Every block
-reaches the table by position through the caller's one descriptor
-(_slab_reader).  `report` rebuilds the derived files from traces.npy
-through the same function.  Everything is a pure function of the master
-seed, regardless of worker count and batch size.
+records its rounds in a window that _record sizes, and reaches the table
+by position through the caller's one descriptor (_slab_reader).  `report`
+rebuilds the derived files from traces.npy through the same function.
+Everything is a pure function of the master seed, regardless of worker
+count and batch size.
 """
 from __future__ import annotations
 
@@ -61,9 +62,7 @@ STARTS = {
 ALGORITHMS = tuple(STARTS)
 # All that a run writes, and so removes, in its output directory: the manifest first.
 OWNED = ("manifest.json", "traces.npy", "summary.csv", "sdgm_regret_scaled.csv", "traces", "oracle_cache")
-# A pricing block of run_experiment records its rounds into a window of about
-# this many values (1 MiB of float64) and writes each full window to the
-# table file, so the memory it holds for the table does not grow with it.
+# The values, 1 MiB of float64, that bound a pricing block's window of rounds (see _record).
 WINDOW_VALUES = 1 << 17
 
 
@@ -218,23 +217,35 @@ def _fuse(starts, m: int, n: int):
 
 def _record(
     algorithms: tuple[str, ...], batch: ProblemBatch, constants, horizon: int, gammas,
-    f_stars, x_star, table, write=None,
+    f_stars, x_star, table=None, write=None,
 ) -> TraceRecorder:
     """Run registered algorithms over a batch, recording the traces of every
-    (algorithm, trial) into `table` through a TraceRecorder with `write`,
-    which is flushed after the last round.
+    (algorithm, trial) through a TraceRecorder, flushed after the last round.
 
     One loop prices the batch once per algorithm, so each round makes one
     demand call and one A x for all of them, and each algorithm updates its
-    own slice of the duals.  An UnboundedSubproblemError names a user of
-    that fused batch.  `constants`, `gammas` and `f_stars` hold one entry
-    per trial; `x_star` is the trials' reference optima, concatenated.
+    own slice of the duals.  `constants`, `gammas` and `f_stars` hold one
+    entry per trial; `x_star` is the trials' reference optima, concatenated.
+    An UnboundedSubproblemError names a user of `batch` by its flat index.
+    The recorder fills `table`, a (metric, round, algorithm, trial) array,
+    fresh and Fortran-ordered if None: of every round or, given `write`, a
+    window of the most whole chunks of run_pricing over the fused batch
+    whose values fit in WINDOW_VALUES, at least one chunk, cut to the horizon.
     """
     starts = [STARTS[alg](batch, constants, gammas) for alg in algorithms]
     copies = len(algorithms)
     fused = ProblemBatch(batch.problems * copies)
+    rounds = horizon
+    if write is not None:
+        chunk = sdgm.chunk_rounds(max(fused.n, fused.m), horizon)
+        rounds = min(horizon, chunk * max(1, WINDOW_VALUES // (chunk * len(METRIC_COLUMNS) * fused.size)))
+    if table is None:
+        table = np.empty((len(METRIC_COLUMNS), rounds, copies, batch.size), order="F")
     record = TraceRecorder(fused, table, np.tile(x_star, copies), np.tile(f_stars, copies), write)
-    sdgm.run_pricing(fused, *_fuse(starts, batch.m, batch.n), horizon, record)
+    try:
+        sdgm.run_pricing(fused, *_fuse(starts, batch.m, batch.n), horizon, record)
+    except UnboundedSubproblemError as exc:  # the fused batch holds the batch's users once per algorithm
+        raise UnboundedSubproblemError.at(exc.user % batch.n, exc.price) from exc
     record.flush()
     return record
 
@@ -243,13 +254,10 @@ def run_batch(
     algorithms: tuple[str, ...], batch: ProblemBatch, constants, horizon: int, gammas,
     trial_ids, f_stars, x_star, table=None,
 ) -> list[TrialTrace]:
-    """Run registered algorithms over a batch (see _record); one trace per
-    (algorithm, trial), algorithm by algorithm.  `trial_ids` holds one entry
-    per trial.  The traces are views of `table`, the (metric, round,
-    algorithm, trial) array they are recorded into; a fresh one if None.
-    """
-    if table is None:
-        table = np.empty((len(METRIC_COLUMNS), horizon, len(algorithms), batch.size))
+    """Run registered algorithms over a batch (see _record, which records
+    into `table`); one trace per (algorithm, trial), algorithm by
+    algorithm, each a view of the table.  `trial_ids` holds one entry per
+    trial."""
     record = _record(algorithms, batch, constants, horizon, gammas, f_stars, x_star, table)
     return record.traces(algorithms, trial_ids)
 
@@ -325,50 +333,32 @@ def _prepare_trial(config: ExperimentConfig, trial_id: int):
         return problem, constants, solution, meta
 
 
-def _price_block(config: ExperimentConfig, prepared, write=None) -> TraceRecorder:
-    """Price a block of prepared trials as one batch, recording their traces
-    into a (metric, round, algorithm, trial) table of every round or, with
-    `write`, into a Fortran-ordered window of its rounds, which the recorder
-    hands to write(first, rows) each time it is full and after the last
-    round.  The window holds about WINDOW_VALUES values: a whole multiple of
-    run_pricing's chunk, at least one chunk, at most the horizon."""
-    problems, constants, solutions, metas = zip(*prepared)
-    batch = ProblemBatch(problems)
-    shape = (len(METRIC_COLUMNS), config.horizon, len(config.algorithms), batch.size)
-    if write is None:
-        table = np.empty(shape)
-    else:  # the fused batch is as wide as the block once per algorithm
-        chunk = sdgm.chunk_rounds(len(config.algorithms) * max(batch.n, batch.m), config.horizon)
-        per_round = math.prod(shape) // config.horizon
-        rounds = min(config.horizon, chunk * max(1, WINDOW_VALUES // (chunk * per_round)))
-        table = np.empty((shape[0], rounds, *shape[2:]), order="F")
-    try:
-        return _record(
-            config.algorithms, batch, constants, config.horizon,
-            [meta["gamma"] for meta in metas], [solution.f_star for solution in solutions],
-            np.concatenate([solution.x_star for solution in solutions]), table, write,
-        )
-    except UnboundedSubproblemError as exc:
-        # the fused batch holds the batch's users once per algorithm
-        k, user = batch.locate_user(exc.user % batch.n)
-        with _naming_trial(config, metas[k]["trial_id"]):
-            raise UnboundedSubproblemError.at(user, exc.price) from exc
-
-
 def _price_into(config: ExperimentConfig, prepared, table, first: int) -> None:
     """Price a block of prepared trials, trial `first` on, into `table`,
     the run's trace table as _slab_reader gives it, and write each of their
     traces as its CSV under the output directory.  Each full window of
-    rounds goes to each (trial, algorithm) slab's rows in one positioned
-    write; each slab is then read back CHUNK rounds at a time for its CSV."""
+    rounds (see _record) goes to each (trial, algorithm) slab's rows in one
+    positioned write; each slab is then read back CHUNK rounds at a time for
+    its CSV.  A failure to price names the trial and its seed."""
     _, read, write = table
+    problems, constants, solutions, metas = zip(*prepared)
+    batch = ProblemBatch(problems)
 
     def record(start: int, rows: np.ndarray) -> None:
         for k in range(rows.shape[3]):
             for a in range(rows.shape[2]):  # (round, metric): contiguous, as in the file
                 write(a, first + k, start - 1, rows[:, :, a, k].T)
 
-    _price_block(config, prepared, record)
+    try:
+        _record(
+            config.algorithms, batch, constants, config.horizon,
+            [meta["gamma"] for meta in metas], [solution.f_star for solution in solutions],
+            np.concatenate([solution.x_star for solution in solutions]), write=record,
+        )
+    except UnboundedSubproblemError as exc:
+        k, user = batch.locate_user(exc.user)
+        with _naming_trial(config, first + k):
+            raise UnboundedSubproblemError.at(user, exc.price) from exc
     for k in range(first, first + len(prepared)):
         for a, algorithm in enumerate(config.algorithms):
             with open(trial_trace_path(config.output_dir, k, algorithm), "w") as out:
@@ -379,13 +369,16 @@ def _price_into(config: ExperimentConfig, prepared, table, first: int) -> None:
 
 
 def run_trial(config: ExperimentConfig, trial_id: int) -> tuple[dict, list[TrialTrace]]:
-    """One trial as a batch of one, in this process: its manifest entry and
-    its traces, each also written as its CSV under the output directory."""
-    prepared = [_prepare_trial(config, trial_id)]
-    traces = _price_block(config, prepared).traces(config.algorithms, [trial_id])
+    """One trial as a batch of one, in this process, through run_batch: its
+    manifest entry and its traces, each also written as its CSV under the
+    output directory.  A failure names the trial and its seed."""
+    problem, constants, solution, meta = _prepare_trial(config, trial_id)
+    with _naming_trial(config, trial_id):
+        traces = run_batch(config.algorithms, ProblemBatch([problem]), [constants], config.horizon,
+                           [meta["gamma"]], [trial_id], [solution.f_star], solution.x_star)
     for trace in traces:
         trace.write_csv(trial_trace_path(config.output_dir, trace.trial_id, trace.algorithm))
-    return prepared[0][-1], traces
+    return meta, traces
 
 
 def blocks(count: int, workers: int) -> list[range]:

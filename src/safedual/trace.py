@@ -87,10 +87,10 @@ class TraceRecorder:
     on the chunk size.
 
     Without `write`, `table` holds every round, and a flush does nothing.
-    With it, `table` is a window of rounds, a whole multiple of the chunk or as
-    long as the horizon: each time the window is full, and at flush(), the
-    recorder hands write(first, rows) the rows it holds, rounds `first` on,
-    and fills the window again from its start.
+    With it, `table` is a window of rounds, sized by harness._record so that
+    no chunk crosses its end: each time the window is full, and at flush(),
+    the recorder hands write(first, rows) the rows it holds, rounds `first`
+    on, and fills the window again from its start.
     """
 
     def __init__(self, batch: ProblemBatch, table: np.ndarray, x_star: np.ndarray, f_star, write=None):

@@ -18,6 +18,7 @@ import pytest
 from conftest import gate_problem
 from safedual import baselines, cli, harness, sdgm
 from safedual import trace as trace_module
+from safedual.agents import UnboundedSubproblemError
 from safedual.harness import (
     ALGORITHMS,
     STARTS,
@@ -218,6 +219,24 @@ class TestBatching:
         for a, trace in enumerate(traces):
             for m, column in enumerate(trace.metrics().values()):
                 assert np.shares_memory(column, table[m, :, a, 0])
+
+    def test_unbounded_user_is_named_by_its_index_in_the_batch(self, tiny, tiny_constants, monkeypatch):
+        """DGM, priced after SDGM in one fused batch of two trials, posts zero
+        duals to the second trial: its user 0, user 6 of the fused batch, is
+        user 2 of the batch, and the error names user 2."""
+        start_dgm = baselines.start_dgm
+
+        def zeroing(batch, constants):
+            lam, update = start_dgm(batch, constants)
+            return np.where(batch.row_trial == 1, 0.0, lam), update
+
+        monkeypatch.setattr(baselines, "start_dgm", zeroing)
+        with pytest.raises(UnboundedSubproblemError, match=r"^user 2 faces price 0.0 ") as raised:
+            run_batch(
+                ("SDGM", "DGM"), ProblemBatch([tiny, tiny]), [tiny_constants] * 2, 5, [None] * 2,
+                [0, 1], [0.0] * 2, np.zeros(2 * tiny.n),
+            )
+        assert (raised.value.user, raised.value.price) == (2, 0.0)
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_traces_do_not_depend_on_batch_size(self, algorithm, gate_trials):
@@ -478,6 +497,42 @@ class TestRunExperiment:
         else:
             assert written == [config.horizon]
 
+    @pytest.mark.parametrize("algorithms, trials, horizon, window_values, window", [
+        (("DGM",), 1, 100, 400, 64),  # narrow: chunks of 32 rounds, 192 values; two fit
+        (ALGORITHMS, 3, 100, 100, 2),  # wide: chunks of 2 rounds, 144 values; one alone holds more
+        (("DGM",), 1, 50, 400, 50),  # two chunks would fit, but the horizon is shorter
+    ])
+    def test_window_is_the_most_whole_chunks_that_fit(
+        self, tiny, tiny_constants, monkeypatch, algorithms, trials, horizon, window_values, window
+    ):
+        """A block's window is a whole multiple of the pricing chunk, or the
+        horizon, and at most the horizon; it is Fortran-ordered and holds at
+        most WINDOW_VALUES values unless one chunk alone holds more; one
+        chunk more would break a bound.  Each round is handed on once."""
+        monkeypatch.setattr(sdgm, "BUFFER_VALUES", 64)
+        monkeypatch.setattr(harness, "WINDOW_VALUES", window_values)
+        chunks, written = [], []
+        call = trace_module.TraceRecorder.__call__
+
+        def spy(record, first, x, lam, load):
+            chunks.append(len(x))
+            call(record, first, x, lam, load)
+
+        monkeypatch.setattr(trace_module.TraceRecorder, "__call__", spy)
+        record = harness._record(
+            algorithms, ProblemBatch([tiny] * trials), [tiny_constants] * trials, horizon,
+            [None] * trials, [0.0] * trials, np.zeros(trials * tiny.n),
+            write=lambda first, rows: written.append((first, rows.shape[1])),
+        )
+        table, chunk = record.table, chunks[0]
+        per_round = table.size // table.shape[1]
+        assert table.flags.f_contiguous and table.shape[1] == window
+        assert window <= horizon and (window % chunk == 0 or window == horizon)
+        assert window * per_round <= window_values or window == chunk
+        assert window == horizon or (window + chunk) * per_round > window_values
+        assert [first for first, _ in written] == list(range(1, horizon + 1, window))
+        assert sum(rounds for _, rounds in written) == horizon
+
     def test_table_file_is_what_np_save_writes(self, tmp_path, monkeypatch):
         """The table that the blocks fill in place, one of them forked, has the
         bytes that np.save writes of it: its header and its values.  It is in
@@ -630,10 +685,10 @@ class TestRunExperiment:
         directory rather than re-read the earlier run."""
         run_experiment(small_config(tmp_path, trials=3, horizon=20))
 
-        def broken(*args):
+        def broken(*args, **kwargs):
             raise RuntimeError("pricing failed")
 
-        monkeypatch.setattr(harness, "_price_block", broken)
+        monkeypatch.setattr(harness, "_record", broken)
         with pytest.raises(RuntimeError, match="pricing failed"):
             run_experiment(small_config(tmp_path, trials=2, horizon=7, algorithms=("DGM",)))
         out = tmp_path / "out"
@@ -673,7 +728,7 @@ class TestRunExperiment:
         values = np.random.default_rng(0).random((len(METRIC_COLUMNS), config.horizon, 1, 1))
         peaks = []
 
-        def priced(config, prepared, write):  # the block's one window, then trace the CSV phase
+        def priced(*args, write):  # the block's one window, then trace the CSV phase
             write(1, np.asfortranarray(values))
             tracemalloc.start()
 
@@ -684,7 +739,7 @@ class TestRunExperiment:
             tracemalloc.stop()
             return write_views(*args)
 
-        monkeypatch.setattr(harness, "_price_block", priced)
+        monkeypatch.setattr(harness, "_record", priced)
         monkeypatch.setattr(harness, "_write_views", views)
         try:
             run_experiment(config)
