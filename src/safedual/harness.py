@@ -1,18 +1,12 @@
 """End-to-end experiment runner: ensembles, metrics, CSV artifacts.
 
-A run generates an ensemble of random networks, solves each to optimality,
-runs the selected algorithms for a fixed horizon, and writes its trace
-table, traces.npy, one trace CSV per (trial, algorithm), the files derived
-from the table alone (_write_views) and, last, its manifest, once it has
-removed each name in OWNED and nothing else.  The calling process prepares
-every trial, storing each reference optimum under oracle_cache/; fan_out
-then spreads the pricing, and later the summary, over the CPUs the process
-may use, forking a child for each block but the caller's own.  Every block
-records its rounds in a window that _record sizes, and reaches the table
-by position through the caller's one descriptor (_slab_reader).  `report`
-rebuilds the derived files from traces.npy through the same function.
-Everything is a pure function of the master seed, regardless of worker
-count and batch size.
+A run (run_experiment) generates an ensemble of random networks, solves
+each to optimality, prices the selected algorithms over a fixed horizon in
+blocks of trials spread over the CPUs (fan_out), and writes its trace
+table, the trace CSVs, the files derived from the table alone
+(_write_views) and, last, its manifest.  `report` rebuilds the derived
+files from the table through the same function.  Everything is a pure
+function of the master seed, regardless of worker count and batch size.
 """
 from __future__ import annotations
 
@@ -24,7 +18,6 @@ import shutil
 import signal
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field, fields, replace
-from itertools import zip_longest
 
 import numpy as np
 
@@ -41,12 +34,12 @@ from .problem import (
 )
 from .trace import (
     CHUNK,
-    CSV_HEADER,
     METRIC_COLUMNS,
     TraceRecorder,
     TrialTrace,
     read_trace_csv,  # unused here; kept as a wrap point of bench/tracer.py
     write_rows,
+    write_trace,
 )
 
 # name -> start(batch, constants, gammas) -> (start dual, update) for
@@ -154,15 +147,13 @@ class SummaryStats:
         return ",".join(["algorithm", "t", *names]) + "\n"
 
     def write_csv(self, path, table) -> None:
-        """Replace summary.csv at `path` whole, from `table` (as _slab_reader
-        gives it): fan_out's blocks of algorithms reduce each of theirs
-        through aggregate and write its rows to a part file, a window of
-        CHUNK rounds at a time.  The caller joins the parts behind the
-        header, in algorithm order, through _write_whole.  No part file
-        outlives the call, whether it ends normally or a write fails.  A part
-        is named as _write_whole names its temporary, with the section's
-        index after the pid, so a rerun removes the parts of a run killed
-        here."""
+        """Replace summary.csv at `path` whole (_write_whole), from `table`
+        as _slab_reader gives it: fan_out's blocks of algorithms write each
+        of theirs, CHUNK rounds of aggregate at a time, to a part file, which
+        the caller joins behind the header in algorithm order.  No part
+        outlives the call.  A part is named as _write_whole names its
+        temporary, with the algorithm's index after the pid, so a rerun
+        removes the parts of a run killed here."""
         parts = [f"{path}.tmp.{os.getpid()}{a}" for a in range(len(self.algorithms))]
 
         def write(block) -> None:
@@ -217,30 +208,27 @@ def _fuse(starts, m: int, n: int):
 
 def _record(
     algorithms: tuple[str, ...], batch: ProblemBatch, constants, horizon: int, gammas,
-    f_stars, x_star, table=None, write=None,
+    f_stars, x_star, write,
 ) -> TraceRecorder:
     """Run registered algorithms over a batch, recording the traces of every
-    (algorithm, trial) through a TraceRecorder, flushed after the last round.
+    (algorithm, trial) through a TraceRecorder that hands `write` each full
+    window, and the last, after the last round.
 
     One loop prices the batch once per algorithm, so each round makes one
     demand call and one A x for all of them, and each algorithm updates its
     own slice of the duals.  `constants`, `gammas` and `f_stars` hold one
     entry per trial; `x_star` is the trials' reference optima, concatenated.
     An UnboundedSubproblemError names a user of `batch` by its flat index.
-    The recorder fills `table`, a (metric, round, algorithm, trial) array,
-    fresh and Fortran-ordered if None: of every round or, given `write`, a
-    window of the most whole chunks of run_pricing over the fused batch
+    The window, a fresh Fortran-ordered (metric, round, algorithm, trial)
+    array, is the most whole chunks of run_pricing over the fused batch
     whose values fit in WINDOW_VALUES, at least one chunk, cut to the horizon.
     """
     starts = [STARTS[alg](batch, constants, gammas) for alg in algorithms]
     copies = len(algorithms)
     fused = ProblemBatch(batch.problems * copies)
-    rounds = horizon
-    if write is not None:
-        chunk = sdgm.chunk_rounds(max(fused.n, fused.m), horizon)
-        rounds = min(horizon, chunk * max(1, WINDOW_VALUES // (chunk * len(METRIC_COLUMNS) * fused.size)))
-    if table is None:
-        table = np.empty((len(METRIC_COLUMNS), rounds, copies, batch.size), order="F")
+    chunk = sdgm.chunk_rounds(max(fused.n, fused.m), horizon)
+    rounds = min(horizon, chunk * max(1, WINDOW_VALUES // (chunk * len(METRIC_COLUMNS) * fused.size)))
+    table = np.empty((len(METRIC_COLUMNS), rounds, copies, batch.size), order="F")
     record = TraceRecorder(fused, table, np.tile(x_star, copies), np.tile(f_stars, copies), write)
     try:
         sdgm.run_pricing(fused, *_fuse(starts, batch.m, batch.n), horizon, record)
@@ -254,12 +242,20 @@ def run_batch(
     algorithms: tuple[str, ...], batch: ProblemBatch, constants, horizon: int, gammas,
     trial_ids, f_stars, x_star, table=None,
 ) -> list[TrialTrace]:
-    """Run registered algorithms over a batch (see _record, which records
-    into `table`); one trace per (algorithm, trial), algorithm by
+    """Run registered algorithms over a batch through _record, copying each
+    window into `table`, a (metric, round, algorithm, trial) array of every
+    round, fresh if None; one trace per (algorithm, trial), algorithm by
     algorithm, each a view of the table.  `trial_ids` holds one entry per
     trial."""
-    record = _record(algorithms, batch, constants, horizon, gammas, f_stars, x_star, table)
-    return record.traces(algorithms, trial_ids)
+    if table is None:
+        table = np.empty((len(METRIC_COLUMNS), horizon, len(algorithms), batch.size), order="F")
+    _record(algorithms, batch, constants, horizon, gammas, f_stars, x_star,
+            write=lambda first, rows: np.copyto(table[:, first - 1:first - 1 + rows.shape[1]], rows))
+    return [
+        TrialTrace(trial_id, algorithm, *table[:, :, a, k])
+        for a, algorithm in enumerate(algorithms)
+        for k, trial_id in enumerate(trial_ids)
+    ]
 
 
 def run_algorithm(
@@ -335,11 +331,10 @@ def _prepare_trial(config: ExperimentConfig, trial_id: int):
 
 def _price_into(config: ExperimentConfig, prepared, table, first: int) -> None:
     """Price a block of prepared trials, trial `first` on, into `table`,
-    the run's trace table as _slab_reader gives it, and write each of their
-    traces as its CSV under the output directory.  Each full window of
-    rounds (see _record) goes to each (trial, algorithm) slab's rows in one
-    positioned write; each slab is then read back CHUNK rounds at a time for
-    its CSV.  A failure to price names the trial and its seed."""
+    the run's trace table as _slab_reader gives it, writing each window to
+    each (trial, algorithm) slab in one positioned write; then write each
+    slab's CSV from the table.  A failure to price names the trial and its
+    seed."""
     _, read, write = table
     problems, constants, solutions, metas = zip(*prepared)
     batch = ProblemBatch(problems)
@@ -362,10 +357,7 @@ def _price_into(config: ExperimentConfig, prepared, table, first: int) -> None:
     for k in range(first, first + len(prepared)):
         for a, algorithm in enumerate(config.algorithms):
             with open(trial_trace_path(config.output_dir, k, algorithm), "w") as out:
-                out.write(CSV_HEADER + "\n")
-                for start in range(0, config.horizon, CHUNK):
-                    rounds = range(start, min(start + CHUNK, config.horizon))
-                    write_rows(out, f"{k},{algorithm},", range(start + 1, rounds.stop + 1), read(a, k, rounds).T)
+                write_trace(out, k, algorithm, config.horizon, lambda rounds: read(a, k, rounds).T)
 
 
 def run_trial(config: ExperimentConfig, trial_id: int) -> tuple[dict, list[TrialTrace]]:
@@ -390,15 +382,14 @@ def blocks(count: int, workers: int) -> list[range]:
 
 def fan_out(work, count: int) -> None:
     """Run work(block) for each of blocks(count, available_workers()): the
-    caller forks a child for each block but the first, runs the first
+    caller forks a child for each block but the first, which it runs
     itself, then reads each child's pipe and reaps it, in block order, even
-    after its own block failed.  `work` reaches the children through fork,
-    so it may close over memory they share with the caller, such as the
-    prepared trials; what it returns is dropped.  A child ends in os._exit.
-    The first failure in block order is raised: the caller's own, the
-    exception a child pipes back, or a RuntimeError naming the child's block
-    where that cannot be pickled and rebuilt, or where the child sends none
-    and exits other than 0, as when a signal kills it."""
+    after its own block failed.  `work` reaches the children through fork;
+    what it returns is dropped.  A child ends in os._exit.  The first
+    failure in block order is raised: the caller's own, the exception a
+    child pipes back, or a RuntimeError naming the child's block where that
+    cannot be pickled and rebuilt, or where the child sends none and exits
+    other than 0, as when a signal kills it."""
     items, children = blocks(count, available_workers()), []
     try:
         for item in items[1:]:
@@ -446,10 +437,8 @@ def _slab_reader(fh):
     C-contiguous (round, metric) `values` into that slab from row `start`, a
     short write retried from where it stopped.  Both are positional: neither
     moves the offset, so forked blocks share `fh`, and none maps the table.
-    Refused with a TraceMismatchError naming the file: one that is not a
-    whole .npy file (a zip archive among them), or whose table is not 4-D,
-    not native float64 or not in Fortran order, as traces.npy was before
-    compare wrote that order; such a run must be made again with compare."""
+    A file whose slabs are not such byte ranges is refused with a
+    TraceMismatchError that names it and says why."""
     fmt = np.lib.format
     fh.seek(0)
     try:
@@ -607,22 +596,21 @@ def report(output_dir: str) -> SummaryStats:
     trials = manifest.get("trials")
     if not (isinstance(trials, list) and all(isinstance(meta, dict) for meta in trials)):
         raise TraceMismatchError(f'{manifest_path} has no "trials" list of objects')
-    trial_ids = [meta.get("trial_id") for meta in trials]
-    for trial_id in trial_ids:
+    listed = set()
+    for trial_id in (meta.get("trial_id") for meta in trials):
         if not (is_integer(trial_id) and trial_id >= 0):
             raise TraceMismatchError(
                 f"{manifest_path} lists trial id {trial_id!r}, not a non-negative integer"
             )
-    trial_ids.sort()
-    for k, (listed, expected) in enumerate(zip_longest(trial_ids, range(config.trials))):
-        if listed is not None and listed < k:
-            raise TraceMismatchError(f"{manifest_path} lists trial {listed} more than once")
-        if expected is None:
+        if trial_id >= config.trials:
             raise TraceMismatchError(
-                f"{manifest_path} lists trial {listed}, beyond its {config.trials} trials"
+                f"{manifest_path} lists trial {trial_id}, beyond its {config.trials} trials"
             )
-        if listed != expected:
-            raise TraceMismatchError(f"{manifest_path} lacks trial {expected}")
+        if trial_id in listed:
+            raise TraceMismatchError(f"{manifest_path} lists trial {trial_id} more than once")
+        listed.add(trial_id)
+    if len(listed) < config.trials:  # the ids are distinct, so one of 0 to len(listed) is missing
+        raise TraceMismatchError(f"{manifest_path} lacks trial {min(set(range(len(listed) + 1)) - listed)}")
     path = os.path.join(output_dir, "traces.npy")
     try:
         fh = open(path, "rb")

@@ -1,14 +1,12 @@
 """Per-trial iteration records, the per-round metrics that fill them, and their CSV form.
 
 A run records every trial's metrics into one (metric, round, algorithm,
-trial) table; a TrialTrace is one (algorithm, trial) column of it, viewed
-for its CSV file, and the run's summary reduces the table itself.  The
-pricing loop hands the recorder its rounds a chunk at a time, and the
-recorder reduces each chunk into the table, or into a window of its rounds
-that it hands on whenever the window is full, so a round's columns are
-final once its chunk is recorded, at the latest after the run's last round.
-Each trace is measured against its trial's optimum: ||x_t - x*|| and
-sum f* - f(x_t).
+trial) table; a TrialTrace is one (algorithm, trial) column of it, and the
+run's summary reduces the table itself.  The pricing loop hands the
+recorder its rounds a chunk at a time, and the recorder reduces each chunk
+into a window of rounds that it hands on whenever the window is full.
+write_trace alone writes the trace CSV format.  Each trace is measured
+against its trial's optimum: ||x_t - x*|| and sum f* - f(x_t).
 """
 from __future__ import annotations
 
@@ -38,6 +36,17 @@ def write_rows(fh, prefix: str, index, columns) -> None:
         fh.write((full if length == CHUNK else row * length) % tuple(values))
 
 
+def write_trace(fh, trial_id: int, algorithm: str, horizon: int, rows) -> None:
+    """The trace CSV of `algorithm` on trial `trial_id` into `fh`: the
+    header, then rounds 1 to `horizon`, one row each, CHUNK rounds at a
+    time; rows(rounds) gives the metric columns of `rounds`, a range in
+    which round 1 is 0."""
+    fh.write(CSV_HEADER + "\n")
+    for start in range(0, horizon, CHUNK):
+        rounds = range(start, min(start + CHUNK, horizon))
+        write_rows(fh, f"{trial_id},{algorithm},", range(start + 1, rounds.stop + 1), rows(rounds))
+
+
 @dataclass
 class TrialTrace:
     """One algorithm's run on one instance, one row per iteration."""
@@ -63,10 +72,10 @@ class TrialTrace:
 
     def write_csv(self, path_or_file) -> None:
         to_stream = hasattr(path_or_file, "write")
+        columns = self.metrics().values()
         with nullcontext(path_or_file) if to_stream else open(path_or_file, "w") as fh:
-            fh.write(CSV_HEADER + "\n")
-            prefix = f"{self.trial_id},{self.algorithm},"
-            write_rows(fh, prefix, self.iterations(), self.metrics().values())
+            write_trace(fh, self.trial_id, self.algorithm, self.horizon,
+                        lambda rounds: [column[rounds.start:rounds.stop] for column in columns])
 
 
 METRIC_COLUMNS = tuple(f.name for f in fields(TrialTrace))[2:]
@@ -74,26 +83,22 @@ CSV_HEADER = ",".join(("trial_id", "algorithm", "t", *METRIC_COLUMNS))
 
 
 class TraceRecorder:
-    """The trace columns of a batch, filled in place a chunk of rounds at a time.
+    """The trace columns of a batch, reduced a chunk of rounds at a time
+    into a window that is handed on whenever it is full.
 
-    `table` is a (metric, round, algorithm, trial) array, or a slice of one,
-    with one entry per METRIC_COLUMNS; the batch holds its trials once per
-    algorithm, algorithm by algorithm.  `x_star` is the batch's reference
-    optima, concatenated, and `f_star` their values, one per trial of the
-    batch.  The recorder is a `record` of sdgm.run_pricing: it reduces each
-    chunk of rounds it is handed, in order from round 1, and holds no
-    iterate of its own, only the last round's cumulative regret.  A round's
-    columns are final once its chunk is recorded; the values do not depend
-    on the chunk size.
-
-    Without `write`, `table` holds every round, and a flush does nothing.
-    With it, `table` is a window of rounds, sized by harness._record so that
-    no chunk crosses its end: each time the window is full, and at flush(),
-    the recorder hands write(first, rows) the rows it holds, rounds `first`
-    on, and fills the window again from its start.
+    `table` is the window: a (metric, round, algorithm, trial) array, one
+    entry per METRIC_COLUMNS, whose end no chunk of rounds crosses.  The
+    batch holds its trials once per algorithm, algorithm by algorithm;
+    `x_star` is their reference optima, concatenated, and `f_star` their
+    values.  The recorder is a `record` of sdgm.run_pricing, handed chunks
+    in order from round 1: it holds no iterate, only the last round's
+    cumulative regret, and its values do not depend on the chunk size.
+    Each time the window is full, and at flush(), it hands write(first,
+    rows) the rows it holds, rounds `first` on, and fills the window again
+    from its start.
     """
 
-    def __init__(self, batch: ProblemBatch, table: np.ndarray, x_star: np.ndarray, f_star, write=None):
+    def __init__(self, batch: ProblemBatch, table: np.ndarray, x_star: np.ndarray, f_star, write):
         self.batch = batch
         self.table = table
         self.x_star = np.asarray(x_star, float)
@@ -134,19 +139,9 @@ class TraceRecorder:
 
     def flush(self) -> None:
         """Hand `write` the rounds recorded since it was last handed any."""
-        if self.write is not None and self.recorded > self.written:
+        if self.recorded > self.written:
             self.write(self.written + 1, self.table[:, :self.recorded - self.written])
             self.written = self.recorded
-
-    def traces(self, algorithms, trial_ids) -> list[TrialTrace]:
-        """The table as one trace per (algorithm, trial), algorithm by
-        algorithm; their columns are views of the table, whole only when it
-        was never flushed."""
-        return [
-            TrialTrace(trial_id, algorithm, *self.table[:, :, a, k])
-            for a, algorithm in enumerate(algorithms)
-            for k, trial_id in enumerate(trial_ids)
-        ]
 
 
 def build_trace(
@@ -164,11 +159,11 @@ def build_trace(
     x_hist = np.asarray(x_hist, float)
     lam_hist = np.asarray(lam_hist, float)
     batch = ProblemBatch([problem])
-    table = np.empty((len(METRIC_COLUMNS), len(x_hist), 1, 1))
-    record = TraceRecorder(batch, table, x_star, [f_star])
+    table = np.empty((len(METRIC_COLUMNS), len(x_hist), 1, 1))  # a window of the whole history
+    record = TraceRecorder(batch, table, x_star, [f_star], lambda first, rows: None)
     load = np.reshape([batch.a_matrix @ x for x in x_hist], (len(x_hist), batch.m))
     record(1, x_hist, lam_hist, load)
-    return record.traces([algorithm], [trial_id])[0]
+    return TrialTrace(trial_id, algorithm, *table[:, :, 0, 0])
 
 
 def read_trace_csv(path) -> TrialTrace:

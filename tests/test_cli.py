@@ -208,24 +208,28 @@ def test_document_without_counts_loads(tmp_path):
 
 @pytest.fixture(scope="module")
 def compared(tmp_path_factory):
-    """`compare` on one network of master seed 3, and that network as a file."""
+    """`compare` on one network of master seed 3, at 30 rounds and at CHUNK + 6,
+    whose CSVs cross a chunk boundary and end on a partial chunk: the output
+    directory of each horizon, and that network as a file."""
     root = tmp_path_factory.mktemp("run_vs_compare")
-    out_dir = str(root / "exp")
-    assert main(["compare", "--seed", "3", "--trials", "1", "--horizon", "30",
-                 "--out", out_dir]) == 0
+    out_dirs = {horizon: str(root / f"exp_{horizon}") for horizon in (30, CHUNK + 6)}
+    for horizon, out_dir in out_dirs.items():
+        assert main(["compare", "--seed", "3", "--trials", "1", "--horizon", str(horizon),
+                     "--out", out_dir]) == 0
     problem_path = str(root / "problem.json")
     assert main(["generate", "--seed", str(derive_trial_seed(3, 0)), "--out", problem_path]) == 0
-    return out_dir, problem_path
+    return out_dirs, problem_path
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_run_matches_compare_trace(compared, algorithm, tmp_path, capsys):
-    out_dir, problem_path = compared
+    out_dirs, problem_path = compared
     trace_path = tmp_path / "trace.csv"
-    assert main(["run", "--problem", problem_path, "--algorithm", algorithm,
-                 "--horizon", "30", "--out", str(trace_path)]) == 0
-    with open(trial_trace_path(out_dir, 0, algorithm), "rb") as fh:
-        assert trace_path.read_bytes() == fh.read()
+    for horizon, out_dir in out_dirs.items():
+        assert main(["run", "--problem", problem_path, "--algorithm", algorithm,
+                     "--horizon", str(horizon), "--out", str(trace_path)]) == 0
+        with open(trial_trace_path(out_dir, 0, algorithm), "rb") as fh:
+            assert trace_path.read_bytes() == fh.read(), horizon
 
 
 class TestCompareAndReport:

@@ -239,11 +239,17 @@ class TestBatching:
         assert (raised.value.user, raised.value.price) == (2, 0.0)
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_traces_do_not_depend_on_batch_size(self, algorithm, gate_trials):
+    def test_traces_do_not_depend_on_batch_size(self, algorithm, gate_trials, monkeypatch):
+        """Nor on the window: with short chunks and windows of at most 1000
+        values, run_batch copies 2 to 200 windows into its table."""
         alone = self.trace_texts((algorithm,), gate_trials, 1)
         assert len(alone) == self.TRIALS
         assert self.trace_texts((algorithm,), gate_trials, 7) == alone
         assert self.trace_texts((algorithm,), gate_trials, self.TRIALS) == alone
+        monkeypatch.setattr(sdgm, "BUFFER_VALUES", 256)
+        monkeypatch.setattr(harness, "WINDOW_VALUES", 1000)
+        for size in (1, 7, self.TRIALS):
+            assert self.trace_texts((algorithm,), gate_trials, size) == alone, size
 
     @pytest.fixture(scope="class")
     def priced_alone(self, gate_trials):
@@ -588,7 +594,7 @@ class TestRunExperiment:
                 raise OSError("no space left on device")
             write_rows(fh, prefix, *args)
 
-        monkeypatch.setattr(harness, "write_rows", full_disk)  # where _price_into writes the CSVs
+        monkeypatch.setattr(trace_module, "write_rows", full_disk)  # where write_trace writes the CSVs
         with pytest.raises(OSError, match="no space left"):
             run_experiment(config)
         assert [
@@ -882,6 +888,7 @@ class TestAggregateAndReport:
             raise AssertionError("report read the trace table or started a worker")
 
         monkeypatch.setattr(np, "load", refused)
+        monkeypatch.setattr(os, "preadv", refused)  # how _slab_reader reads the table
         monkeypatch.setattr(os, "fork", refused)
         with pytest.raises(Exception) as raised:
             report(config.output_dir)
@@ -902,18 +909,21 @@ class TestAggregateAndReport:
         assert re.match(rf"^{re.escape(manifest_path)} .*trial 1\b", str(error))
 
     @pytest.mark.parametrize("edit, named", [
-        (lambda m: m["trials"].pop(1), 1),
-        (lambda m: m["trials"].pop(), 2),
-        (lambda m: m["trials"].append({**m["trials"][0], "trial_id": 3}), 3),
-    ], ids=["lost-middle", "lost-last", "extra"])
+        (lambda m: m["trials"].pop(1), "lacks trial 1"),
+        (lambda m: m["trials"].pop(), "lacks trial 2"),
+        (lambda m: m["trials"].append({**m["trials"][0], "trial_id": 3}), "lists trial 3, beyond"),
+        (lambda m: m["config"].update(trials=10**12), "lacks trial 3"),
+    ], ids=["lost-middle", "lost-last", "extra", "claims-more"])
     def test_report_refuses_manifest_whose_trials_are_not_its_config_trials(
         self, tmp_path, monkeypatch, edit, named
     ):
         """A manifest must list trials 0 to trials - 1, as `compare` writes
-        them; the error names the first trial missing or extra."""
+        them; the error names the first trial missing or extra.  One that
+        claims 10**12 trials is refused at its first missing trial, without
+        a walk over the trials it claims."""
         error, manifest_path = self._refusal(tmp_path, monkeypatch, edit, trials=3)
         assert type(error) is TraceMismatchError
-        assert re.match(rf"^{re.escape(manifest_path)} .*trial {named}\b", str(error))
+        assert re.match(rf"^{re.escape(manifest_path)} .*{named}\b", str(error))
 
     @pytest.mark.parametrize("edit, error_type, key", [
         ([], TraceMismatchError, None),

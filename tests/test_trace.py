@@ -88,7 +88,7 @@ class TestTraceRecorder:
 
         for rounds in (1, 7, self.HORIZON):
             table = np.full(shape, np.nan)
-            record = TraceRecorder(fused, table, x_star, f_star)
+            record = TraceRecorder(fused, table, x_star, f_star, lambda first, rows: None)
             for first in range(1, self.HORIZON + 1, rounds):
                 chunk = slice(first - 1, first - 1 + rounds)
                 record(first, xs[chunk], lams[chunk], np.array([fused.a_matrix @ x for x in xs[chunk]]))
