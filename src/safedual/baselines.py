@@ -15,7 +15,7 @@ import numpy as np
 
 from .agents import best_response_profile  # unused here; kept as a wrap point of bench/tracer.py
 from .problem import NumProblem, ProblemBatch, ProblemConstants
-from .sdgm import run_pricing
+from .sdgm import iterates
 from .trace import build_trace  # unused here; kept as a wrap point of bench/tracer.py
 
 NDGM_EPSILON = 1e-6
@@ -46,7 +46,7 @@ def start_dgm(batch: ProblemBatch, constants):
 def run_dgm(problem: NumProblem, constants: ProblemConstants, horizon: int):
     """Plain dual subgradient with constant step 1/L; see start_dgm."""
     batch = ProblemBatch([problem])
-    return run_pricing(batch, *start_dgm(batch, [constants]), horizon)
+    return iterates(batch, *start_dgm(batch, [constants]), horizon)
 
 
 def start_fdgm(batch: ProblemBatch, constants):
@@ -74,7 +74,7 @@ def start_fdgm(batch: ProblemBatch, constants):
 def run_fdgm(problem: NumProblem, constants: ProblemConstants, horizon: int):
     """Accelerated projected gradient on the dual with step 1/L; see start_fdgm."""
     batch = ProblemBatch([problem])
-    return run_pricing(batch, *start_fdgm(batch, [constants]), horizon)
+    return iterates(batch, *start_fdgm(batch, [constants]), horizon)
 
 
 def diagonal_scaling(problem: NumProblem, x: np.ndarray) -> np.ndarray:
@@ -106,4 +106,4 @@ def start_ndgm(batch: ProblemBatch, constants):
 def run_ndgm(problem: NumProblem, constants: ProblemConstants, horizon: int):
     """Damped diagonally scaled dual ascent from the capped dual start; see start_ndgm."""
     batch = ProblemBatch([problem])
-    return run_pricing(batch, *start_ndgm(batch, [constants]), horizon)
+    return iterates(batch, *start_ndgm(batch, [constants]), horizon)

@@ -21,7 +21,6 @@ from .problem import (
     compute_constants,
     generate_random,
     load_problem,
-    problem_to_dict,
     save_problem,
     validate,
 )
@@ -87,10 +86,7 @@ def _settings(args, cls) -> dict:
 
 def _cmd_generate(args) -> None:
     problem = _valid(generate_random(GeneratorConfig(**_settings(args, GeneratorConfig))))
-    if args.out:
-        save_problem(problem, args.out)
-    else:
-        print(json.dumps(problem_to_dict(problem), indent=2))
+    save_problem(problem, args.out if args.out else sys.stdout)
 
 
 def _valid(problem):

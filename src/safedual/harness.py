@@ -38,6 +38,7 @@ from .trace import (
     TraceRecorder,
     TrialTrace,
     read_trace_csv,  # unused here; kept as a wrap point of bench/tracer.py
+    whole_table,
     write_rows,
     write_trace,
 )
@@ -55,8 +56,6 @@ STARTS = {
 ALGORITHMS = tuple(STARTS)
 # All that a run writes, and so removes, in its output directory: the manifest first.
 OWNED = ("manifest.json", "traces.npy", "summary.csv", "sdgm_regret_scaled.csv", "traces", "oracle_cache")
-# The values, 1 MiB of float64, that bound a pricing block's window of rounds (see _record).
-WINDOW_VALUES = 1 << 17
 
 
 class ConfigError(ValueError):
@@ -219,17 +218,11 @@ def _record(
     own slice of the duals.  `constants`, `gammas` and `f_stars` hold one
     entry per trial; `x_star` is the trials' reference optima, concatenated.
     An UnboundedSubproblemError names a user of `batch` by its flat index.
-    The window, a fresh Fortran-ordered (metric, round, algorithm, trial)
-    array, is the most whole chunks of run_pricing over the fused batch
-    whose values fit in WINDOW_VALUES, at least one chunk, cut to the horizon.
     """
     starts = [STARTS[alg](batch, constants, gammas) for alg in algorithms]
     copies = len(algorithms)
     fused = ProblemBatch(batch.problems * copies)
-    chunk = sdgm.chunk_rounds(max(fused.n, fused.m), horizon)
-    rounds = min(horizon, chunk * max(1, WINDOW_VALUES // (chunk * len(METRIC_COLUMNS) * fused.size)))
-    table = np.empty((len(METRIC_COLUMNS), rounds, copies, batch.size), order="F")
-    record = TraceRecorder(fused, table, np.tile(x_star, copies), np.tile(f_stars, copies), write)
+    record = TraceRecorder(fused, copies, horizon, np.tile(x_star, copies), np.tile(f_stars, copies), write)
     try:
         sdgm.run_pricing(fused, *_fuse(starts, batch.m, batch.n), horizon, record)
     except UnboundedSubproblemError as exc:  # the fused batch holds the batch's users once per algorithm
@@ -240,17 +233,14 @@ def _record(
 
 def run_batch(
     algorithms: tuple[str, ...], batch: ProblemBatch, constants, horizon: int, gammas,
-    trial_ids, f_stars, x_star, table=None,
+    trial_ids, f_stars, x_star,
 ) -> list[TrialTrace]:
     """Run registered algorithms over a batch through _record, copying each
-    window into `table`, a (metric, round, algorithm, trial) array of every
-    round, fresh if None; one trace per (algorithm, trial), algorithm by
-    algorithm, each a view of the table.  `trial_ids` holds one entry per
-    trial."""
-    if table is None:
-        table = np.empty((len(METRIC_COLUMNS), horizon, len(algorithms), batch.size), order="F")
-    _record(algorithms, batch, constants, horizon, gammas, f_stars, x_star,
-            write=lambda first, rows: np.copyto(table[:, first - 1:first - 1 + rows.shape[1]], rows))
+    window into one table of every round; one trace per (algorithm, trial),
+    algorithm by algorithm, each a view of the table.  `trial_ids` holds one
+    entry per trial."""
+    table, write = whole_table(len(algorithms), horizon, batch.size)
+    _record(algorithms, batch, constants, horizon, gammas, f_stars, x_star, write)
     return [
         TrialTrace(trial_id, algorithm, *table[:, :, a, k])
         for a, algorithm in enumerate(algorithms)

@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -376,8 +377,11 @@ def problem_from_dict(doc: dict) -> NumProblem:
     return problem
 
 
-def save_problem(problem: NumProblem, path) -> None:
-    with open(path, "w") as fh:
+def save_problem(problem: NumProblem, path_or_file) -> None:
+    """The problem document, as json.dumps indents it, then a newline, into
+    a path or an open text stream."""
+    to_stream = hasattr(path_or_file, "write")
+    with nullcontext(path_or_file) if to_stream else open(path_or_file, "w") as fh:
         fh.write(json.dumps(problem_to_dict(problem), indent=2) + "\n")
 
 

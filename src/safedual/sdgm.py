@@ -105,50 +105,30 @@ def regret_bound(
     return lambda_bar**2 * c_l1 * root / gamma + 2.0 * constant * gamma * root
 
 
-# run_pricing holds as many rounds as fit in this many values at the batch's
-# width (its users or its rows, whichever are more), and at least one, before
-# it hands them to its record.  So unless one round is wider, no buffer or
-# temporary of a record passes 128 KiB (16 Ki float64), glibc's default
-# threshold from which malloc maps each allocation afresh.
-BUFFER_VALUES = 1 << 14
-
-
-def chunk_rounds(width: int, horizon: int) -> int:
-    """The rounds run_pricing hands its record at a time over `horizon`
-    rounds of a batch `width` values wide (its users or its rows, whichever
-    are more): every chunk but the last holds this many."""
-    return max(1, min(horizon, BUFFER_VALUES // width))
-
-
-def run_pricing(batch: ProblemBatch, lam: np.ndarray, update, horizon: int, record=None):
+def run_pricing(batch: ProblemBatch, lam: np.ndarray, update, horizon: int, record) -> None:
     """Post prices for `horizon` rounds: the one round loop every method shares.
 
     Every trial of the batch moves in the same round.  Round t (1-based)
-    posts the dual `lam`, realizes demand x and its load A x, then moves to
-    `update(lam, x, load, t)`.  The loop holds the rounds it has not yet
-    handed on, as many as BUFFER_VALUES allows, and hands each full chunk,
-    and the last, to `record(first, x, lam, load)`, one row per round from
-    round `first` on; it reuses those arrays for the next chunk.  Without a
-    `record`, the batch must hold one instance, the chunk is the whole run,
-    and the loop returns it as (x_hist, lam_hist).
+    posts the dual `lam`, realizes demand x and its load A x, hands them to
+    `record(t, x, lam, load)`, then moves to `update(lam, x, load, t)`.
     """
-    if record is not None:
-        rounds = chunk_rounds(max(batch.n, batch.m), horizon)
-    elif batch.size != 1:
-        raise ValueError("a batch of several trials needs a record for its rounds")
-    else:
-        rounds = horizon
-    xs = np.empty((rounds, batch.n))
-    lams, loads = np.empty((rounds, batch.m)), np.empty((rounds, batch.m))
     for t in range(1, horizon + 1):
-        i = (t - 1) % rounds
-        xs[i] = x = best_response_profile(batch, lam)
-        loads[i] = load = batch.a_matrix @ x
-        lams[i] = lam
-        if record is not None and (i + 1 == rounds or t == horizon):
-            record(t - i, xs[:i + 1], lams[:i + 1], loads[:i + 1])
+        x = best_response_profile(batch, lam)
+        load = batch.a_matrix @ x
+        record(t, x, lam, load)
         lam = update(lam, x, load, t)
-    return (xs, lams) if record is None else None
+
+
+def iterates(batch: ProblemBatch, lam: np.ndarray, update, horizon: int):
+    """The raw iterates of run_pricing, each round copied: (x_hist,
+    lam_hist), one row per round, the batch's trials side by side."""
+    x_hist, lam_hist = np.empty((horizon, batch.n)), np.empty((horizon, batch.m))
+
+    def record(t, x, lam, load):
+        x_hist[t - 1], lam_hist[t - 1] = x, lam
+
+    run_pricing(batch, lam, update, horizon, record)
+    return x_hist, lam_hist
 
 
 def _trial_params(batch: ProblemBatch, constants, gammas) -> list[SdgmParams]:
@@ -177,5 +157,5 @@ def run_sdgm(problem: NumProblem, constants: ProblemConstants, horizon: int, gam
     """
     batch = ProblemBatch([problem])
     params = _trial_params(batch, [constants], [gamma])[0]
-    x_hist, lam_hist = run_pricing(batch, *start_sdgm(batch, [constants], [params.gamma]), horizon)
+    x_hist, lam_hist = iterates(batch, *start_sdgm(batch, [constants], [params.gamma]), horizon)
     return x_hist, lam_hist, params

@@ -3,8 +3,8 @@
 A run records every trial's metrics into one (metric, round, algorithm,
 trial) table; a TrialTrace is one (algorithm, trial) column of it, and the
 run's summary reduces the table itself.  The pricing loop hands the
-recorder its rounds a chunk at a time, and the recorder reduces each chunk
-into a window of rounds that it hands on whenever the window is full.
+recorder one round per call, record(t, x, lam, load), before its update;
+the recorder alone decides how many rounds a run holds in memory.
 write_trace alone writes the trace CSV format.  Each trace is measured
 against its trial's optimum: ||x_t - x*|| and sum f* - f(x_t).
 """
@@ -64,9 +64,6 @@ class TrialTrace:
     def horizon(self) -> int:
         return len(self.objective)
 
-    def iterations(self) -> np.ndarray:
-        return np.arange(1, self.horizon + 1)
-
     def metrics(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in METRIC_COLUMNS}
 
@@ -82,49 +79,74 @@ METRIC_COLUMNS = tuple(f.name for f in fields(TrialTrace))[2:]
 CSV_HEADER = ",".join(("trial_id", "algorithm", "t", *METRIC_COLUMNS))
 
 
-class TraceRecorder:
-    """The trace columns of a batch, reduced a chunk of rounds at a time
-    into a window that is handed on whenever it is full.
+# A recorder reduces as many rounds at a time as fit in this many values at
+# its batch's width (its users or its rows, whichever are more), and at least
+# one.  So unless one round is wider, no chunk of raw iterates or temporary of
+# a reduction passes 128 KiB (16 Ki float64), glibc's default threshold from
+# which malloc maps each allocation afresh.
+BUFFER_VALUES = 1 << 14
+# The values, 1 MiB of float64, that bound a recorder's window of rounds.
+WINDOW_VALUES = 1 << 17
 
-    `table` is the window: a (metric, round, algorithm, trial) array, one
-    entry per METRIC_COLUMNS, whose end no chunk of rounds crosses.  The
-    batch holds its trials once per algorithm, algorithm by algorithm;
-    `x_star` is their reference optima, concatenated, and `f_star` their
-    values.  The recorder is a `record` of sdgm.run_pricing, handed chunks
-    in order from round 1: it holds no iterate, only the last round's
-    cumulative regret, and its values do not depend on the chunk size.
-    Each time the window is full, and at flush(), it hands write(first,
-    rows) the rows it holds, rounds `first` on, and fills the window again
-    from its start.
+
+class TraceRecorder:
+    """The trace columns of a batch, one round at a time: the `record` of
+    sdgm.run_pricing.
+
+    The batch holds its trials `algorithms` times, algorithm by
+    algorithm; `x_star` is their reference optima, concatenated, and
+    `f_star` their values.  The recorder holds a chunk of raw iterates, as
+    many rounds as BUFFER_VALUES allows, and reduces each full chunk into
+    `table`, a window of rounds: a Fortran-ordered (metric, round,
+    algorithm, trial) array, one entry per METRIC_COLUMNS, the most whole
+    chunks whose values fit in WINDOW_VALUES, at least one, cut to the
+    horizon.  Each time the window is full, and at flush(), it hands
+    write(first, rows) the rows it holds, rounds `first` on, and fills it
+    again from its start.  No value depends on the chunk or window size.
     """
 
-    def __init__(self, batch: ProblemBatch, table: np.ndarray, x_star: np.ndarray, f_star, write):
+    def __init__(self, batch: ProblemBatch, algorithms: int, horizon: int, x_star, f_star, write):
         self.batch = batch
-        self.table = table
         self.x_star = np.asarray(x_star, float)
         self.f_star = np.asarray(f_star, float)
         self.write = write
-        self.regret = None  # the last recorded round's cumulative regret, per trial
-        self.recorded = self.written = 0  # rounds recorded, and those handed to `write`
+        chunk = max(1, min(horizon, BUFFER_VALUES // max(batch.n, batch.m)))
+        self.xs = np.empty((chunk, batch.n))
+        self.lams, self.loads = np.empty((chunk, batch.m)), np.empty((chunk, batch.m))
+        rounds = min(horizon, chunk * max(1, WINDOW_VALUES // (chunk * len(METRIC_COLUMNS) * batch.size)))
+        shape = (len(METRIC_COLUMNS), rounds, algorithms, batch.size // algorithms)
+        self.table = np.empty(shape, order="F")
+        self.regret = None  # the last reduced round's cumulative regret, per trial
+        self.recorded = self.reduced = self.written = 0  # rounds recorded, reduced, handed to `write`
 
-    def __call__(self, first: int, x: np.ndarray, lam: np.ndarray, load: np.ndarray) -> None:
-        """Record rounds `first` to first + len(x) - 1 from their demands x,
-        duals and loads A x, one row per round, every metric in
+    def __call__(self, t: int, x: np.ndarray, lam: np.ndarray, load: np.ndarray) -> None:
+        """Record round t, the next, from its demand x, posted duals `lam`
+        and load A x, copied: the caller may reuse them once this returns."""
+        i = t - 1 - self.reduced
+        self.xs[i], self.lams[i], self.loads[i] = x, lam, load
+        self.recorded = t
+        if i + 1 == len(self.xs):
+            self._reduce()
+            if self.recorded - self.written == self.table.shape[1]:
+                self.flush()
+
+    def _reduce(self) -> None:
+        """Reduce the rounds held into the window, every metric in
         METRIC_COLUMNS order; a round's regret is the previous round's plus
-        its own f_star - objective.  The arrays belong to the caller, which
-        may reuse them for the next chunk once this call returns."""
-        batch = self.batch
+        its own f_star - objective."""
+        rounds = self.recorded - self.reduced
+        batch, x, lam, load = self.batch, self.xs[:rounds], self.lams[:rounds], self.loads[:rounds]
         slack = batch.capacities - load
         excess = np.maximum(-slack, 0.0)
         gap = x - self.x_star
         objective = batch.user_sums(batch.theta * np.log(x + batch.shift))
         regret = self.f_star - objective
-        if first > 1:
+        if self.regret is not None:
             regret[0] += self.regret
         np.add.accumulate(regret, out=regret)
         self.regret = regret[-1].copy()
-        start = first - 1 - self.written
-        rows = self.table[:, start:start + len(x)]
+        start = self.reduced - self.written
+        rows = self.table[:, start:start + rounds]
         rows[...] = np.reshape([
             objective,
             regret,
@@ -133,15 +155,23 @@ class TraceRecorder:
             batch.row_max(lam),
             batch.row_min(slack),
         ], rows.shape)
-        self.recorded = first - 1 + len(x)
-        if self.recorded - self.written == self.table.shape[1]:
-            self.flush()
+        self.reduced = self.recorded
 
     def flush(self) -> None:
-        """Hand `write` the rounds recorded since it was last handed any."""
+        """Reduce the rounds held, then hand `write` the rounds recorded
+        since it was last handed any."""
+        if self.recorded > self.reduced:
+            self._reduce()
         if self.recorded > self.written:
             self.write(self.written + 1, self.table[:, :self.recorded - self.written])
             self.written = self.recorded
+
+
+def whole_table(algorithms: int, horizon: int, trials: int):
+    """A fresh Fortran-ordered (metric, round, algorithm, trial) array of
+    every round, and a TraceRecorder `write` that copies each window into it."""
+    table = np.empty((len(METRIC_COLUMNS), horizon, algorithms, trials), order="F")
+    return table, lambda first, rows: np.copyto(table[:, first - 1:first - 1 + rows.shape[1]], rows)
 
 
 def build_trace(
@@ -154,15 +184,14 @@ def build_trace(
     f_star: float,
     x_star: np.ndarray,
 ) -> TrialTrace:
-    """Assemble the metric columns from raw iterates, recorded as one chunk
-    by a TraceRecorder, against the reference optimum f_star at x_star."""
-    x_hist = np.asarray(x_hist, float)
-    lam_hist = np.asarray(lam_hist, float)
+    """Assemble the metric columns from raw iterates, recorded round by
+    round by a TraceRecorder, against the reference optimum f_star at x_star."""
     batch = ProblemBatch([problem])
-    table = np.empty((len(METRIC_COLUMNS), len(x_hist), 1, 1))  # a window of the whole history
-    record = TraceRecorder(batch, table, x_star, [f_star], lambda first, rows: None)
-    load = np.reshape([batch.a_matrix @ x for x in x_hist], (len(x_hist), batch.m))
-    record(1, x_hist, lam_hist, load)
+    table, write = whole_table(1, len(x_hist), 1)
+    record = TraceRecorder(batch, 1, len(x_hist), x_star, [f_star], write)
+    for t, (x, lam) in enumerate(zip(np.asarray(x_hist, float), np.asarray(lam_hist, float)), start=1):
+        record(t, x, lam, batch.a_matrix @ x)
+    record.flush()
     return TrialTrace(trial_id, algorithm, *table[:, :, 0, 0])
 
 

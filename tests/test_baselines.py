@@ -21,14 +21,14 @@ from safedual.problem import (
     compute_constants,
     generate_random,
 )
-from safedual.sdgm import run_pricing
+from safedual.sdgm import iterates
 
 
 def run_dgm_from_cap(problem, constants, horizon):
     """DGM's update from the capped dual start the other baselines use."""
     batch = ProblemBatch([problem])
     cap = np.full(problem.m, constants.lambda_bar)
-    return run_pricing(batch, cap, start_dgm(batch, [constants])[1], horizon)
+    return iterates(batch, cap, start_dgm(batch, [constants])[1], horizon)
 
 
 class TestDgm:
@@ -60,7 +60,7 @@ class TestDgm:
         norms = []
         for horizon in (100, 400, 1600):
             step = 1.0 / np.sqrt(horizon)
-            x_hist, _ = run_pricing(
+            x_hist, _ = iterates(
                 batch, np.ones(problem.m),
                 lambda lam, x, load, t: ascent_step(lam, load, batch, step), horizon,
             )

@@ -40,8 +40,11 @@ class TestGenerate:
 
     def test_stdout_mode_emits_json(self, capsys, tmp_path):
         assert main(["generate", "--seed", "1"]) == 0
-        doc = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        doc = json.loads(out)
         assert "A" in doc and doc["n"] == len(doc["theta"])
+        assert main(["generate", "--seed", "1", "--out", str(tmp_path / "problem.json")]) == 0
+        assert out == (tmp_path / "problem.json").read_text()
 
     def test_seed_reproducibility(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

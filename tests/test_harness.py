@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import gate_problem
-from safedual import baselines, cli, harness, sdgm
+from safedual import baselines, cli, harness
 from safedual import trace as trace_module
 from safedual.agents import UnboundedSubproblemError
 from safedual.harness import (
@@ -208,12 +208,13 @@ class TestBatching:
         return texts
 
     def test_traces_are_views_of_the_table_they_fill(self, tiny, tiny_constants):
-        """run_batch records into the table it is given, in place: no trace keeps a copy."""
-        table = np.full((len(METRIC_COLUMNS), 5, 2, 1), np.nan)
+        """run_batch records into one table of every round: no trace keeps a copy."""
         traces = run_batch(
             ("SDGM", "DGM"), ProblemBatch([tiny]), [tiny_constants], 5, [None], [7], [0.0],
-            np.zeros(tiny.n), table,
+            np.zeros(tiny.n),
         )
+        table = traces[0].objective.base
+        assert table.shape == (len(METRIC_COLUMNS), 5, 2, 1)
         assert not np.isnan(table).any()
         assert [(trace.algorithm, trace.trial_id) for trace in traces] == [("SDGM", 7), ("DGM", 7)]
         for a, trace in enumerate(traces):
@@ -246,8 +247,8 @@ class TestBatching:
         assert len(alone) == self.TRIALS
         assert self.trace_texts((algorithm,), gate_trials, 7) == alone
         assert self.trace_texts((algorithm,), gate_trials, self.TRIALS) == alone
-        monkeypatch.setattr(sdgm, "BUFFER_VALUES", 256)
-        monkeypatch.setattr(harness, "WINDOW_VALUES", 1000)
+        monkeypatch.setattr(trace_module, "BUFFER_VALUES", 256)
+        monkeypatch.setattr(trace_module, "WINDOW_VALUES", 1000)
         for size in (1, 7, self.TRIALS):
             assert self.trace_texts((algorithm,), gate_trials, size) == alone, size
 
@@ -483,8 +484,8 @@ class TestRunExperiment:
         default = small_config(tmp_path / "default", horizon=101)
         run_experiment(default)
         monkeypatch.setattr(harness, "available_workers", lambda: workers)
-        monkeypatch.setattr(sdgm, "BUFFER_VALUES", 256)  # chunks of 2 to 16 rounds
-        monkeypatch.setattr(harness, "WINDOW_VALUES", window_values)
+        monkeypatch.setattr(trace_module, "BUFFER_VALUES", 256)  # chunks of 2 to 16 rounds
+        monkeypatch.setattr(trace_module, "WINDOW_VALUES", window_values)
         written = []  # the rounds of each write of the caller's block
         flush = trace_module.TraceRecorder.flush
 
@@ -511,26 +512,19 @@ class TestRunExperiment:
     def test_window_is_the_most_whole_chunks_that_fit(
         self, tiny, tiny_constants, monkeypatch, algorithms, trials, horizon, window_values, window
     ):
-        """A block's window is a whole multiple of the pricing chunk, or the
+        """A block's window is a whole multiple of the recorder's chunk, or the
         horizon, and at most the horizon; it is Fortran-ordered and holds at
         most WINDOW_VALUES values unless one chunk alone holds more; one
         chunk more would break a bound.  Each round is handed on once."""
-        monkeypatch.setattr(sdgm, "BUFFER_VALUES", 64)
-        monkeypatch.setattr(harness, "WINDOW_VALUES", window_values)
-        chunks, written = [], []
-        call = trace_module.TraceRecorder.__call__
-
-        def spy(record, first, x, lam, load):
-            chunks.append(len(x))
-            call(record, first, x, lam, load)
-
-        monkeypatch.setattr(trace_module.TraceRecorder, "__call__", spy)
+        monkeypatch.setattr(trace_module, "BUFFER_VALUES", 64)
+        monkeypatch.setattr(trace_module, "WINDOW_VALUES", window_values)
+        written = []
         record = harness._record(
             algorithms, ProblemBatch([tiny] * trials), [tiny_constants] * trials, horizon,
             [None] * trials, [0.0] * trials, np.zeros(trials * tiny.n),
             write=lambda first, rows: written.append((first, rows.shape[1])),
         )
-        table, chunk = record.table, chunks[0]
+        table, chunk = record.table, len(record.xs)
         per_round = table.size // table.shape[1]
         assert table.flags.f_contiguous and table.shape[1] == window
         assert window <= horizon and (window % chunk == 0 or window == horizon)

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import math
 
@@ -224,11 +225,13 @@ class TestSerialization:
 
     def test_file_holds_the_indented_document(self, tmp_path, tiny):
         """save_problem writes the document as json.dumps indents it, then a
-        newline."""
+        newline, to a path or to an open stream."""
         for problem in (tiny, *(generate_random(GeneratorConfig(seed=seed)) for seed in (0, 3))):
-            path = tmp_path / "problem.json"
+            path, stream = tmp_path / "problem.json", io.StringIO()
             save_problem(problem, path)
+            save_problem(problem, stream)
             assert path.read_text() == json.dumps(problem_to_dict(problem), indent=2) + "\n"
+            assert stream.getvalue() == path.read_text()
 
     def test_hash_ignores_seed(self, tiny):
         other = NumProblem(tiny.a_matrix, tiny.capacities, tiny.theta, seed=77)

@@ -11,7 +11,6 @@ from conftest import (
     sdgm_shut_off_through,
     step_sizes,
 )
-from safedual import sdgm
 from safedual.agents import best_response_profile
 from safedual.harness import run_algorithm
 from safedual.problem import NumProblem, ProblemBatch, compute_constants
@@ -20,6 +19,7 @@ from safedual.sdgm import (
     SdgmParams,
     default_gamma,
     dual_step,
+    iterates,
     regret_bound,
     regret_constant,
     run_pricing,
@@ -156,29 +156,57 @@ class TestConstants:
 
 
 class TestRunPricing:
-    def test_chunks_join_to_the_history(self, monkeypatch):
-        """The iterates that run_pricing hands a record, chunk by chunk and
-        joined in order, are the bits of the history it returns without one;
-        23 rounds are 3 chunks of 7 and one of 2."""
+    def test_chunks_join_to_the_history(self):
+        """The rounds that run_pricing hands a record, one per call, copied
+        and joined in order, are the bits of the history iterates returns."""
         problem = random_valid_problem(3)
         batch = ProblemBatch([problem])
         constants = [compute_constants(problem)]
-        x_hist, lam_hist = run_pricing(batch, *start_sdgm(batch, constants, [None]), 23)
+        x_hist, lam_hist = iterates(batch, *start_sdgm(batch, constants, [None]), 23)
 
-        chunks = []
-        monkeypatch.setattr(sdgm, "BUFFER_VALUES", 7 * max(batch.n, batch.m))
+        rounds = []
         run_pricing(
             batch, *start_sdgm(batch, constants, [None]), 23,
-            lambda first, x, lam, load: chunks.append((x.copy(), lam.copy())),
+            lambda t, x, lam, load: rounds.append((x.copy(), lam.copy())),
         )
-        assert len(chunks) == 4
-        assert np.concatenate([x for x, _ in chunks]).tobytes() == x_hist.tobytes()
-        assert np.concatenate([lam for _, lam in chunks]).tobytes() == lam_hist.tobytes()
+        assert len(rounds) == 23
+        assert np.array([x for x, _ in rounds]).tobytes() == x_hist.tobytes()
+        assert np.array([lam for _, lam in rounds]).tobytes() == lam_hist.tobytes()
 
-    def test_batch_of_several_trials_needs_a_record(self, tiny, tiny_constants):
-        batch = ProblemBatch([tiny, tiny])
-        with pytest.raises(ValueError, match="needs a record"):
-            run_pricing(batch, *start_sdgm(batch, [tiny_constants] * 2, [None] * 2), 5)
+    def test_records_each_round_before_its_update(self):
+        """record(t, x, lam, load) runs once a round, t = 1 to T in order,
+        with that round's demand at the posted dual and its A x, before
+        update(lam, x, load, t) sees the same arrays."""
+        problem = random_valid_problem(5)
+        batch = ProblemBatch([problem] * 2)
+        start, step = start_sdgm(batch, [compute_constants(problem)] * 2, [None] * 2)
+        calls = []
+
+        def update(lam, x, load, t):
+            calls.append(("update", t, x, lam, load))
+            return step(lam, x, load, t)
+
+        run_pricing(batch, start, update, 9, lambda *args: calls.append(("record", *args)))
+        assert [call[:2] for call in calls] == [(kind, t) for t in range(1, 10) for kind in ("record", "update")]
+        posted = start
+        for (_, t, x, lam, load), (_, _, *seen) in zip(calls[::2], calls[1::2]):
+            assert np.array_equal(lam, posted)
+            assert np.array_equal(x, best_response_profile(batch, posted))
+            assert np.array_equal(load, batch.a_matrix @ x)
+            assert all(a is b for a, b in zip((x, lam, load), seen))
+            posted = step(lam, x, load, t)
+
+    def test_iterates_of_a_batch_are_each_trials_run_side_by_side(self, tiny, tiny_constants):
+        """Over a batch of two trials, iterates gives each trial's own run
+        bit for bit, its users and rows after the first trial's."""
+        problem = random_valid_problem(3)
+        constants = compute_constants(problem)
+        batch = ProblemBatch([tiny, problem])
+        x_hist, lam_hist = iterates(batch, *start_sdgm(batch, [tiny_constants, constants], [None] * 2), 17)
+        tiny_x, tiny_lam, _ = run_sdgm(tiny, tiny_constants, 17)
+        x, lam, _ = run_sdgm(problem, constants, 17)
+        assert x_hist.tobytes() == np.hstack([tiny_x, x]).tobytes()
+        assert lam_hist.tobytes() == np.hstack([tiny_lam, lam]).tobytes()
 
 
 class TestRunSdgm:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_valid_problem
-from safedual import sdgm
+from safedual import trace as trace_module
 from safedual.problem import ProblemBatch
 from safedual.trace import (
     CHUNK,
@@ -52,12 +52,11 @@ class TestTraceRecorder:
     HORIZON = 23  # not a multiple of 7
 
     def test_chunk_size_changes_no_bit(self, monkeypatch):
-        """The same iterates of 2 trials x 2 algorithms, handed to the
-        recorder a round, 7 rounds or the whole horizon at a time, fill the
-        table with the bits of a round-by-round reference; a round is in the
-        table once its chunk is recorded.  run_pricing hands on chunks of as
-        many rounds as BUFFER_VALUES allows at the batch's width, and the
-        rest at the last round."""
+        """The same iterates of 2 trials x 2 algorithms, recorded round by
+        round with BUFFER_VALUES allowing chunks of a round, 7 rounds or the
+        whole horizon, fill the table with the bits of a round-by-round
+        reference; a round is in the table once its chunk is full, and the
+        rest at flush()."""
         fused = ProblemBatch([random_valid_problem(seed) for seed in (1, 2)] * 2)
         rng = np.random.default_rng(9)
         xs = fused.lower + rng.random((self.HORIZON, fused.n))
@@ -86,26 +85,29 @@ class TestTraceRecorder:
                 np.minimum.reduceat(slack, fused.row_start[:-1]),
             ], (len(METRIC_COLUMNS), 2, 2))
 
+        monkeypatch.setattr(trace_module, "WINDOW_VALUES", 1 << 30)  # one window of the whole horizon
         for rounds in (1, 7, self.HORIZON):
-            table = np.full(shape, np.nan)
-            record = TraceRecorder(fused, table, x_star, f_star, lambda first, rows: None)
-            for first in range(1, self.HORIZON + 1, rounds):
-                chunk = slice(first - 1, first - 1 + rounds)
-                record(first, xs[chunk], lams[chunk], np.array([fused.a_matrix @ x for x in xs[chunk]]))
-                recorded = min(first - 1 + rounds, self.HORIZON)
-                assert not np.isnan(table[:, :recorded]).any(), (rounds, first)
-                assert np.isnan(table[:, recorded:]).all(), (rounds, first)
-            assert table.tobytes() == reference.tobytes(), rounds
-
-        chunks = []
-
-        def spy(first, x, lam, load):
-            assert len(x) == len(lam) == len(load)
-            chunks.append((first, len(x)))
-
-        monkeypatch.setattr(sdgm, "BUFFER_VALUES", 7 * max(fused.n, fused.m))
-        sdgm.run_pricing(fused, lams[0], lambda lam, x, load, t: lam, self.HORIZON, spy)
-        assert chunks == [(1, 7), (8, 7), (15, 7), (22, 2)]
+            monkeypatch.setattr(trace_module, "BUFFER_VALUES", rounds * max(fused.n, fused.m))
+            written = []
+            record = TraceRecorder(fused, 2, self.HORIZON, x_star, f_star,
+                                   lambda first, rows: written.append(rows.copy()))
+            table = record.table
+            table[...] = np.nan
+            chunks, filled = [], 0  # (first round, rounds) of each chunk seen in the table
+            for t, (x, lam) in enumerate(zip(xs, lams), start=1):
+                record(t, x, lam, fused.a_matrix @ x)
+                recorded = t - t % rounds
+                assert not np.isnan(table[:, :recorded]).any(), (rounds, t)
+                assert np.isnan(table[:, recorded:]).all(), (rounds, t)
+                if recorded > filled:
+                    chunks.append((filled + 1, recorded - filled))
+                    filled = recorded
+            record.flush()
+            if filled < self.HORIZON:
+                chunks.append((filled + 1, self.HORIZON - filled))
+            assert len(written) == 1 and written[0].tobytes() == reference.tobytes(), rounds
+            if rounds == 7:
+                assert chunks == [(1, 7), (8, 7), (15, 7), (22, 2)]
 
 
 class TestCsvRoundTrip:
@@ -144,7 +146,7 @@ class TestCsvRoundTrip:
             max_lambda=np.full(8, 1.0 / 3.0), min_slack=np.arange(8.0) - 3.5,
         )
         expected = CSV_HEADER + "\n"
-        for i, t in enumerate(trace.iterations()):
+        for i, t in enumerate(range(1, trace.horizon + 1)):
             values = ",".join(f"{column[i]:.17g}" for column in trace.metrics().values())
             expected += f"4,NDGM,{t},{values}\n"
         path = tmp_path / "special.csv"
