@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_valid_problem
 from safedual import trace as trace_module
@@ -20,6 +22,20 @@ from safedual.trace import (
 )
 
 SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 0.1, 1e300, -2.5, 1.0 / 3.0]
+# Values at the edges of %.17g's text: exact ties at the 17th digit, to even
+# below (1 + 2**-17 is 1.00000762939453125) and above, the switches between
+# fixed and exponent form, 17 nines that round up to a power of ten (so do
+# the doubles 1e-14, 1e98 and 1e-243, just below theirs), three-digit
+# exponents, both ends of the kernel's own range, the smallest subnormal and
+# normal, and the largest float.
+EDGES = [
+    1 + 2 ** -17, (1 + 2 ** -17) / 2, (1 + 2 ** -20) * 8, -(1 + 2 ** -20) * 16, (1 + 2 ** -10) / 2 ** 11,
+    (3 + 2 ** -15) / 8, (1 + 3 * 2 ** -15) / 16, (1 + 3 * 2 ** -9) / 2 ** 12,
+    1e-5, 1e-4, 9.9999999999999991e-5, 0.001, 1e16, 1e17, 99999999999999999.0,
+    9999999999999999.0, 12345678901234567.0, 123456789012345678.0, 0.99999999999999999, 1e-14, 1e98,
+    -1e-243, 1e-100, 1.2345e-300, 1e-280, 1e280, 9.999999999999999e279, 2.2250738585072014e-308,
+    5e-324, -np.finfo(float).max, np.finfo(float).max, 0.5, 7.0, -0.0, 0.0,
+]
 # the optimum of the `tiny` network: both users at 0.5 on the unit link
 TINY_OPTIMUM = dict(f_star=2.0 * math.log(0.6), x_star=np.array([0.5, 0.5]))
 
@@ -173,11 +189,11 @@ class TestWriteRows:
     @pytest.mark.parametrize("length", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
     def test_matches_per_row_reference(self, length):
         """Chunked rows give the bytes of formatting each row on its own, for a
-        prefix holding %, special floats, and a plain-list index and column
-        as the regret-scaled writer passes them."""
+        prefix holding %, special floats, the edge values of the text, and a
+        plain-list index and column as the regret-scaled writer passes them."""
         values = np.resize(SPECIAL, length)
         index = list(range(7, 7 + length))
-        columns = [values, values[::-1], np.arange(length) - 0.5, values.tolist()]
+        columns = [values, values[::-1], np.arange(length) - 0.5, values.tolist(), np.resize(EDGES, length)]
         prefix = "%d%s%%,SDGM,"
         buffer = io.StringIO()
         write_rows(buffer, prefix, index, columns)
@@ -186,6 +202,38 @@ class TestWriteRows:
             for i, t in enumerate(index)
         )
         assert buffer.getvalue() == expected
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(
+        seed=st.integers(0, 2 ** 32 - 1),
+        rows=st.integers(0, CHUNK + 1),
+        width=st.integers(1, 3),
+        first=st.integers(0, 10 ** 12),
+        as_range=st.booleans(),
+        special=st.lists(st.sampled_from(SPECIAL + EDGES), max_size=8),
+    )
+    def test_matches_per_value_reference_on_any_bit_pattern(
+        self, seed, rows, width, first, as_range, special
+    ):
+        """Any float64 bit pattern, over the whole exponent range (nan, +-inf,
+        +-0 and subnormals among them), gives the bytes of `%.17g`, and any
+        index up to 10**12 those of `%d`, whatever the rows' count."""
+        rng = np.random.default_rng(seed)
+        values = rng.integers(0, 2 ** 64, (width, rows), dtype=np.uint64, endpoint=False).view(np.float64)
+        spots = rng.integers(0, values.size, len(special)) if values.size else []
+        values.ravel()[spots] = special[:len(spots)]
+        index = range(first, first + rows) if as_range else rng.integers(0, 10 ** 12, rows, endpoint=True).tolist()
+        buffer = io.StringIO()
+        write_rows(buffer, "3,DGM,", index, list(values))
+        expected = "".join(
+            "3,DGM,%d" % t + "".join(",%.17g" % column[i] for column in values) + "\n"
+            for i, t in enumerate(index)
+        )
+        assert buffer.getvalue() == expected
+
+    def test_refuses_a_negative_index(self):
+        with pytest.raises(ValueError, match="negative"):
+            write_rows(io.StringIO(), "", [3, -1], [np.ones(2)])
 
     def test_memory_does_not_grow_with_rows(self, tmp_path):
         def peak(rows):
