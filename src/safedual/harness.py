@@ -131,8 +131,9 @@ class ExperimentConfig:
 class SummaryStats:
     """The summary of a run's trace table: `trials` trials of `algorithms`
     over `horizon` rounds, and the across-trial mean of every metric at the
-    last round, as an (algorithm, metric) array.  summary.csv, which
-    write_csv writes, holds the mean and standard deviation at every round."""
+    last round, as an (algorithm, metric) array, which write_csv fills.
+    summary.csv, which write_csv writes, holds the mean and standard
+    deviation at every round."""
 
     algorithms: tuple[str, ...]
     trials: int
@@ -147,37 +148,21 @@ class SummaryStats:
 
     def write_csv(self, path, table) -> None:
         """Replace summary.csv at `path` whole (_write_whole), from `table`
-        as _slab_reader gives it: fan_out's blocks of algorithms write each
-        of theirs, CHUNK rounds of aggregate at a time, to a part file, which
-        the caller joins behind the header in algorithm order.  No part
-        outlives the call.  A part is named as _write_whole names its
-        temporary, with the algorithm's index after the pid, so a rerun
-        removes the parts of a run killed here."""
-        parts = [f"{path}.tmp.{os.getpid()}{a}" for a in range(len(self.algorithms))]
+        as _slab_reader gives it: the header, then each algorithm in turn,
+        CHUNK rounds of aggregate at a time.  The mean of an algorithm's
+        last round becomes its row of final_mean."""
 
-        def write(block) -> None:
-            for a in block:
-                with open(parts[a], "w") as out:
-                    for start in range(0, self.horizon, CHUNK):
-                        stop = min(start + CHUNK, self.horizon)
-                        stats = aggregate(table, a, range(start, stop))
-                        columns = [stat[:, i] for i in range(len(METRIC_COLUMNS)) for stat in stats]
-                        write_rows(out, f"{self.algorithms[a]},", range(start + 1, stop + 1), columns)
-
-        def join(out) -> None:
+        def write(out) -> None:
             out.write(self.header())
-            out.flush()
-            for part in parts:
-                with open(part, "rb") as fh:
-                    shutil.copyfileobj(fh, out.buffer)
+            for a, algorithm in enumerate(self.algorithms):
+                for start in range(0, self.horizon, CHUNK):
+                    stop = min(start + CHUNK, self.horizon)
+                    mean, std = aggregate(table, a, range(start, stop))
+                    columns = [stat[:, i] for i in range(len(METRIC_COLUMNS)) for stat in (mean, std)]
+                    write_rows(out, f"{algorithm},", range(start + 1, stop + 1), columns)
+                self.final_mean[a] = mean[-1]
 
-        try:
-            fan_out(write, len(parts))
-            _write_whole(path, "w", join)
-        finally:
-            for part in parts:
-                with suppress(FileNotFoundError):
-                    os.remove(part)
+        _write_whole(path, "w", write)
 
 
 def derive_trial_seed(master_seed: int, index: int) -> int:
@@ -500,21 +485,17 @@ def aggregate(table, a: int, rounds: range) -> tuple[np.ndarray, np.ndarray]:
 def _write_views(output_dir: str, config: ExperimentConfig, table) -> SummaryStats:
     """Write into `output_dir` every file derived from `table` (as
     _slab_reader gives it) alone: summary.csv, through
-    SummaryStats.write_csv, and, when SDGM ran, sdgm_regret_scaled.csv.
-    The last-round means, summed from +0.0 in trial order as aggregate sums,
-    and SDGM's regret come from one read of each slab's last row."""
+    SummaryStats.write_csv, which also gives the last-round means, and, when
+    SDGM ran, sdgm_regret_scaled.csv, from one read of each of SDGM's slabs'
+    last row."""
     _, read, _ = table
-    last = range(config.horizon - 1, config.horizon)
-    rows = [  # per trial, its last round's (algorithm, metric) values
-        np.concatenate([read(a, k, last) for a in range(len(config.algorithms))])
-        for k in range(config.trials)
-    ]
-    final_mean = sum(rows, np.zeros_like(rows[0])) / config.trials
+    final_mean = np.empty((len(config.algorithms), len(METRIC_COLUMNS)))
     summary = SummaryStats(config.algorithms, config.trials, config.horizon, final_mean)
     summary.write_csv(os.path.join(output_dir, "summary.csv"), table)
     if "SDGM" in config.algorithms:
         a, i = config.algorithms.index("SDGM"), METRIC_COLUMNS.index("regret_cum")
-        regret = np.array([row[a, i] for row in rows])
+        last = range(config.horizon - 1, config.horizon)
+        regret = np.array([read(a, k, last)[0, i] for k in range(config.trials)])
 
         def write_regret(out) -> None:
             out.write("trial_id,regret_final_over_sqrt_horizon\n")

@@ -366,11 +366,16 @@ def problem_from_dict(doc: dict) -> NumProblem:
     per-user list that does not hold n entries, or a matrix entry other than
     0 or 1.  A single number stands for every user's value, and the string
     "inf" reads as infinity.  An `n` or `m` the document gives must be its
-    matrix's column or row count."""
-    problem = NumProblem(
-        doc["A"], doc["c"], doc["theta"], doc["shift"], doc["lower"], doc["upper"],
-        seed=doc.get("seed"),
-    )
+    matrix's column or row count.  A document that is not a JSON object, or
+    that lacks one of the six keys, is refused with a ValueError that says
+    so or names the key."""
+    if not isinstance(doc, dict):
+        raise ValueError("the problem document is not a JSON object")
+    keys = ("A", "c", "theta", "shift", "lower", "upper")
+    for key in keys:
+        if key not in doc:
+            raise ValueError(f"the document has no {key!r}")
+    problem = NumProblem(*(doc[key] for key in keys), seed=doc.get("seed"))
     for key, count in zip("mn", problem.a_matrix.shape):
         if key in doc and not (is_integer(doc[key]) and doc[key] == count):
             raise ValueError(f"the document gives {key} = {doc[key]!r}, its matrix {count}")

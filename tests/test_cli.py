@@ -202,6 +202,23 @@ def test_refuses_counts_other_than_the_matrix(tmp_path, capsys, command, key, va
     assert err["error"] == "ValueError" and f"{key} = {value}" in err["message"]
 
 
+@pytest.mark.parametrize("doc, message", [
+    ([TWO_USERS], "the problem document is not a JSON object"),
+    ({key: value for key, value in TWO_USERS.items() if key != "A"}, "the document has no 'A'"),
+    ({key: value for key, value in TWO_USERS.items() if key != "theta"}, "the document has no 'theta'"),
+], ids=["list", "no-A", "no-theta"])
+@pytest.mark.parametrize("command", [["solve"], ["run", "--horizon", "3", "--problem"]],
+                         ids=["solve", "run"])
+def test_refuses_document_that_is_not_a_problem_object(tmp_path, capsys, command, doc, message):
+    """A document that is not a JSON object, or lacks a key, is refused by a
+    ValueError that says so or names the key."""
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    assert main([*command, str(path)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError", "message": message}
+
+
 def test_document_without_counts_loads(tmp_path):
     doc = {key: value for key, value in TWO_USERS.items() if key not in ("n", "m")}
     path = tmp_path / "problem.json"
@@ -415,10 +432,10 @@ def compare_and_report(out_dir, capsys, trials=2, horizon=20):
 
 def test_compare_and_report_write_the_same_bytes_for_any_workers(tmp_path, capsys, monkeypatch):
     """Every file and stdout of `compare` then `report` is the same whether the
-    caller prices and writes alone or with one or two forked workers; the
-    manifest differs only in its output directory.  One trial prices as one
-    block but writes on every worker, and a horizon of CHUNK + 6 rounds ends
-    each CSV on a partial chunk of rows."""
+    caller prices alone or with one or two forked workers; the manifest
+    differs only in its output directory.  One trial prices as one block,
+    and a horizon of CHUNK + 6 rounds ends each CSV on a partial chunk of
+    rows."""
     for trials, horizon in ((7, 40), (1, 40), (2, CHUNK + 6)):
         runs = []
         for workers in (1, 2, 3):
@@ -502,8 +519,8 @@ def test_cli_imports_no_heavy_dependency(tmp_path):
     """Every command starts by importing the CLI; scipy or pandas would slow that
     down.  `generate` and `solve` handle one network, so they load neither the
     ensemble harness nor the pricing loops, the traces or a process pool.
-    `compare` and `report` fork their blocks themselves, so they load no
-    process pool either: neither multiprocessing nor concurrent.futures."""
+    `compare` forks its blocks itself and `report` forks none, so they load
+    no process pool either: neither multiprocessing nor concurrent.futures."""
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (

@@ -4,7 +4,6 @@ import json
 import mmap
 import os
 import re
-import shutil
 import signal
 import subprocess
 import sys
@@ -412,8 +411,8 @@ class TestRunExperiment:
         """Without posix_fallocate, as on macOS, the table file stays sparse,
         and a write to it that finds the disk full, in the caller's block or
         in a forked one, raises that OSError: the run leaves no traces.npy,
-        no temporary of it and no summary part file, and `report` refuses the
-        directory."""
+        no temporary of it and no summary.csv or temporary of it, and `report`
+        refuses the directory."""
         monkeypatch.setattr(harness, "available_workers", lambda: workers)
         monkeypatch.delattr(os, "posix_fallocate", raising=False)
         config = small_config(tmp_path)
@@ -548,23 +547,21 @@ class TestRunExperiment:
 
     def test_rerun_removes_a_killed_runs_temporary_table(self, tmp_path, monkeypatch):
         """A temporary table that a killed run left, named as _write_whole
-        names it, and the summary parts of a run killed before it removed
-        them, are removed by the next run into that directory, even one
-        without those parts' algorithms.  A file the run does not own is
-        kept, and so is a file or directory named as a temporary of an owned
-        directory, which _write_whole never makes, and a directory named as a
-        temporary of an owned file."""
+        names it, and a temporary of summary.csv named as the parts of an
+        older run's summary were, with digits after the pid, are removed by
+        the next run into that directory, even one of other algorithms.  A
+        file the run does not own is kept, and so is a file or directory
+        named as a temporary of an owned directory, which _write_whole never
+        makes, and a directory named as a temporary of an owned file."""
         config = small_config(tmp_path, trials=2)
         with monkeypatch.context() as killed:
             killed.setattr(os, "remove", lambda path: None)
             run_experiment(config)
-        parts = set(os.listdir(config.output_dir)) - set(harness.OWNED)
-        assert len(parts) == len(config.algorithms)
         kept_dirs = ("traces.tmp.7", "summary.csv.tmp.5")
         for name in kept_dirs:
             os.makedirs(os.path.join(config.output_dir, name))
         kept = ("traces.npy.tmp.notes", "notes.txt", "oracle_cache.tmp.42")
-        for name in ("traces.npy.tmp.99999", *kept):
+        for name in ("traces.npy.tmp.99999", "summary.csv.tmp.999990", *kept):
             Path(config.output_dir, name).write_text("kept?")
         run_experiment(replace(config, algorithms=("DGM",)))
         left = set(os.listdir(config.output_dir)) - set(harness.OWNED)
@@ -576,8 +573,8 @@ class TestRunExperiment:
     def test_failed_trace_write_leaves_no_table(self, tmp_path, monkeypatch, workers):
         """A trace CSV whose write fails, in the caller's block or in a forked
         one, is raised before the table or the summary is written: the run
-        leaves no traces.npy, no temporary of it and no summary part file, and
-        `report` refuses the directory."""
+        leaves no traces.npy, no temporary of it and no summary.csv or
+        temporary of it, and `report` refuses the directory."""
         monkeypatch.setattr(harness, "available_workers", lambda: workers)
         config = small_config(tmp_path)
         assert 2 in blocks(config.trials, workers)[-1]
@@ -982,23 +979,22 @@ class TestAggregateAndReport:
         assert not summary_path.exists()
 
     def test_report_forks_no_more_workers_than_this_machine_runs(self, tmp_path, monkeypatch):
+        """`report` runs in one process, with two CPUs or three, and writes
+        the summary `compare` wrote."""
         config = small_config(tmp_path, trials=8)
         run_experiment(config)
         summary_path = os.path.join(config.output_dir, "summary.csv")
         compared = Path(summary_path).read_text()
-        forks, fork = [], os.fork
 
-        def recording_fork():
-            pid = fork()
-            if pid:  # in the caller, not in the child
-                forks.append(pid)
-            return pid
+        def no_fork(*args, **kwargs):
+            raise AssertionError("report forked")
 
-        monkeypatch.setattr(os, "fork", recording_fork)
-        os.remove(summary_path)
-        assert report(config.output_dir).trials == 8
-        assert len(forks) <= available_workers() - 1
-        assert Path(summary_path).read_text() == compared
+        monkeypatch.setattr(os, "fork", no_fork)
+        for workers in (2, 3):
+            monkeypatch.setattr(harness, "available_workers", lambda: workers)
+            os.remove(summary_path)
+            assert report(config.output_dir).trials == 8
+            assert Path(summary_path).read_text() == compared
 
     def test_report_reads_in_process_without_fork(self, tmp_path, monkeypatch):
         """As on a platform without fork: one process."""
@@ -1023,65 +1019,44 @@ class TestAggregateAndReport:
         assert Path(summary_path).read_text() == compared
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_no_summary_part_file_outlives_a_run(self, tmp_path, monkeypatch, workers):
-        """Neither compare nor report leaves a part file of summary.csv, whether
-        it ends normally or writing a section fails."""
+    def test_no_temporary_of_summary_csv_outlives_a_run(self, tmp_path, monkeypatch, workers):
+        """Neither compare nor report leaves a temporary of summary.csv, whether
+        it ends normally or its write fails; a report whose write fails
+        part-way leaves the summary compare wrote, whole."""
         monkeypatch.setattr(harness, "available_workers", lambda: workers)
         config = small_config(tmp_path)
 
-        def parts():
+        def temporaries():
             return [name for name in os.listdir(config.output_dir) if name.startswith("summary.csv.")]
 
         run_experiment(config)
-        assert parts() == []
+        assert temporaries() == []
         report(config.output_dir)
-        assert parts() == []
+        assert temporaries() == []
         summary_path = os.path.join(config.output_dir, "summary.csv")
         written = Path(summary_path).read_text()
 
-        def full_disk(*args, **kwargs):
-            raise OSError("no space left on device")
+        write_rows, calls = harness.write_rows, []
+
+        def full_disk(*args):  # from the second call on: part-way into report's summary
+            calls.append(args)
+            if len(calls) > 1:
+                raise OSError("no space left on device")
+            write_rows(*args)
 
         monkeypatch.setattr(harness, "write_rows", full_disk)
         with pytest.raises(OSError, match="no space left"):
             report(config.output_dir)
-        assert parts() == []
+        assert temporaries() == []
         assert Path(summary_path).read_text() == written
         with pytest.raises(OSError, match="no space left"):
             run_experiment(config)
-        assert parts() == []
+        assert temporaries() == []
         assert not os.path.exists(os.path.join(config.output_dir, "manifest.json"))
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_failed_join_leaves_summary_whole(self, tmp_path, monkeypatch, workers):
-        """A join of summary.csv that fails at its second part is raised by
-        `report`, and leaves the summary `compare` wrote, whole, and neither a
-        part file nor a temporary file."""
-        monkeypatch.setattr(harness, "available_workers", lambda: workers)
-        config = small_config(tmp_path)
-        run_experiment(config)
-        summary_path = Path(config.output_dir, "summary.csv")
-        written = summary_path.read_bytes()
-        copyfileobj, copied = shutil.copyfileobj, []
-
-        def full_disk(src, dst, *args):
-            copied.append(src)
-            if len(copied) == 2:
-                raise OSError("no space left on device")
-            copyfileobj(src, dst, *args)
-
-        monkeypatch.setattr(shutil, "copyfileobj", full_disk)
-        with pytest.raises(OSError, match="no space left"):
-            report(config.output_dir)
-        assert len(copied) == 2
-        assert summary_path.read_bytes() == written
-        assert [
-            name for name in os.listdir(config.output_dir) if name.endswith(".part") or ".tmp." in name
-        ] == []
-
     def test_summary_header_and_sections_end_lines_alike(self, tmp_path, monkeypatch):
-        """As where text files end lines with \\r\\n: the header and the joined
-        sections of summary.csv all do."""
+        """As where text files end lines with \\r\\n: the header and every
+        algorithm's rows of summary.csv all do."""
         monkeypatch.setattr(harness, "available_workers", lambda: 2)
         config = small_config(tmp_path)
         run_experiment(config)
